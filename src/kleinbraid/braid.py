@@ -26,28 +26,33 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .kleinpi import K_IDENTITY, KleinElt, delta, eps
 from .words import BIG_B, ONE, U, V, Word, parse_word
 
 
-@lru_cache(maxsize=4096)
-def _theta_images(m: int, n_parity: int) -> tuple[Word, Word]:
-    d = n_parity
-    e = eps(n_parity)
-    img_u = BIG_B ** (m - d) * U ** e * BIG_B ** (d - m)
-    img_v = BIG_B ** m * V * U ** (-2 * m) * BIG_B ** (d - m)
-    return img_u, img_v
-
-
 def theta(t: KleinElt, w: Word) -> Word:
-    """Image of w under the twisting automorphism with parameters t."""
-    img_u, img_v = _theta_images(t.m, t.n % 2)
-    out = ONE
+    """Image of w under the twisting automorphism with parameters t.
+
+    With P = B^(m-δn), theta(m, n) is conjugation by P after the
+    substitution φ: u ↦ u^(εn), v ↦ B^(δn) v u^(-2m), that is
+    theta(t)(w) = P · φ(w) · P^-1.  φ(w) takes one run per u-run of w and
+    a power of the 2- or 3-run word φ(v) per v-run, reduced once, so the
+    cost is linear in the runs of φ(w) plus |m|.
+    """
+    m, d = t.m, t.n % 2
+    if not m and not d:  # theta(0, even n) is the identity
+        return w
+    e = eps(d)
+    img_v = BIG_B ** d * V * U ** (-2 * m)
+    runs: list[tuple[str, int]] = []
     for g, k in w.runs:
-        out = out * (img_u if g == "u" else img_v) ** k
-    return out
+        if g == "u":
+            runs.append(("u", e * k))
+        else:
+            runs.extend((img_v ** k).runs)
+    conj = BIG_B ** (m - d)
+    return conj * Word(tuple(runs)) * conj.inv()
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,14 @@ class BraidElt:
 
     def __pow__(self, k: int) -> "BraidElt":
         base = self if k >= 0 else self.inv()
-        out = BraidElt()
-        for _ in range(abs(k)):
-            out = out * base
+        out = B_IDENTITY
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     @property
@@ -105,10 +115,13 @@ def p_word(a: BraidElt) -> Word:
 
 def gmap(w: Word) -> KleinElt:
     """The homomorphism F(u, v) → Z ⋊ Z with u ↦ (1,0), v ↦ (0,1)."""
-    out = K_IDENTITY
+    m = n = 0
     for g, e in w.runs:
-        out = out * (KleinElt(e, 0) if g == "u" else KleinElt(0, e))
-    return out
+        if g == "u":
+            m += eps(n) * e
+        else:
+            n += e
+    return KleinElt(m, n)
 
 
 def _lsigma_u_run(r: int) -> BraidElt:

@@ -49,11 +49,11 @@ class KleinElt:
         return KleinElt(-eps(self.n) * self.m, -self.n)
 
     def __pow__(self, k: int) -> "KleinElt":
-        base = self if k >= 0 else self.inv()
-        out = KleinElt()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        # even n: the twist never flips m, so (m, n)^k = (k·m, k·n);
+        # odd n: (m, n)^2 = (0, 2n), so only an odd power keeps m.
+        if self.n % 2 == 0:
+            return KleinElt(k * self.m, k * self.n)
+        return KleinElt(self.m * (k % 2), k * self.n)
 
     def __str__(self) -> str:
         return f"({self.m},{self.n})"

@@ -2,8 +2,15 @@
 
 Words are run-length encoded: a tuple of (generator, exponent) pairs with
 nonzero exponents and distinct adjacent generators.  The empty tuple is the
-identity.  Construction always re-reduces, so two words represent the same
-group element iff they compare equal as values.
+identity.  Every word is kept reduced, so two words represent the same group
+element iff they compare equal as values.
+
+Construction from arbitrary runs reduces them.  The group operations start
+from reduced operands and build reduced runs directly, so each costs time
+linear in the runs it writes: a product cancels only at the seam, an inverse
+reverses, and a power w^n writes w = p c p^-1 with c cyclically reduced and
+returns p c^n p^-1, which needs no cancellation at all (Lyndon-Schupp,
+*Combinatorial Group Theory*, I.2).
 
 ``B`` abbreviates the fixed word u v u v^-1.  Input text may use it as
 shorthand (with an optional exponent); canonical output never emits it.
@@ -12,7 +19,7 @@ shorthand (with an optional exponent); canonical output never emits it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Tuple
 
 Run = Tuple[str, int]
@@ -42,27 +49,66 @@ def _reduce(runs: Iterable[Run]) -> tuple[Run, ...]:
     return tuple(out)
 
 
+def _inv_runs(runs: tuple[Run, ...]) -> tuple[Run, ...]:
+    return tuple([(g, -e) for g, e in reversed(runs)])
+
+
 @dataclass(frozen=True)
 class Word:
     """A reduced word over {u, v}; all operations are exact and pure."""
 
     runs: tuple[Run, ...] = ()
+    # True only when the caller guarantees ``runs`` is a reduced tuple.
+    reduced: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", _reduce(self.runs))
+    def __post_init__(self, reduced: bool) -> None:
+        if not reduced:
+            object.__setattr__(self, "runs", _reduce(self.runs))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.runs + other.runs)
+        a, b = self.runs, other.runs
+        if not b:
+            return self
+        if not a:
+            return other
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            e = a[i - 1][1] + b[j][1]
+            if e:
+                return Word(a[: i - 1] + ((b[j][0], e),) + b[j + 1 :], reduced=True)
+            i -= 1
+            j += 1
+        return Word(a[:i] + b[j:], reduced=True)
 
     def inv(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.runs)))
+        return Word(_inv_runs(self.runs), reduced=True)
 
     def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else self.inv()
-        out = Word()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        if n < 0:
+            return self.inv() ** -n
+        runs = self.runs
+        if n == 1 or not runs:
+            return self
+        if n == 0:
+            return Word()
+        # peel w = p · core · p^-1
+        i, j = 0, len(runs) - 1
+        while i < j and runs[i][0] == runs[j][0] and runs[i][1] == -runs[j][1]:
+            i += 1
+            j -= 1
+        p, core = runs[:i], runs[i : j + 1]
+        (g, a), (h, b) = core[0], core[-1]
+        if len(core) == 1:
+            middle = ((g, n * a),)
+        elif g != h:
+            middle = core * n
+        else:
+            # core = g^a X g^b with a + b != 0; the cyclic rotation
+            # g^(a+b) X is cyclically reduced, and core^n is
+            # g^a (X g^(a+b))^(n-1) X g^b.
+            x = core[1:-1]
+            middle = ((g, a),) + (x + ((g, a + b),)) * (n - 1) + x + ((g, b),)
+        return Word(p + middle + _inv_runs(p), reduced=True)
 
     def conj(self, x: "Word") -> "Word":
         """self * x * self.inv()."""
@@ -124,7 +170,7 @@ _TERM = re.compile(r"([uvB1])(\^(-?\d+))?")
 
 def parse_word(text: str) -> Word:
     """Parse ``term*`` where ``term := ("u"|"v"|"B"|"1") ("^" integer)?``."""
-    out = ONE
+    runs: list[Run] = []
     pos = 0
     n = len(text)
     while pos < n:
@@ -139,11 +185,11 @@ def parse_word(text: str) -> Word:
         sym = m.group(1)
         exp = 1 if m.group(3) is None else int(m.group(3))
         if sym in ("u", "v"):
-            out = out * Word(((sym, exp),))
+            runs.append((sym, exp))
         elif sym == "B":
-            out = out * BIG_B ** exp
+            runs.extend((BIG_B ** exp).runs)
         pos = m.end()
-    return out
+    return Word(tuple(runs))
 
 
 def format_word(w: Word) -> str:
