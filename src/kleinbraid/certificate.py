@@ -14,11 +14,11 @@ is a desk-scale verification of an infinite statement, so reports always
 carry their windows.
 
 build_master assembles the general equation from the class parameters
-(r1, r2, s1, s2, i, j) and the quantified pair (m, n).  The three
-per-family builders below re-transcribe the specialised equations
-independently; agreement of the two routes, term for term, is part of the
-test surface, as is agreement of the displayed mu/nu operators with their
-compositional definitions.
+(r1, r2, s1, s2, i, j) and the quantified pair (m, n); its Ax and Ay are
+kernel.KernelOperator term tables, not closures.  The three per-family
+builders below re-transcribe the specialised equations independently, the
+displayed mu/nu operators included, and their exact equality with
+build_master is part of the test surface.
 """
 
 from __future__ import annotations
@@ -28,69 +28,21 @@ from typing import Callable, Tuple
 
 from .classifier import HomClass, decide
 from .kernel import (
+    ID,
+    RHO,
+    KernelOperator,
     KernelVector,
     c_ab,
-    c_ab_basis,
-    rho_ab_basis,
-    theta_ab_basis,
+    c_operator,
+    theta_operator,
     tilde_i,
     tilde_j,
     tilde_o,
     tilde_q,
     tilde_t,
 )
-from .kleinpi import KleinElt, delta, eps
+from .kleinpi import delta, eps
 from .witness import UnsupportedFamilyError
-
-
-class KernelOperator:
-    """Linear operator on kernel vectors, given by its basis images."""
-
-    __slots__ = ("on_basis",)
-
-    def __init__(self, on_basis: Callable[[int, int], KernelVector]) -> None:
-        self.on_basis = on_basis
-
-    def __call__(self, vec: KernelVector) -> KernelVector:
-        out = KernelVector()
-        for (k, l), c in vec.items():
-            out = out + c * self.on_basis(k, l)
-        return out
-
-    def __add__(self, other: "KernelOperator") -> "KernelOperator":
-        return KernelOperator(lambda k, l: self.on_basis(k, l) + other.on_basis(k, l))
-
-    def __sub__(self, other: "KernelOperator") -> "KernelOperator":
-        return KernelOperator(lambda k, l: self.on_basis(k, l) - other.on_basis(k, l))
-
-    def __matmul__(self, other: "KernelOperator") -> "KernelOperator":
-        return KernelOperator(lambda k, l: self(other.on_basis(k, l)))
-
-    @staticmethod
-    def identity() -> "KernelOperator":
-        return KernelOperator(lambda k, l: KernelVector.unit(k, l))
-
-
-def c_operator(p: int, q: int) -> KernelOperator:
-    return KernelOperator(lambda k, l: KernelVector({c_ab_basis(p, q, k, l): 1}))
-
-
-def theta_operator(m: int, n: int) -> KernelOperator:
-    t = KleinElt(m, n)
-
-    def on_basis(k: int, l: int) -> KernelVector:
-        sign, key = theta_ab_basis(t, k, l)
-        return KernelVector({key: sign})
-
-    return KernelOperator(on_basis)
-
-
-def rho_operator() -> KernelOperator:
-    def on_basis(k: int, l: int) -> KernelVector:
-        sign, key = rho_ab_basis(k, l)
-        return KernelVector({key: sign})
-
-    return KernelOperator(on_basis)
 
 
 @dataclass(frozen=True)
@@ -145,38 +97,16 @@ def derived_exponents(p: MasterParams) -> Tuple[int, int, int, int, int]:
     return a1, a2, b1, b2, g
 
 
-def _sum_shift_and_twisted_flip(p: int, q: int, g: int, d: int) -> KernelOperator:
-    """c(p, q) + theta(g, d)∘rho, fused into one closure for the window sweeps."""
-    t = KleinElt(g, d)
-
-    def on_basis(k: int, l: int) -> KernelVector:
-        first = (k + p, l + eps(k) * q)
-        s_r, (kr, lr) = rho_ab_basis(k, l)
-        s_t, second = theta_ab_basis(t, kr, lr)
-        return KernelVector([(first, 1), (second, s_r * s_t)])
-
-    return KernelOperator(on_basis)
-
-
-def _shifted_twist_minus_identity(p: int, q: int, r: int, d: int) -> KernelOperator:
-    """c(p, q)∘theta(r, d) - id, fused into one closure."""
-    t = KleinElt(r, d)
-
-    def on_basis(k: int, l: int) -> KernelVector:
-        s, (kt, lt) = theta_ab_basis(t, k, l)
-        return KernelVector([((kt + p, lt + eps(kt) * q), s), ((k, l), -1)])
-
-    return KernelOperator(on_basis)
-
-
 def build_master(p: MasterParams) -> MasterEquation:
     """The general two-unknown obstruction equation at (m, n)."""
     r1, s1, s2, i, j, m, n = p.r1, p.s1, p.s2, p.i, p.j, p.m, p.n
     a1, a2, b1, b2, g = derived_exponents(p)
 
-    ax = _sum_shift_and_twisted_flip(a2 - b2, a1 - b1, g, delta(n + i))
-    ay = _shifted_twist_minus_identity(
-        a2, a1 * eps(n + i), delta(i + 1) * delta(j + 1) * r1, delta(i)
+    ax = c_operator(a2 - b2, a1 - b1) + theta_operator(g, delta(n + i)) @ RHO
+    ay = (
+        c_operator(a2, a1 * eps(n + i))
+        @ theta_operator(delta(i + 1) * delta(j + 1) * r1, delta(i))
+        - ID
     )
 
     constant = (
@@ -219,8 +149,8 @@ def equation_first_odd(s: int, z: int, w: int, m: int, n: int):
     """
     shift = 2 * n - (2 * z + 1) * w - 4 * s - 2
     lam = 2 * m * eps(w) * delta(n + w)
-    ax = c_operator(shift, lam) + theta_operator(m, delta(n + 1)) @ rho_operator()
-    ay = c_operator(-4 * s - 2, 2 * m) @ theta_operator(0, 1) - KernelOperator.identity()
+    ax = c_operator(shift, lam) + theta_operator(m, delta(n + 1)) @ RHO
+    ay = c_operator(-4 * s - 2, 2 * m) @ theta_operator(0, 1) - ID
     constant = (
         c_ab(-4 * s - 2, 0, tilde_t(2 * m, delta(n + 1)))
         + c_ab(
@@ -246,9 +176,9 @@ def equation_even_odd(s: int, z: int, m: int, n: int):
     """
     ax = (
         c_operator(2 * n - 2 * z - 4 * s - 1, -2 * delta(n) * m)
-        + theta_operator(m, delta(n)) @ rho_operator()
+        + theta_operator(m, delta(n)) @ RHO
     )
-    ay = c_operator(-4 * s, 0) - KernelOperator.identity()
+    ay = c_operator(-4 * s, 0) - ID
     constant = (
         c_ab(2 * n - 2 * z - 4 * s - 1, 0, tilde_o(2 * s, -2 * delta(n) * m))
         + c_ab(0, delta(n + 1), tilde_j(-2 * s, 1 - 2 * m))
@@ -260,29 +190,28 @@ def equation_even_odd(s: int, z: int, m: int, n: int):
 
 def mu_nu_operators(r1: int, r2: int, s: int, z: int, m: int, n: int):
     """The displayed forms of the two linear operators of the type-4
-    equation; must agree with their compositional definitions
+    equation, as term tables read off per parity of k from
 
-        mu = c(2n-2z-4s, 2δ(n+1)(m-r1)+ε(n+1)r2) + theta(m+ε(n+1)r1, δn)∘rho
+        mu: e(k, l) ↦ e(k+2n-2z-4s, l+εk·λ) + ε(k+n)·e(-k, ε(k+n+1)·l - 2δk·(m+ε(n+1)r1))
+        nu: e(k, l) ↦ e(k-4s, l - 2δ(n+k+1)·r1) - e(k, l),    λ = 2δ(n+1)(m-r1) + ε(n+1)r2
+
+    and not from c_operator/theta_operator/RHO, since they must equal the
+    compositional definitions that build_master computes:
+
+        mu = c(2n-2z-4s, λ) + theta(m+ε(n+1)r1, δn)∘rho
         nu = c(-4s, -2δ(n+1)r1)∘theta(r1, 0) - id
     """
-
-    def mu_basis(k: int, l: int) -> KernelVector:
-        first = (
-            k - 2 * z + 2 * n - 4 * s,
-            l + eps(k) * (2 * delta(n + 1) * (m - r1) + eps(n + 1) * r2),
-        )
-        second = (
-            -k,
-            eps(k + n + 1) * l - 2 * delta(k) * (m + eps(n + 1) * r1),
-        )
-        return KernelVector([(first, 1), (second, eps(k + n))])
-
-    def nu_basis(k: int, l: int) -> KernelVector:
-        return KernelVector(
-            [((k - 4 * s, l - 2 * delta(n + k + 1) * r1), 1), ((k, l), -1)]
-        )
-
-    return KernelOperator(mu_basis), KernelOperator(nu_basis)
+    shift = 2 * n - 2 * z - 4 * s
+    lam = 2 * delta(n + 1) * (m - r1) + eps(n + 1) * r2
+    mu = KernelOperator(
+        [(1, 1, shift, 1, lam), (eps(n), -1, 0, eps(n + 1), 0)],
+        [(1, 1, shift, 1, -lam), (-eps(n), -1, 0, eps(n), -2 * (m + eps(n + 1) * r1))],
+    )
+    nu = KernelOperator(
+        [(1, 1, -4 * s, 1, -2 * delta(n + 1) * r1), (-1, 1, 0, 1, 0)],
+        [(1, 1, -4 * s, 1, -2 * delta(n) * r1), (-1, 1, 0, 1, 0)],
+    )
+    return mu, nu
 
 
 def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int):

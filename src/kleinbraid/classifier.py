@@ -41,7 +41,7 @@ def validate(h: HomDescriptor) -> bool:
 
 @dataclass(frozen=True)
 class HomClass:
-    """A normalised representative; fields unused by a type stay zero."""
+    """A normalised representative; fields unused by a type must be zero."""
 
     kind: int
     i: int = 0
@@ -57,6 +57,10 @@ class HomClass:
             raise ValueError(f"i must be 0 or 1, got {self.i}")
         if self.kind == 4 and self.r1 < 0:
             raise ValueError(f"r1 must be >= 0, got {self.r1}")
+        if self.kind != 4 and (self.r1 or self.r2):
+            raise ValueError(f"type {self.kind} has no r1/r2, got r1={self.r1}, r2={self.r2}")
+        if self.kind == 4 and self.i:
+            raise ValueError(f"type 4 has no i, got i={self.i}")
 
     def images(self) -> tuple[KleinElt, KleinElt]:
         if self.kind == 1:

@@ -41,10 +41,7 @@ def _class_from_args(args) -> HomClass:
         return normalize(h)
     if args.type is None:
         raise _CliError("give either --img10/--img01 or --type with parameters")
-    kw = dict(s1=args.s1, s2=args.s2)
-    if args.type == 4:
-        return HomClass(4, r1=args.r1, r2=args.r2, **kw)
-    return HomClass(args.type, i=args.i, **kw)
+    return HomClass(args.type, i=args.i, s1=args.s1, s2=args.s2, r1=args.r1, r2=args.r2)
 
 
 def _add_class_args(p: argparse.ArgumentParser) -> None:

@@ -12,11 +12,17 @@ v-letter crossing coset (m, n) deposits the row
 evaluated there).  The roundtrip project(expand(k, l)) == e(k, l) and the
 closed forms of the T/I/O/J/Q families pin the scan's correctness.
 
-theta_ab / rho_ab / c_ab are the operators induced on the abelianisation:
+theta_ab / rho_ab / c_ab apply the operators induced on the abelianisation:
 
-    theta_ab(m, n): e(k, l) ↦ εn · e(k, εn·l - 2·δk·m)
-    rho_ab:         e(k, l) ↦ εk · e(-k, ε(k+1)·l)
-    c_ab(p, q):     e(k, l) ↦ e(k+p, l + εk·q)
+    theta_operator(m, n): e(k, l) ↦ εn · e(k, εn·l - 2·δk·m)
+    RHO:                  e(k, l) ↦ εk · e(-k, ε(k+1)·l)
+    c_operator(p, q):     e(k, l) ↦ e(k+p, l + εk·q)
+
+Every induced operator, and every sum and composition of them, is a sum of
+terms e(k, l) ↦ ±e(±k + p, ±l + q) whose signs and offsets depend only on
+the parity of k.  KernelOperator holds one as a normal form of such terms
+per parity; distinct affine maps with ±1 slopes agree on at most a line,
+so operator equality is exact for all (k, l).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Dict, Iterable, Iterator, Tuple, Union
 
-from .kleinpi import KleinElt, delta, eps, sign_of
+from .kleinpi import KleinElt, eps, sign_of
 from .words import BIG_B, ONE, U, V, Word, comm
 
 Basis = Tuple[int, int]
@@ -167,38 +173,95 @@ def project(w: Word) -> KernelVector:
 # ---------------------------------------------------------------------------
 # induced operators
 
-
-def theta_ab_basis(t: KleinElt, k: int, l: int) -> tuple[int, Basis]:
-    """(sign, basis pair) of theta_ab(t) applied to e(k, l)."""
-    return eps(t.n), (k, eps(t.n) * l - 2 * delta(k) * t.m)
+Term = Tuple[int, int, int, int, int]  # (coef, a, p, b, q), a and b = ±1
 
 
-def rho_ab_basis(k: int, l: int) -> tuple[int, Basis]:
-    return eps(k), (-k, eps(k + 1) * l)
+def _normal(terms: Iterable[Term]) -> Tuple[Term, ...]:
+    merged: Dict[Tuple[int, int, int, int], int] = {}
+    for c, a, p, b, q in terms:
+        if a not in (1, -1) or b not in (1, -1):
+            raise ValueError(f"slopes must be ±1, got a={a}, b={b}")
+        key = (a, p, b, q)
+        merged[key] = merged.get(key, 0) + c
+    return tuple(sorted((c,) + key for key, c in merged.items() if c))
 
 
-def c_ab_basis(p: int, q: int, k: int, l: int) -> Basis:
-    return (k + p, l + eps(k) * q)
+class KernelOperator:
+    """Linear operator on kernel vectors: a term (coef, a, p, b, q) of
+    terms[π] sends e(k, l) with k ≡ π (mod 2) to coef·e(a·k + p, b·l + q).
+    Each table is merged, zero-free and sorted."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, even: Iterable[Term], odd: Iterable[Term]) -> None:
+        self.terms = (_normal(even), _normal(odd))
+
+    def on_basis(self, k: int, l: int) -> KernelVector:
+        return KernelVector(
+            [((a * k + p, b * l + q), c) for c, a, p, b, q in self.terms[k % 2]]
+        )
+
+    def __call__(self, vec: KernelVector) -> KernelVector:
+        return KernelVector(
+            [
+                ((a * k + p, b * l + q), c * x)
+                for (k, l), x in vec.items()
+                for c, a, p, b, q in self.terms[k % 2]
+            ]
+        )
+
+    def __add__(self, other: "KernelOperator") -> "KernelOperator":
+        return KernelOperator(self.terms[0] + other.terms[0], self.terms[1] + other.terms[1])
+
+    def __neg__(self) -> "KernelOperator":
+        return KernelOperator(*([(-c, a, p, b, q) for c, a, p, b, q in t] for t in self.terms))
+
+    def __sub__(self, other: "KernelOperator") -> "KernelOperator":
+        return self + (-other)
+
+    def __matmul__(self, other: "KernelOperator") -> "KernelOperator":
+        # a = ±1 keeps the parity of k, so a term of other at parity π lands
+        # at parity π + p, where the table self.terms[(π + p) % 2] applies
+        tables = [
+            [
+                (c2 * c, a2 * a, a2 * p + p2, b2 * b, b2 * q + q2)
+                for c, a, p, b, q in other.terms[parity]
+                for c2, a2, p2, b2, q2 in self.terms[(parity + p) % 2]
+            ]
+            for parity in (0, 1)
+        ]
+        return KernelOperator(*tables)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, KernelOperator) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"KernelOperator({self.terms[0]!r}, {self.terms[1]!r})"
+
+
+ID = KernelOperator([(1, 1, 0, 1, 0)], [(1, 1, 0, 1, 0)])
+RHO = KernelOperator([(1, -1, 0, -1, 0)], [(-1, -1, 0, 1, 0)])
+
+
+def c_operator(p: int, q: int) -> KernelOperator:
+    return KernelOperator([(1, 1, p, 1, q)], [(1, 1, p, 1, -q)])
+
+
+def theta_operator(m: int, n: int) -> KernelOperator:
+    e = eps(n)
+    return KernelOperator([(e, 1, 0, e, 0)], [(e, 1, 0, e, -2 * m)])
 
 
 def theta_ab(t: KleinElt, vec: KernelVector) -> KernelVector:
-    out = []
-    for (k, l), c in vec.items():
-        sign, key = theta_ab_basis(t, k, l)
-        out.append((key, sign * c))
-    return KernelVector(out)
+    return theta_operator(t.m, t.n)(vec)
 
 
 def rho_ab(vec: KernelVector) -> KernelVector:
-    out = []
-    for (k, l), c in vec.items():
-        sign, key = rho_ab_basis(k, l)
-        out.append((key, sign * c))
-    return KernelVector(out)
+    return RHO(vec)
 
 
 def c_ab(p: int, q: int, vec: KernelVector) -> KernelVector:
-    return KernelVector([(c_ab_basis(p, q, k, l), c) for (k, l), c in vec.items()])
+    return c_operator(p, q)(vec)
 
 
 def c_agreement(p: int, q: int, x: Word) -> bool:

@@ -427,12 +427,14 @@ def suite_certificate_grid(window: int = 6, mn: int = 4) -> list[SuiteCheck]:
 
 
 def suite_specialization(window: int = 4) -> list[SuiteCheck]:
-    """build_master equals the three per-family transcriptions, term-level."""
+    """build_master equals the three per-family transcriptions: operators by
+    exact term-table equality and, as a cross-check, on a window of basis
+    vectors; constants as vectors."""
     out: list[SuiteCheck] = []
     coords = range(-window, window + 1)
 
     def ops_equal(op1, op2):
-        return all(
+        return op1 == op2 and all(
             op1.on_basis(k, l) == op2.on_basis(k, l) for k in coords for l in coords
         )
 

@@ -175,3 +175,17 @@ def test_homclass_validation():
         HomClass(1, i=2)
     with pytest.raises(ValueError):
         HomClass(4, r1=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(kind=1, r1=7),
+        dict(kind=2, r2=-1),
+        dict(kind=3, i=1, r1=1, r2=2),
+        dict(kind=4, i=1, r1=1),
+    ],
+)
+def test_homclass_rejects_fields_its_type_does_not_use(kwargs):
+    with pytest.raises(ValueError):
+        HomClass(**kwargs)

@@ -32,6 +32,15 @@ def test_classify_json_roundtrip(capsys):
     assert data["reduced"]["type"] == 4
 
 
+def test_classify_rejects_fields_the_type_does_not_use(capsys):
+    code, out, err = run(capsys, "classify", "--type", "1", "--r1", "5")
+    assert code == 2 and out == ""
+    assert "r1=5" in err
+    code, _, err = run(capsys, "classify", "--type", "4", "--i", "1", "--r1", "1")
+    assert code == 2
+    assert "i=1" in err
+
+
 def test_classify_rejects_bad_homomorphism(capsys):
     code, _, err = run(capsys, "classify", "--img10", "(1,1)", "--img01", "(1,0)")
     assert code == 2
