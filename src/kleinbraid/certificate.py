@@ -19,11 +19,18 @@ kernel.KernelOperator term tables, not closures.  The three per-family
 builders below re-transcribe the specialised equations independently, the
 displayed mu/nu operators included, and their exact equality with
 build_master is part of the test surface.
-"""
 
+Every functional is periodic in (k, l), so a Functional is a table of its
+values on one period box.  Pulling it back through a term table gives
+f∘A as another small periodic table, since the ±1 slopes of A keep the
+parity of k and move k and l by whole periods.  The certificate sweep
+reads the linear part off the pulled-back tables of Ax and Ay and applies
+the functional itself only to the constant.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Tuple
 
 from .classifier import HomClass, decide
@@ -47,16 +54,55 @@ from .witness import UnsupportedFamilyError
 
 @dataclass(frozen=True)
 class Functional:
-    """Linear functional on kernel vectors; mod == 0 means Z-valued,
-    mod == 2 means Z/2-valued."""
+    """Linear functional on kernel vectors, periodic in (k, l): its value
+    on e(k, l) is table[k % pk][l % pl] for the period box (pk, pl) =
+    (len(table), len(table[0])).  mod == 0 means Z-valued, mod == 2 means
+    Z/2-valued."""
 
-    on_basis: Callable[[int, int], int]
+    table: Tuple[Tuple[int, ...], ...]
     mod: int
     label: str
 
+    @property
+    def period(self) -> Tuple[int, int]:
+        return len(self.table), len(self.table[0])
+
+    def value(self, k: int, l: int) -> int:
+        row = self.table[k % len(self.table)]
+        return row[l % len(row)]
+
     def __call__(self, vec: KernelVector) -> int:
-        total = sum(c * self.on_basis(k, l) for (k, l), c in vec.items())
+        table = self.table
+        pk, pl = self.period
+        total = sum(c * table[k % pk][l % pl] for (k, l), c in vec.items())
         return total % self.mod if self.mod else total
+
+    def pullback(self, op: KernelOperator) -> "Functional":
+        """f∘op, tabulated over the period box (lcm(2, pk), pl).
+
+        A term (c, a, p, b, q) at the parity of k sends e(k, l) to
+        c·e(a·k + p, b·l + q); with a, b = ±1, moving k by a multiple of
+        lcm(2, pk) keeps its parity and moves a·k + p by a multiple of pk,
+        and moving l by pl moves b·l + q by pl, so one box holds every
+        value of f∘op."""
+        table, mod = self.table, self.mod
+        pk, pl = self.period
+
+        def on_basis(k: int, l: int) -> int:
+            total = sum(
+                c * table[(a * k + p) % pk][(b * l + q) % pl] for c, a, p, b, q in op.terms[k % 2]
+            )
+            return total % mod if mod else total
+
+        return _tabulate((lcm(2, pk), pl), on_basis, mod, f"{self.label}∘op")
+
+
+def _tabulate(
+    period: Tuple[int, int], on_basis: Callable[[int, int], int], mod: int, label: str
+) -> Functional:
+    pk, pl = period
+    table = tuple(tuple(on_basis(k, l) for l in range(pl)) for k in range(pk))
+    return Functional(table, mod, label)
 
 
 @dataclass(frozen=True)
@@ -245,8 +291,8 @@ def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int):
 def xi_parity(w: int) -> Functional:
     """Z/2 functional: constant 1 when w is odd, otherwise parity of k."""
     if w % 2:
-        return Functional(lambda k, l: 1, 2, f"xi(w={w})")
-    return Functional(lambda k, l: k % 2, 2, f"xi(w={w})")
+        return _tabulate((2, 1), lambda k, l: 1, 2, f"xi(w={w})")
+    return _tabulate((2, 1), lambda k, l: k % 2, 2, f"xi(w={w})")
 
 
 def xi_congruence(s: int, n: int, z: int) -> Functional:
@@ -259,12 +305,12 @@ def xi_congruence(s: int, n: int, z: int) -> Functional:
     def on_basis(k: int, l: int) -> int:
         return 1 if (k % mod == 0 or (k - target) % mod == 0) else 0
 
-    return Functional(on_basis, 2, f"xi(4s-congruence, s={s})")
+    return _tabulate((mod, 1), on_basis, 2, f"xi(4s-congruence, s={s})")
 
 
 def xi_count(n: int) -> Functional:
     """Z-valued functional: δ(k+n)."""
-    return Functional(lambda k, l: delta(k + n), 0, "xi1")
+    return _tabulate((2, 1), lambda k, l: delta(k + n), 0, "xi1")
 
 
 def xi_column(r1: int, r2: int, m: int, n: int) -> Functional:
@@ -280,7 +326,7 @@ def xi_column(r1: int, r2: int, m: int, n: int) -> Functional:
     def on_basis(k: int, l: int) -> int:
         return (k + n + 1) % 2 if (l - target) % mod == 0 else 0
 
-    return Functional(on_basis, 2, "xi2")
+    return _tabulate((2, mod), on_basis, 2, "xi2")
 
 
 def xi_row(s: int, n: int) -> Functional:
@@ -292,7 +338,7 @@ def xi_row(s: int, n: int) -> Functional:
     def on_basis(k: int, l: int) -> int:
         return 1 if (k - n) % mod == 0 else 0
 
-    return Functional(on_basis, 2, "xi3")
+    return _tabulate((mod, 1), on_basis, 2, "xi3")
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +399,12 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
 
     For every (m, n) with |m|, |n| <= mn, the family's functional must
     kill both linear operators on every basis vector with |k|, |l| <=
-    window and take a nonzero value on the constant part.
+    window and take a nonzero value on the constant part.  The functional
+    is pulled back through Ax and Ay once per (m, n); the window is read
+    off the pulled-back tables only when one of them is nonzero.
     """
+    if window < 0 or mn < 0:
+        raise ValueError(f"windows must be non-negative, got window={window}, mn={mn}")
     verdict = decide(cls)
     if not verdict.bu:
         raise ValueError(
@@ -363,22 +413,21 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
         )
     family, params_at, functional_at = _family(cls)
     failures: list[Tuple[int, int, str, int, int]] = []
-    linear_ok = True
-    constant_ok = True
+    linear_ok = constant_ok = True
     coords = range(-window, window + 1)
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
             eq = build_master(params_at(m, n))
             f = functional_at(m, n)
-            ax_on, ay_on = eq.ax.on_basis, eq.ay.on_basis
-            for k in coords:
-                for l in coords:
-                    if f(ax_on(k, l)) != 0:
-                        linear_ok = False
-                        failures.append((m, n, "Ax", k, l))
-                    if f(ay_on(k, l)) != 0:
-                        linear_ok = False
-                        failures.append((m, n, "Ay", k, l))
+            for name, op in (("Ax", eq.ax), ("Ay", eq.ay)):
+                pulled = f.pullback(op)
+                if not any(map(any, pulled.table)):
+                    continue
+                for k in coords:
+                    for l in coords:
+                        if pulled.value(k, l):
+                            linear_ok = False
+                            failures.append((m, n, name, k, l))
             if f(eq.constant) == 0:
                 constant_ok = False
                 failures.append((m, n, "C", 0, 0))

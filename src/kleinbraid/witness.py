@@ -73,6 +73,13 @@ class SearchBounds:
     word_len: int = 4  # reduced letter count of each word part
     coord: int = 2     # max |m|, |n| of each twist
 
+    def __post_init__(self) -> None:
+        if self.word_len < 0 or self.coord < 0:
+            raise ValueError(
+                f"search bounds must be non-negative, got word_len={self.word_len}, "
+                f"coord={self.coord}"
+            )
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -174,8 +181,11 @@ def build_witness(cls: HomClass) -> WitnessReport:
 # ---------------------------------------------------------------------------
 # bounded exhaustive search
 
+# word lists grow about 3x per letter, so keep only the few lengths in use
+_WORD_CACHE_SIZE = 4
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _short_words(max_len: int) -> tuple[Word, ...]:
     """All reduced words with at most max_len letters."""
     out = [ONE]
@@ -194,7 +204,7 @@ def _short_words(max_len: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _words_by_gmap(max_len: int) -> dict[tuple[int, int], tuple[Word, ...]]:
     buckets: dict[tuple[int, int], list[Word]] = {}
     for w in _short_words(max_len):

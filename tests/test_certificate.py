@@ -258,3 +258,12 @@ def test_certificate_blocks_windowed_solutions():
             for x in probes:
                 for y in probes:
                     assert eq.ax(x) + eq.ay(y) + eq.constant != KernelVector()
+
+
+def test_certificate_rejects_negative_windows():
+    # a negative window checks no basis vector and no (m, n), so it proves nothing
+    cls = HomClass(2, i=0, s1=0, s2=0)
+    for window, mn in ((-1, 1), (1, -1), (-1, -1)):
+        with pytest.raises(ValueError):
+            check_certificate(cls, window=window, mn=mn)
+    assert check_certificate(cls, window=0, mn=0).success

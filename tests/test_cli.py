@@ -92,6 +92,24 @@ def test_certify_rejects_failing_class(capsys):
     assert code == 2
 
 
+def test_certify_rejects_negative_windows(capsys):
+    code, out, err = run(
+        capsys, "certify", "--type", "2", "--i", "0", "--s1", "0", "--s2", "0",
+        "--window", "-1", "--mn", "-1",
+    )
+    assert code == 2 and out == ""
+    assert "non-negative" in err
+
+
+def test_witness_search_rejects_negative_bounds(capsys):
+    code, out, err = run(
+        capsys, "witness", "--type", "3", "--i", "0", "--s1", "0", "--s2", "0",
+        "--search", "--bounds", "-1", "--coords", "-1",
+    )
+    assert code == 2 and out == ""
+    assert "non-negative" in err
+
+
 def test_braid_eval(capsys):
     code, out, _ = run(capsys, "braid-eval", "lsigma (B;0,0)")
     assert code == 0

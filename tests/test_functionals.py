@@ -1,0 +1,265 @@
+"""Periodic functionals and the certificate sweep over pulled-back tables.
+
+The references below are the closure formulas the xi_* builders used
+before they became tables, and the per-basis sweep check_certificate ran
+before it read pulled-back tables: it builds op.on_basis(k, l) for every
+window point and applies the functional to it.  The tables must agree
+with the formulas on boxes several periods wide, pulling back must agree
+with applying the functional after the operator, and the two sweeps must
+return equal reports, failures included.
+"""
+
+import itertools
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kleinbraid import certificate
+from kleinbraid.certificate import (
+    CertificateReport,
+    Functional,
+    build_master,
+    check_certificate,
+    xi_column,
+    xi_congruence,
+    xi_count,
+    xi_parity,
+    xi_row,
+)
+from kleinbraid.classifier import HomClass, decide
+from kleinbraid.kernel import ID, RHO, KernelVector, c_operator, theta_operator
+from kleinbraid.kleinpi import delta, eps
+from kleinbraid.suites import _covered, _grid_classes
+
+# derandomized, so that the suite runs the same examples every time
+PROFILE = settings(deadline=None, database=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# reference closure formulas
+
+
+def ref_xi_parity(w):
+    if w % 2:
+        return lambda k, l: 1
+    return lambda k, l: k % 2
+
+
+def ref_xi_congruence(s, n, z):
+    mod = abs(4 * s)
+    target = 2 * n - 2 * z - 1
+    return lambda k, l: 1 if (k % mod == 0 or (k - target) % mod == 0) else 0
+
+
+def ref_xi_count(n):
+    return lambda k, l: delta(k + n)
+
+
+def ref_xi_column(r1, r2, m, n):
+    mod = 2 * abs(r1)
+    target = eps(n) * m - r2 // 2
+    return lambda k, l: (k + n + 1) % 2 if (l - target) % mod == 0 else 0
+
+
+def ref_xi_row(s, n):
+    mod = 4 * abs(s)
+    return lambda k, l: 1 if (k - n) % mod == 0 else 0
+
+
+def functional_cases():
+    """(functional, reference formula, expected period) over small parameters."""
+    nonzero = (-3, -2, -1, 1, 2, 3)
+    small = range(-3, 4)
+    for w in small:
+        yield xi_parity(w), ref_xi_parity(w), (2, 1)
+    for n in small:
+        yield xi_count(n), ref_xi_count(n), (2, 1)
+    for s, n, z in itertools.product(nonzero, small, (0, 1)):
+        yield xi_congruence(s, n, z), ref_xi_congruence(s, n, z), (4 * abs(s), 1)
+    for s, n in itertools.product(nonzero, small):
+        yield xi_row(s, n), ref_xi_row(s, n), (4 * abs(s), 1)
+    for r1, r2, m, n in itertools.product((1, 2, 3), (-2, 0, 2), small, small):
+        yield xi_column(r1, r2, m, n), ref_xi_column(r1, r2, m, n), (2, 2 * r1)
+
+
+def reference_sweep(cls, window, mn):
+    """check_certificate as a per-basis sweep: every window point's image
+    under Ax and Ay is built as a vector and the functional applied to it."""
+    family, params_at, functional_at = certificate._family(cls)
+    failures = []
+    linear_ok = constant_ok = True
+    coords = range(-window, window + 1)
+    for m in range(-mn, mn + 1):
+        for n in range(-mn, mn + 1):
+            eq = build_master(params_at(m, n))
+            f = functional_at(m, n)
+            for k in coords:
+                for l in coords:
+                    if f(eq.ax.on_basis(k, l)) != 0:
+                        linear_ok = False
+                        failures.append((m, n, "Ax", k, l))
+                    if f(eq.ay.on_basis(k, l)) != 0:
+                        linear_ok = False
+                        failures.append((m, n, "Ay", k, l))
+            if f(eq.constant) == 0:
+                constant_ok = False
+                failures.append((m, n, "C", 0, 0))
+    return CertificateReport(family, (window, mn), linear_ok, constant_ok, tuple(sorted(failures)))
+
+
+# ---------------------------------------------------------------------------
+# tables against formulas
+
+
+def test_tables_equal_formulas_on_several_periods():
+    for f, formula, period in functional_cases():
+        assert f.period == period
+        pk, pl = period
+        for k in range(-3 * pk, 3 * pk):
+            for l in range(-3 * pl, 3 * pl):
+                want = formula(k, l)
+                assert f.value(k, l) == want
+                assert f(KernelVector.unit(k, l)) == want
+
+
+def test_call_is_linear_and_reduced():
+    vec = KernelVector({(0, 0): 3, (1, 2): -1, (5, -4): 2})
+    for f, formula, _ in functional_cases():
+        total = sum(c * formula(k, l) for (k, l), c in vec.items())
+        assert f(vec) == (total % f.mod if f.mod else total)
+
+
+# ---------------------------------------------------------------------------
+# pulling back through term tables
+
+
+def build(expr):
+    kind = expr[0]
+    if kind == "+":
+        return build(expr[1]) + build(expr[2])
+    if kind == "-":
+        return build(expr[1]) - build(expr[2])
+    if kind == "@":
+        return build(expr[1]) @ build(expr[2])
+    if kind == "id":
+        return ID
+    if kind == "rho":
+        return RHO
+    if kind == "c":
+        return c_operator(expr[1], expr[2])
+    return theta_operator(expr[1], expr[2])
+
+
+small = st.integers(-4, 4)
+nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+leaves = st.one_of(
+    st.tuples(st.just("c"), small, small),
+    st.tuples(st.just("theta"), small, small),
+    st.just(("rho",)),
+    st.just(("id",)),
+)
+exprs = st.recursive(
+    leaves,
+    lambda children: st.tuples(st.sampled_from(["+", "-", "@"]), children, children),
+    max_leaves=6,
+)
+
+
+@st.composite
+def periodic_tables(draw):
+    """A functional with an arbitrary period box, odd k-periods included."""
+    pk, pl = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    mod = draw(st.sampled_from((0, 2)))
+    values = st.integers(0, 1) if mod else st.integers(-2, 2)
+    row = st.lists(values, min_size=pl, max_size=pl).map(tuple)
+    table = draw(st.lists(row, min_size=pk, max_size=pk).map(tuple))
+    return Functional(table, mod, "table")
+
+
+functionals = st.one_of(
+    periodic_tables(),
+    st.builds(xi_parity, st.integers(0, 1)),
+    st.builds(xi_count, small),
+    st.builds(xi_congruence, nonzero, small, st.integers(0, 1)),
+    st.builds(xi_row, nonzero, small),
+    st.builds(xi_column, st.integers(1, 3), small.map(lambda x: 2 * x), small, small),
+)
+
+
+@PROFILE
+@given(functionals, exprs)
+def test_pullback_equals_functional_after_operator(f, expr):
+    op = build(expr)
+    pulled = f.pullback(op)
+    pk, pl = f.period
+    assert pulled.period == (lcm(2, pk), pl)
+    assert pulled.mod == f.mod
+    for k in range(-13, 14):
+        for l in range(-7, 8):
+            assert pulled.value(k, l) == f(op.on_basis(k, l))
+
+
+def test_pullback_through_reflections_of_l():
+    # RHO at even k and theta with odd n reverse l; a table more than two
+    # columns wide tells a reversal from a shift
+    asym = Functional(((0, 1, 1), (1, 0, 0), (0, 0, 1)), 0, "asym")
+    fs = [asym] + [xi_column(r1, 0, m, n) for r1 in (2, 3) for m, n in ((1, 0), (-2, 1))]
+    ops = [RHO, theta_operator(1, 1), c_operator(3, -2) @ RHO]
+    for f, op in itertools.product(fs, ops):
+        pulled = f.pullback(op)
+        for k in range(-7, 8):
+            for l in range(-7, 8):
+                assert pulled.value(k, l) == f(op.on_basis(k, l))
+
+
+def test_pullback_composes():
+    # (f∘A)∘B == f∘(A∘B): pulling back twice reads the same values
+    f = xi_congruence(2, 1, 0)
+    a, b = c_operator(3, -1) + RHO, theta_operator(2, 1) @ c_operator(-1, 2) - ID
+    twice, once = f.pullback(a).pullback(b), f.pullback(a @ b)
+    for k in range(-16, 17):
+        for l in range(-3, 4):
+            assert twice.value(k, l) == once.value(k, l)
+
+
+# ---------------------------------------------------------------------------
+# the sweep against the per-basis reference
+
+
+def test_sweep_matches_reference_on_grid():
+    # small windows keep the per-basis reference affordable on all 1219 classes
+    checked = 0
+    for cls in _grid_classes(3):
+        if not decide(cls).bu or not _covered(cls):
+            continue
+        assert check_certificate(cls, window=2, mn=1) == reference_sweep(cls, 2, 1)
+        checked += 1
+    assert checked == 1219
+
+
+WRONG = [
+    # (class, wrong functional at (m, n))
+    (HomClass(2, i=0, s1=0, s2=0), lambda m, n: xi_parity(0)),
+    (HomClass(3, i=0, s1=1, s2=1), lambda m, n: xi_count(n)),
+    (HomClass(4, r1=1, r2=2, s1=0, s2=0), lambda m, n: xi_congruence(1, n, 0)),
+    (HomClass(4, r1=0, r2=0, s1=3, s2=0), lambda m, n: xi_row(2, n)),
+    (HomClass(4, r1=2, r2=-1, s1=1, s2=0), lambda m, n: xi_column(3, 0, m, n)),
+    (HomClass(1, i=0, s1=2, s2=0), lambda m, n: xi_congruence(1, n, 1)),
+]
+
+
+@pytest.mark.parametrize("cls, wrong", WRONG)
+def test_failures_match_reference(monkeypatch, cls, wrong):
+    original = certificate._family
+
+    def family(c):
+        label, params_at, _ = original(c)
+        return label, params_at, wrong
+
+    monkeypatch.setattr(certificate, "_family", family)
+    report = check_certificate(cls, window=6, mn=2)
+    assert report == reference_sweep(cls, 6, 2)
+    assert not report.linear_killed
+    assert any(kind in ("Ax", "Ay") for _, _, kind, _, _ in report.witnesses_of_failure)
