@@ -131,12 +131,6 @@ def _cmd_witness(args) -> int:
 
 def _cmd_certify(args) -> int:
     cls = _class_from_args(args)
-    verdict = decide(cls)
-    if not verdict.bu:
-        raise _CliError(
-            f"{cls.describe()} fails the Borsuk-Ulam property; "
-            "request a witness instead"
-        )
     report = check_certificate(cls, window=args.window, mn=args.mn)
     if args.json:
         print(
@@ -286,10 +280,7 @@ def _cmd_kernel_project(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    try:
-        checks = run_suite(args.suite, seed=args.seed)
-    except KeyError as exc:
-        raise _CliError(str(exc.args[0]))
+    checks = run_suite(args.suite, seed=args.seed)
     bad = 0
     for check in checks:
         status = "pass" if check.ok else "FAIL"
@@ -338,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_kernel_project)
 
     p = sub.add_parser("selftest", help="run a named invariant suite")
-    p.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}")
+    p.add_argument("--suite", required=True, choices=sorted(SUITES), metavar="NAME",
+                   help="one of: %(choices)s")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_selftest)
 

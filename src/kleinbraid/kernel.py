@@ -12,6 +12,11 @@ v-letter crossing coset (m, n) deposits the row
 evaluated there).  The roundtrip project(expand(k, l)) == e(k, l) and the
 closed forms of the T/I/O/J/Q families pin the scan's correctness.
 
+A KernelVector stores only nonzero coefficients.  _accumulate is the one
+merge that keeps that form (KernelVector(...), + and - run it), project
+repeats its update inline, and the private _vector wraps dicts that are
+zero-free by construction (negation, scalar multiples, project's result).
+
 theta_ab / rho_ab / c_ab apply the operators induced on the abelianisation:
 
     theta_operator(m, n): e(k, l) ↦ εn · e(k, εn·l - 2·δk·m)
@@ -37,6 +42,17 @@ Basis = Tuple[int, int]
 _Items = Union[Mapping[Basis, int], Iterable[Tuple[Basis, int]], None]
 
 
+def _accumulate(acc: Dict[Basis, int], items: Iterable[Tuple[Basis, int]]) -> Dict[Basis, int]:
+    """Add the (key, coefficient) items into acc, keeping it free of zeros."""
+    for key, val in items:
+        new = acc.get(key, 0) + val
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 class KernelVector:
     """Finitely supported integer vector over the basis pairs (k, l).
 
@@ -47,18 +63,8 @@ class KernelVector:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: _Items = None) -> None:
-        c: Dict[Basis, int] = {}
-        if coeffs:
-            items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
-            for key, val in items:
-                if not val:
-                    continue
-                new = c.get(key, 0) + val
-                if new:
-                    c[key] = new
-                else:
-                    del c[key]
-        self._c = c
+        items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
+        self._c = _accumulate({}, items) if coeffs else {}
 
     @staticmethod
     def unit(k: int, l: int) -> "KernelVector":
@@ -78,31 +84,18 @@ class KernelVector:
         return sum(self._c.values())
 
     def __add__(self, other: "KernelVector") -> "KernelVector":
-        c = dict(self._c)
-        for key, val in other._c.items():
-            new = c.get(key, 0) + val
-            if new:
-                c[key] = new
-            else:
-                del c[key]
-        out = KernelVector()
-        out._c = c
-        return out
+        return _vector(_accumulate(dict(self._c), other._c.items()))
 
     def __sub__(self, other: "KernelVector") -> "KernelVector":
         return self + (-other)
 
     def __neg__(self) -> "KernelVector":
-        out = KernelVector()
-        out._c = {k: -v for k, v in self._c.items()}
-        return out
+        return _vector({k: -v for k, v in self._c.items()})
 
     def __rmul__(self, scalar: int) -> "KernelVector":
         if not scalar:
-            return KernelVector()
-        out = KernelVector()
-        out._c = {k: scalar * v for k, v in self._c.items()}
-        return out
+            return _vector({})
+        return _vector({k: scalar * v for k, v in self._c.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, KernelVector) and self._c == other._c
@@ -119,6 +112,13 @@ class KernelVector:
         return f"KernelVector({self._c!r})"
 
 
+def _vector(c: Dict[Basis, int]) -> KernelVector:
+    # the operations' constructor: takes ownership of c, which must be zero-free
+    out = object.__new__(KernelVector)
+    out._c = c
+    return out
+
+
 ZERO = KernelVector()
 
 
@@ -127,47 +127,33 @@ def expand(k: int, l: int) -> Word:
     return V ** k * U ** l * BIG_B * U ** (-l) * V ** (-k)
 
 
-def _row(m: int, n: int) -> list[tuple[Basis, int]]:
-    # coordinates deposited by a v-letter leaving coset (m, n)
-    k = eps(n) * m
-    if k == 0:
-        return []
-    sk = sign_of(k)
-    off = (1 + sk) // 2
-    return [((n, sk * i - off), sk) for i in range(1, abs(k) + 1)]
-
-
 def project(w: Word) -> KernelVector:
     """Coordinates of a kernel word in the basis; rejects words not in ker gmap."""
     acc: Dict[Basis, int] = {}
     m = n = 0
     for g, e in w.runs:
         if g == "u":
-            m += eps(n) * e
+            m += -e if n & 1 else e
             continue
+        # a v deposits the row of the coset it leaves; a v^-1 steps back
+        # first and deposits the negated row of the coset it enters
         step = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            if step == 1:
-                for key, val in _row(m, n):
+        back = (step - 1) // 2
+        if m:
+            for row in range(n + back, n + e + back, step):
+                k = -m if row & 1 else m
+                val = step if k > 0 else -step
+                for l in range(k) if k > 0 else range(-1, k - 1, -1):
+                    key = (row, l)
                     new = acc.get(key, 0) + val
                     if new:
                         acc[key] = new
                     else:
                         del acc[key]
-                n += 1
-            else:
-                n -= 1
-                for key, val in _row(m, n):
-                    new = acc.get(key, 0) - val
-                    if new:
-                        acc[key] = new
-                    else:
-                        del acc[key]
+        n += e
     if m or n:
         raise ValueError(f"word is not in ker gmap: image ({m},{n}) != (0,0)")
-    out = KernelVector()
-    out._c = acc
-    return out
+    return _vector(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,6 @@ def build_witness(cls: HomClass) -> WitnessReport:
 _WORD_CACHE_SIZE = 4
 
 
-@lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _short_words(max_len: int) -> tuple[Word, ...]:
     """All reduced words with at most max_len letters."""
     out = [ONE]

@@ -5,12 +5,14 @@ nonzero exponents and distinct adjacent generators.  The empty tuple is the
 identity.  Every word is kept reduced, so two words represent the same group
 element iff they compare equal as values.
 
-Construction from arbitrary runs reduces them.  The group operations start
-from reduced operands and build reduced runs directly, so each costs time
-linear in the runs it writes: a product cancels only at the seam, an inverse
-reverses, and a power w^n writes w = p c p^-1 with c cyclically reduced and
-returns p c^n p^-1, which needs no cancellation at all (Lyndon-Schupp,
-*Combinatorial Group Theory*, I.2).
+The canonical form is set up in one place: ``Word(runs)`` always reduces
+its runs.  The group operations start from reduced operands and write
+reduced runs directly, so each costs time linear in the runs it writes: a
+product cancels only at the seam, an inverse reverses, and a power w^n
+writes w = p c p^-1 with c cyclically reduced and returns p c^n p^-1, which
+needs no cancellation at all (Lyndon-Schupp, *Combinatorial Group Theory*,
+I.2).  They wrap their runs with the private ``_from_reduced``, which skips
+the reduction; no public constructor does.
 
 ``B`` abbreviates the fixed word u v u v^-1.  Input text may use it as
 shorthand (with an optional exponent); canonical output never emits it.
@@ -19,7 +21,7 @@ shorthand (with an optional exponent); canonical output never emits it.
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 Run = Tuple[str, int]
@@ -58,12 +60,9 @@ class Word:
     """A reduced word over {u, v}; all operations are exact and pure."""
 
     runs: tuple[Run, ...] = ()
-    # True only when the caller guarantees ``runs`` is a reduced tuple.
-    reduced: InitVar[bool] = False
 
-    def __post_init__(self, reduced: bool) -> None:
-        if not reduced:
-            object.__setattr__(self, "runs", _reduce(self.runs))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "runs", _reduce(self.runs))
 
     def __mul__(self, other: "Word") -> "Word":
         a, b = self.runs, other.runs
@@ -75,13 +74,13 @@ class Word:
         while i and j < len(b) and a[i - 1][0] == b[j][0]:
             e = a[i - 1][1] + b[j][1]
             if e:
-                return Word(a[: i - 1] + ((b[j][0], e),) + b[j + 1 :], reduced=True)
+                return _from_reduced(a[: i - 1] + ((b[j][0], e),) + b[j + 1 :])
             i -= 1
             j += 1
-        return Word(a[:i] + b[j:], reduced=True)
+        return _from_reduced(a[:i] + b[j:])
 
     def inv(self) -> "Word":
-        return Word(_inv_runs(self.runs), reduced=True)
+        return _from_reduced(_inv_runs(self.runs))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -108,7 +107,7 @@ class Word:
             # g^a (X g^(a+b))^(n-1) X g^b.
             x = core[1:-1]
             middle = ((g, a),) + (x + ((g, a + b),)) * (n - 1) + x + ((g, b),)
-        return Word(p + middle + _inv_runs(p), reduced=True)
+        return _from_reduced(p + middle + _inv_runs(p))
 
     def conj(self, x: "Word") -> "Word":
         """self * x * self.inv()."""
@@ -131,6 +130,13 @@ class Word:
         if not self.runs:
             return "1"
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.runs)
+
+
+def _from_reduced(runs: tuple[Run, ...]) -> Word:
+    # the group operations' constructor: runs must already be a reduced tuple
+    w = object.__new__(Word)
+    object.__setattr__(w, "runs", runs)
+    return w
 
 
 ONE = Word()

@@ -1,0 +1,47 @@
+"""Shared hypothesis settings and operator-expression strategies.
+
+An expression is a nested tuple: a leaf ``("c", p, q)``, ``("theta", m,
+n)``, ``("rho",)`` or ``("id",)``, or ``(op, left, right)`` with op one of
+``+``, ``-``, ``@``.  ``build`` turns one into a KernelOperator; the test
+modules that keep a reference model of the operators evaluate the same
+tuples their own way.
+"""
+
+from hypothesis import settings
+from hypothesis import strategies as st
+
+from kleinbraid.kernel import ID, RHO, c_operator, theta_operator
+
+# derandomized, so that the suite runs the same examples every time
+PROFILE = settings(deadline=None, database=None, derandomize=True)
+
+
+def build(expr):
+    kind = expr[0]
+    if kind == "+":
+        return build(expr[1]) + build(expr[2])
+    if kind == "-":
+        return build(expr[1]) - build(expr[2])
+    if kind == "@":
+        return build(expr[1]) @ build(expr[2])
+    if kind == "id":
+        return ID
+    if kind == "rho":
+        return RHO
+    if kind == "c":
+        return c_operator(expr[1], expr[2])
+    return theta_operator(expr[1], expr[2])
+
+
+small = st.integers(-4, 4)
+leaves = st.one_of(
+    st.tuples(st.just("c"), small, small),
+    st.tuples(st.just("theta"), small, small),
+    st.just(("rho",)),
+    st.just(("id",)),
+)
+exprs = st.recursive(
+    leaves,
+    lambda children: st.tuples(st.sampled_from(["+", "-", "@"]), children, children),
+    max_leaves=6,
+)

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from kleinbraid import cli, suites
 from kleinbraid.cli import main
 
 
@@ -88,8 +91,9 @@ def test_certify_success(capsys):
 
 
 def test_certify_rejects_failing_class(capsys):
-    code, _, err = run(capsys, "certify", "--type", "3", "--i", "0", "--s1", "0", "--s2", "0")
-    assert code == 2
+    code, out, err = run(capsys, "certify", "--type", "3", "--i", "0", "--s1", "0", "--s2", "0")
+    assert code == 2 and out == ""
+    assert "certificates only exist" in err
 
 
 def test_certify_rejects_negative_windows(capsys):
@@ -142,9 +146,29 @@ def test_kernel_project_rejects_nonkernel(capsys):
     assert "ker" in err
 
 
+def test_kernel_project_checks_gmap_before_projecting(capsys, monkeypatch):
+    # the walk would deposit 2000 rows of 2000 coordinates before failing
+    def fail(word):
+        raise AssertionError("project ran on a word outside ker gmap")
+
+    monkeypatch.setattr(cli, "project", fail)
+    code, out, err = run(capsys, "kernel-project", "u^2000 v^2000")
+    assert code == 2 and out == ""
+    assert "not in ker gmap" in err
+
+
 def test_selftest_unknown_suite(capsys):
     code, _, err = run(capsys, "selftest", "--suite", "bogus")
     assert code == 2
+
+
+def test_selftest_lets_errors_inside_a_suite_propagate(monkeypatch):
+    def broken(seed):
+        return {}["missing-key"]
+
+    monkeypatch.setitem(suites.SUITES, "tilde", broken)
+    with pytest.raises(KeyError, match="missing-key"):
+        main(["selftest", "--suite", "tilde"])
 
 
 def test_selftest_runs_named_suite(capsys):

@@ -13,7 +13,7 @@ import itertools
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kleinbraid import certificate
@@ -33,8 +33,7 @@ from kleinbraid.kernel import ID, RHO, KernelVector, c_operator, theta_operator
 from kleinbraid.kleinpi import delta, eps
 from kleinbraid.suites import _covered, _grid_classes
 
-# derandomized, so that the suite runs the same examples every time
-PROFILE = settings(deadline=None, database=None, derandomize=True)
+from common import PROFILE, build, exprs, small
 
 
 # ---------------------------------------------------------------------------
@@ -135,36 +134,7 @@ def test_call_is_linear_and_reduced():
 # pulling back through term tables
 
 
-def build(expr):
-    kind = expr[0]
-    if kind == "+":
-        return build(expr[1]) + build(expr[2])
-    if kind == "-":
-        return build(expr[1]) - build(expr[2])
-    if kind == "@":
-        return build(expr[1]) @ build(expr[2])
-    if kind == "id":
-        return ID
-    if kind == "rho":
-        return RHO
-    if kind == "c":
-        return c_operator(expr[1], expr[2])
-    return theta_operator(expr[1], expr[2])
-
-
-small = st.integers(-4, 4)
 nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
-leaves = st.one_of(
-    st.tuples(st.just("c"), small, small),
-    st.tuples(st.just("theta"), small, small),
-    st.just(("rho",)),
-    st.just(("id",)),
-)
-exprs = st.recursive(
-    leaves,
-    lambda children: st.tuples(st.sampled_from(["+", "-", "@"]), children, children),
-    max_leaves=6,
-)
 
 
 @st.composite

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kleinbraid.braid import gmap, rho, theta
 from kleinbraid.kernel import (
@@ -23,8 +25,10 @@ from kleinbraid.kernel import (
     word_q,
     word_t,
 )
-from kleinbraid.kleinpi import K_IDENTITY, KleinElt
-from kleinbraid.words import ONE, V, comm, parse_word
+from kleinbraid.kleinpi import K_IDENTITY, KleinElt, eps, sign_of
+from kleinbraid.words import ONE, V, Word, comm, parse_word
+
+from common import PROFILE
 
 rng = random.Random(99)
 
@@ -192,3 +196,90 @@ def test_q_identity():
     assert q_identity_check(3, -2)
     with pytest.raises(ValueError):
         q_identity_check(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# project against the letter-by-letter walker it replaced
+
+
+def ref_row(m, n):
+    # coordinates deposited by a v-letter leaving coset (m, n)
+    k = eps(n) * m
+    if k == 0:
+        return []
+    sk = sign_of(k)
+    off = (1 + sk) // 2
+    return [((n, sk * i - off), sk) for i in range(1, abs(k) + 1)]
+
+
+def ref_project(w):
+    acc = {}
+    m = n = 0
+    for g, e in w.runs:
+        if g == "u":
+            m += eps(n) * e
+            continue
+        for _ in range(abs(e)):
+            if e > 0:
+                for key, val in ref_row(m, n):
+                    acc[key] = acc.get(key, 0) + val
+                n += 1
+            else:
+                n -= 1
+                for key, val in ref_row(m, n):
+                    acc[key] = acc.get(key, 0) - val
+    assert m == n == 0
+    return KernelVector(acc)
+
+
+v_exponents = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-80, 80),
+    st.sampled_from((-200, -61, 57, 200)),
+)
+
+
+@st.composite
+def kernel_words(draw):
+    """Kernel words that visit cosets with |m| <= 20 through long v-runs of
+    either sign: each step moves to a drawn m by a u-run, then runs v^e."""
+    runs = []
+    m = n = 0
+    for target, e in draw(st.lists(st.tuples(st.integers(-20, 20), v_exponents), max_size=8)):
+        runs += [("u", eps(n) * (target - m)), ("v", e)]
+        m, n = target, n + e
+    runs += [("u", -eps(n) * m), ("v", -n)]
+    return Word(tuple(runs))
+
+
+@PROFILE
+@given(kernel_words(), st.integers(-3, 3), st.integers(-3, 3))
+def test_project_matches_letter_walker(w, k, l):
+    assert gmap(w) == K_IDENTITY
+    assert project(w) == ref_project(w)
+    # a basis word in front adds its unit vector and nothing else
+    x = expand(k, l) * w
+    assert project(x) == ref_project(x) == project(w) + unit(k, l)
+
+
+# ---------------------------------------------------------------------------
+# every result of the vector operations is zero-free
+
+coeffs = st.integers(-3, 3)
+vectors = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), coeffs, max_size=8)
+
+
+def assert_zero_free(v):
+    assert all(c != 0 for _, c in v.items())
+
+
+@PROFILE
+@given(vectors, vectors, st.lists(st.tuples(st.tuples(coeffs, coeffs), coeffs)), coeffs)
+def test_vector_results_stay_zero_free(a, b, pairs, scalar):
+    x, y = KernelVector(a), KernelVector(b)
+    results = [x, y, KernelVector(pairs), x + y, x - y, y - x, x - x, -x, scalar * x, 0 * x]
+    for v in results:
+        assert_zero_free(v)
+    assert x - x == 0 * x == KernelVector()
+    assert x + y - y == x
+    assert -(-x) == x

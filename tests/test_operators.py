@@ -10,7 +10,7 @@ reproduce the group laws of the maps for all (k, l).
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kleinbraid.certificate import MasterParams, build_master
@@ -24,8 +24,7 @@ from kleinbraid.kernel import (
 )
 from kleinbraid.kleinpi import KleinElt, delta, eps
 
-# derandomized, so that the suite runs the same examples every time
-PROFILE = settings(deadline=None, database=None, derandomize=True)
+from common import PROFILE, build, exprs
 
 
 # ---------------------------------------------------------------------------
@@ -67,35 +66,6 @@ def ref_apply(expr, vec):
     return KernelVector(out)
 
 
-def build(expr):
-    kind = expr[0]
-    if kind == "+":
-        return build(expr[1]) + build(expr[2])
-    if kind == "-":
-        return build(expr[1]) - build(expr[2])
-    if kind == "@":
-        return build(expr[1]) @ build(expr[2])
-    if kind == "id":
-        return ID
-    if kind == "rho":
-        return RHO
-    if kind == "c":
-        return c_operator(expr[1], expr[2])
-    return theta_operator(expr[1], expr[2])
-
-
-small = st.integers(-4, 4)
-leaves = st.one_of(
-    st.tuples(st.just("c"), small, small),
-    st.tuples(st.just("theta"), small, small),
-    st.just(("rho",)),
-    st.just(("id",)),
-)
-exprs = st.recursive(
-    leaves,
-    lambda children: st.tuples(st.sampled_from(["+", "-", "@"]), children, children),
-    max_leaves=6,
-)
 vectors = st.dictionaries(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)), st.integers(-3, 3), min_size=1, max_size=5
 ).map(KernelVector)

@@ -10,7 +10,8 @@ return runs in reduced form.
 import io
 from contextlib import redirect_stdout
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kleinbraid.braid import BraidElt, gmap, theta
@@ -19,8 +20,7 @@ from kleinbraid.kernel import KernelVector, project
 from kleinbraid.kleinpi import KleinElt, eps
 from kleinbraid.words import BIG_B, ONE, U, V, Word, parse_word
 
-# derandomized, so that the suite runs the same examples every time
-PROFILE = settings(deadline=None, database=None, derandomize=True)
+from common import PROFILE
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,13 @@ def test_parse_matches_term_by_term_product(terms):
     out = parse_word(text)
     assert out == expected
     assert_reduced(out)
+
+
+def test_word_always_reduces():
+    # no caller can skip the reduction: the constructor has one argument
+    with pytest.raises(TypeError):
+        Word((("u", 1),), reduced=True)
+    assert Word((("u", 2), ("v", 0), ("u", -2), ("v", 1), ("v", -3))).runs == (("v", -2),)
 
 
 # ---------------------------------------------------------------------------
