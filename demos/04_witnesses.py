@@ -21,6 +21,7 @@ for cls in [
     HomClass(3, i=0, s1=0, s2=1),
     HomClass(1, i=0, s1=1, s2=1),
     HomClass(1, i=0, s1=1, s2=3),  # reached through a central shift
+    HomClass(1, i=1, s1=0, s2=1),  # the i=0 partner's pair, carried over by H
 ]:
     report = build_witness(cls)
     print(f"{cls.describe():38s} [{report.source}]")
@@ -40,7 +41,7 @@ bounds = SearchBounds(word_len=4, coord=2)
 for cls in [
     HomClass(4, r1=1, r2=1, s1=0, s2=0),   # fails the property: pair exists
     HomClass(2, i=0, s1=0, s2=0),          # has the property: exhaustive no
-    HomClass(1, i=1, s1=0, s2=1),          # no construction, but search works
+    HomClass(1, i=1, s1=0, s2=1),          # built above via H; search finds a shorter pair
 ]:
     res = search_witness(cls, bounds)
     verdict = "BU" if decide(cls).bu else "no BU"

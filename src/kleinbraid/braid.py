@@ -20,6 +20,13 @@ on u-runs, v-runs and pure twists:
 σ² itself is the pure braid (B; 0, 0), so lsigma∘lsigma is conjugation by
 SIGMA_SQ.  gmap is the projection F(u, v) → Z ⋊ Z sending u ↦ (1,0),
 v ↦ (0,1); its kernel is where the kernel module lives.
+
+H is an automorphism that commutes with lsigma and lies over the
+Klein-bottle map h(m, n) = (m + δn, n), held as the images of the
+generators u, v, x = (1; 1,0), y = (1; 0,1) (check_h confirms it):
+
+    H:    u ↦ u,  v ↦ v u^-1,  x ↦ x,  y ↦ (v u^-1 v^-1 u^-1; 1, 1)
+    H^-1: u ↦ u,  v ↦ v u,     x ↦ x,  y ↦ (B; -1, 1)
 """
 
 from __future__ import annotations
@@ -154,6 +161,59 @@ def rho(w: Word) -> Word:
             f"internal consistency failure: lsigma twist {full.twist} != gmap {gmap(w)}"
         )
     return full.word
+
+
+# the generators u, v, x, y and their images under H and H^-1
+_X, _Y = BraidElt(ONE, KleinElt(1, 0)), BraidElt(ONE, KleinElt(0, 1))
+_GENERATORS = (BraidElt(U), BraidElt(V), _X, _Y)
+H_IMAGES = (
+    BraidElt(U),
+    BraidElt(V * U.inv()),
+    _X,
+    BraidElt(parse_word("v u^-1 v^-1 u^-1"), KleinElt(1, 1)),
+)
+H_INV_IMAGES = (BraidElt(U), BraidElt(V * U), _X, BraidElt(BIG_B, KleinElt(-1, 1)))
+
+
+def apply_images(images: tuple[BraidElt, ...], a: BraidElt) -> BraidElt:
+    """Image of a = (w; m, n) under the map with the given images of
+    (u, v, x, y): the product of image(g)^k over the runs g^k of w, then
+    image(x)^m · image(y)^n."""
+    img_u, img_v, img_x, img_y = images
+    out = B_IDENTITY
+    for g, k in a.word.runs:
+        out = out * (img_u if g == "u" else img_v) ** k
+    return out * img_x ** a.twist.m * img_y ** a.twist.n
+
+
+def check_h() -> None:
+    """Check H and H^-1 exactly on the generators; raise if any check fails.
+
+    Respecting the defining relations makes both endomorphisms (von Dyck),
+    so identities between them that hold on the generators hold everywhere.
+    """
+    fails = []
+    for name, images in (("H", H_IMAGES), ("H^-1", H_INV_IMAGES)):
+        img_x, img_y = images[2:]
+        if img_y * img_x * img_y.inv() != img_x.inv():
+            fails.append(f"{name} breaks y x y^-1 = x^-1")
+        for t, img_t in zip(_GENERATORS[2:], images[2:]):
+            for g, img_g in zip(_GENERATORS[:2], images[:2]):
+                theta_g = apply_images(images, BraidElt(theta(t.twist, g.word)))
+                if img_t * img_g * img_t.inv() != theta_g:
+                    fails.append(f"{name} breaks t g t^-1 = theta(t)(g) at t = {t}, g = {g}")
+    for g in _GENERATORS:
+        h_g = apply_images(H_IMAGES, g)
+        for law, ok in (
+            ("H^-1∘H = id", apply_images(H_INV_IMAGES, h_g) == g),
+            ("H∘H^-1 = id", apply_images(H_IMAGES, apply_images(H_INV_IMAGES, g)) == g),
+            ("H∘lsigma = lsigma∘H", apply_images(H_IMAGES, lsigma(g)) == lsigma(h_g)),
+            ("p1∘H = h∘p1", p1(h_g) == KleinElt(g.twist.m + delta(g.twist.n), g.twist.n)),
+        ):
+            if not ok:
+                fails.append(f"{law} fails at {g}")
+    if fails:
+        raise RuntimeError(f"internal consistency failure: {'; '.join(fails)}")
 
 
 def decompose(w: Word) -> tuple[int, int, Word]:

@@ -29,10 +29,11 @@ the functional itself only to the constant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
 from typing import Callable, Tuple
 
+from .braid import check_h
 from .classifier import HomClass, decide
 from .kernel import (
     ID,
@@ -49,7 +50,6 @@ from .kernel import (
     tilde_t,
 )
 from .kleinpi import delta, eps
-from .witness import UnsupportedFamilyError
 
 
 @dataclass(frozen=True)
@@ -360,12 +360,15 @@ class CertificateReport:
 
 def _family(cls: HomClass):
     """(family label, params builder, functional builder) for a class
-    with the Borsuk-Ulam property."""
-    if cls.kind in (1, 2, 3) and cls.i != 0:
-        raise UnsupportedFamilyError(
-            f"no certificate family covers {cls.describe()}; only i=0 "
-            "representatives are covered"
-        )
+    with the Borsuk-Ulam property.
+
+    An i = 1 class takes its i = 0 partner's: H carries witnesses of the
+    one to witnesses of the other and back, so refuting the partner's
+    equation refutes both, once check_h has confirmed H."""
+    if cls.i:
+        check_h()
+        label, params, functional = _family(replace(cls, i=0))
+        return f"{label} via H", params, functional
     z = cls.s2 % 2
     if cls.kind == 1:
         params = lambda m, n: MasterParams(0, 0, cls.s1, 0, 1, 0, m, n)
@@ -389,9 +392,8 @@ def _family(cls: HomClass):
             params,
             lambda m, n: xi_column(cls.r1, cls.r2, m, n),
         )
-    if z == 0 and cls.r1 == 0 and cls.r2 == 0 and cls.s1 != 0:
-        return "type4-(iii)/xi-row", params, lambda m, n: xi_row(cls.s1, n)
-    raise UnsupportedFamilyError(f"no certificate family covers {cls.describe()}")
+    # the rest of the type-4 classes with the property: z = r1 = r2 = 0, s1 != 0
+    return "type4-(iii)/xi-row", params, lambda m, n: xi_row(cls.s1, n)
 
 
 def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> CertificateReport:

@@ -1,8 +1,11 @@
 """Command-line surface: classify, witness, certify, braid-eval,
 kernel-project and selftest.
 
+Every class is covered: witness and certify reach the i = 1 classes of
+types 1-3 through the automorphism H of the braid group.
+
 Exit codes: 0 success, 1 verification failure or property-false result,
-2 usage or precondition error, 3 unsupported family.
+2 usage or precondition error.
 """
 
 from __future__ import annotations
@@ -18,13 +21,12 @@ from .certificate import check_certificate
 from .kleinpi import parse_klein
 from .kernel import project
 from .suites import SUITES, run_suite
-from .witness import SearchBounds, UnsupportedFamilyError, build_witness, search_witness
+from .witness import SearchBounds, build_witness, search_witness
 from .words import WordParseError, parse_word
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_UNSUPPORTED = 3
 
 
 class _CliError(Exception):
@@ -349,9 +351,6 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except UnsupportedFamilyError as exc:
-        print(f"unsupported family: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except (ValueError, WordParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -300,18 +300,14 @@ def _grid_classes(span: int, r1_max: int | None = None) -> list[HomClass]:
     return out
 
 
-def _covered(cls: HomClass) -> bool:
-    return cls.kind == 4 or cls.i == 0
-
-
 def suite_witness_grid() -> list[SuiteCheck]:
-    """Constructed witnesses for every covered failing class, plus shifts."""
+    """Constructed witnesses for every failing class, plus shifts."""
     out: list[SuiteCheck] = []
 
     fails = []
     built = 0
     for cls in _grid_classes(3):
-        if decide(cls).bu or not _covered(cls):
+        if decide(cls).bu:
             continue
         try:
             report = build_witness(cls)
@@ -345,14 +341,14 @@ def suite_witness_grid() -> list[SuiteCheck]:
 
 
 def suite_certificate_grid(window: int = 6, mn: int = 4) -> list[SuiteCheck]:
-    """Certificates for every covered class with the property, plus the
+    """Certificates for every class with the property, plus the
     functional identities used by the per-family contradictions."""
     out: list[SuiteCheck] = []
 
     fails = []
     checked = 0
     for cls in _grid_classes(2):
-        if not decide(cls).bu or not _covered(cls):
+        if not decide(cls).bu:
             continue
         report = cert.check_certificate(cls, window=window, mn=mn)
         checked += 1
@@ -523,7 +519,7 @@ def suite_classifier_cross(
         bu = decide(cls).bu
         if bu and res.found:
             fails.append(("witness for a class with the property", cls, res.report))
-        if not bu and _covered(cls):
+        if not bu:
             rep = build_witness(cls)
             inside = (
                 rep.a.word.letter_length() <= bounds.word_len

@@ -10,22 +10,27 @@ the Borsuk-Ulam property when three conditions hold exactly:
 Explicit families cover every failing class whose representative has first
 coordinates zero, plus every failing type-4 class; the central element
 (1; 0, 2) moves a pair across raw second coordinates mod 4, which extends
-each family to the whole shift tower.  Representatives with i = 1 have no
-direct construction here and raise UnsupportedFamilyError; callers may
-fall back to search_witness, which scans every pair with short words and
-small twists (exhaustively, after sound pruning by the exponent
-constraints that condition (i) forces).
+each family to the whole shift tower.  The automorphism H of braid.py
+commutes with lsigma and lies over h(m, n) = (m + δn, n), which sends the
+images of each i = 0 class of types 1-3 to those of the i = 1 class with
+the same s1 and s2; so (a, b) ↦ (H(a), H(b)) carries the witnesses of
+the one to witnesses of the other, and that is how the i = 1 classes are
+built.  search_witness scans every pair with short words and small
+twists (exhaustively, after sound pruning by the exponent constraints
+that condition (i) forces).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .braid import (
     B_IDENTITY,
+    H_IMAGES,
     SIGMA_SQ,
     BraidElt,
+    apply_images,
     forced_word_exponents,
     gmap,
     lsigma,
@@ -34,10 +39,6 @@ from .braid import (
 from .classifier import HomClass, decide
 from .kleinpi import KleinElt, eps, omega
 from .words import BIG_B, ONE, U, V, Word
-
-
-class UnsupportedFamilyError(Exception):
-    """No direct construction covers this class."""
 
 
 class WitnessVerificationError(Exception):
@@ -126,11 +127,9 @@ def _base_pair(cls: HomClass) -> tuple[BraidElt, BraidElt, int]:
     needed to reach the requested s2."""
     if cls.kind == 2:
         raise ValueError("type 2 classes always have the Borsuk-Ulam property")
-    if cls.kind in (1, 3) and cls.i != 0:
-        raise UnsupportedFamilyError(
-            f"no direct construction for {cls.describe()}; only i=0 "
-            "representatives are covered"
-        )
+    if cls.i:
+        a, b, k = _base_pair(replace(cls, i=0))
+        return apply_images(H_IMAGES, a), apply_images(H_IMAGES, b), k
     if cls.kind == 1:
         # s2 odd; representative at raw second coordinate 2
         s = cls.s1

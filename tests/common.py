@@ -1,16 +1,20 @@
-"""Shared hypothesis settings and operator-expression strategies.
+"""Shared hypothesis settings, and strategies for braids and operator expressions.
 
 An expression is a nested tuple: a leaf ``("c", p, q)``, ``("theta", m,
 n)``, ``("rho",)`` or ``("id",)``, or ``(op, left, right)`` with op one of
 ``+``, ``-``, ``@``.  ``build`` turns one into a KernelOperator; the test
 modules that keep a reference model of the operators evaluate the same
-tuples their own way.
+tuples their own way.  ``braids`` draws a braid from up to five runs with
+exponents in [-3, 3] and a twist with coordinates in [-4, 4].
 """
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from kleinbraid.braid import BraidElt
 from kleinbraid.kernel import ID, RHO, c_operator, theta_operator
+from kleinbraid.kleinpi import KleinElt
+from kleinbraid.words import Word
 
 # derandomized, so that the suite runs the same examples every time
 PROFILE = settings(deadline=None, database=None, derandomize=True)
@@ -45,3 +49,7 @@ exprs = st.recursive(
     lambda children: st.tuples(st.sampled_from(["+", "-", "@"]), children, children),
     max_leaves=6,
 )
+
+
+runs = st.lists(st.tuples(st.sampled_from("uv"), st.integers(-3, 3)), max_size=5)
+braids = st.builds(lambda rs, m, n: BraidElt(Word(tuple(rs)), KleinElt(m, n)), runs, small, small)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from kleinbraid.certificate import (
@@ -19,7 +21,6 @@ from kleinbraid.certificate import (
 from kleinbraid.classifier import HomClass
 from kleinbraid.kernel import KernelVector, c_ab, rho_ab, theta_ab, tilde_j, tilde_o
 from kleinbraid.kleinpi import KleinElt, delta, eps
-from kleinbraid.witness import UnsupportedFamilyError
 
 
 def unit(k, l):
@@ -228,8 +229,10 @@ def test_check_certificate_examples():
 def test_check_certificate_preconditions():
     with pytest.raises(ValueError):
         check_certificate(HomClass(3, i=0, s1=0, s2=0))  # fails the property
-    with pytest.raises(UnsupportedFamilyError):
-        check_certificate(HomClass(2, i=1, s1=0, s2=0))
+    # an i = 1 class carries its partner's certificate over along H
+    partner = check_certificate(HomClass(2, i=0, s1=0, s2=0))
+    report = check_certificate(HomClass(2, i=1, s1=0, s2=0))
+    assert report == replace(partner, family="type2/xi-parity via H")
 
 
 def test_certificate_windows_recorded():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from kleinbraid import cli, suites
+from kleinbraid.classifier import HomClass, decide
 from kleinbraid.cli import main
 
 
@@ -64,10 +65,26 @@ def test_witness_rejects_property_class(capsys):
     assert "Borsuk-Ulam" in err
 
 
-def test_witness_unsupported_family_exit_code(capsys):
-    code, _, err = run(capsys, "witness", "--type", "1", "--i", "1", "--s1", "0", "--s2", "1")
-    assert code == 3
-    assert "unsupported" in err
+def test_witness_transports_i1_class(capsys):
+    code, out, err = run(
+        capsys, "witness", "--type", "1", "--i", "1", "--s1", "0", "--s2", "1", "--json"
+    )
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["source"] == "constructed"
+    assert all(data["checks"].values())
+
+
+def test_every_i1_class_is_witnessed_or_certified(capsys):
+    # types 1-3 with i = 1 in [-2,2]²: H carries every verdict over
+    for kind in (1, 2, 3):
+        for s1 in range(-2, 3):
+            for s2 in range(-2, 3):
+                args = ["--type", str(kind), "--i", "1", "--s1", str(s1), "--s2", str(s2)]
+                bu = decide(HomClass(kind, i=1, s1=s1, s2=s2)).bu
+                code, out, err = run(capsys, "certify" if bu else "witness", *args)
+                assert code == 0 and err == "", (args, code, err)
+                assert ("via H" if bu else "checks: relation ok") in out
 
 
 def test_witness_search_json(capsys):

@@ -31,7 +31,7 @@ from kleinbraid.certificate import (
 from kleinbraid.classifier import HomClass, decide
 from kleinbraid.kernel import ID, RHO, KernelVector, c_operator, theta_operator
 from kleinbraid.kleinpi import delta, eps
-from kleinbraid.suites import _covered, _grid_classes
+from kleinbraid.suites import _grid_classes
 
 from common import PROFILE, build, exprs, small
 
@@ -199,14 +199,14 @@ def test_pullback_composes():
 
 
 def test_sweep_matches_reference_on_grid():
-    # small windows keep the per-basis reference affordable on all 1219 classes
+    # small windows keep the per-basis reference affordable on all 1331 classes
     checked = 0
     for cls in _grid_classes(3):
-        if not decide(cls).bu or not _covered(cls):
+        if not decide(cls).bu:
             continue
         assert check_certificate(cls, window=2, mn=1) == reference_sweep(cls, 2, 1)
         checked += 1
-    assert checked == 1219
+    assert checked == 1331
 
 
 WRONG = [

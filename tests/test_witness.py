@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
-from kleinbraid.braid import B_IDENTITY, BraidElt, bmul, lsigma, p1
+from kleinbraid.braid import B_IDENTITY, H_IMAGES, BraidElt, apply_images, bmul, lsigma, p1
 from kleinbraid.classifier import HomClass, decide
 from kleinbraid.kleinpi import KleinElt
 from kleinbraid.witness import (
     SearchBounds,
-    UnsupportedFamilyError,
     WitnessVerificationError,
     build_witness,
     search_witness,
@@ -67,11 +68,13 @@ def test_build_witness_rejects_property_classes():
         build_witness(HomClass(4, r1=1, r2=2, s1=0, s2=0))
 
 
-def test_build_witness_unsupported_families():
-    with pytest.raises(UnsupportedFamilyError):
-        build_witness(HomClass(1, i=1, s1=0, s2=1))
-    with pytest.raises(UnsupportedFamilyError):
-        build_witness(HomClass(3, i=1, s1=0, s2=0))
+def test_build_witness_transports_i1_classes():
+    for cls in (HomClass(1, i=1, s1=0, s2=1), HomClass(3, i=1, s1=0, s2=0)):
+        partner = build_witness(replace(cls, i=0))
+        report = build_witness(cls)
+        assert report.a == apply_images(H_IMAGES, partner.a)
+        assert report.b == apply_images(H_IMAGES, partner.b)
+        assert report.source == "constructed" and report.checks.all_ok
 
 
 def test_build_witness_grid():
