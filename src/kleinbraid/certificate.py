@@ -358,42 +358,41 @@ class CertificateReport:
         return self.linear_killed and self.constant_nonzero_for_all
 
 
+# family label and functional at (representative, m, n), keyed by decide's branch
+_FAMILIES = {
+    "(a)": ("type1-even/xi-parity", lambda rep, m, n: xi_parity(0)),
+    "(b)": ("type2/xi-parity", lambda rep, m, n: xi_parity(1)),
+    "(c)": ("type3/xi-congruence", lambda rep, m, n: xi_congruence(rep.s1, n, rep.s2)),
+    "(d)(i)": ("type4-(i)/xi-count", lambda rep, m, n: xi_count(n)),
+    "(d)(ii)": ("type4-(ii)/xi-row", lambda rep, m, n: xi_row(rep.s1, n)),
+    "(d)(iii)": ("type4-(iii)/xi-column", lambda rep, m, n: xi_column(rep.r1, rep.r2, m, n)),
+}
+
+
 def _family(cls: HomClass):
     """(family label, params builder, functional builder) for a class
     with the Borsuk-Ulam property.
 
-    An i = 1 class takes its i = 0 partner's: H carries witnesses of the
-    one to witnesses of the other and back, so refuting the partner's
-    equation refutes both, once check_h has confirmed H."""
+    Both builders work on the representative, the class that decide()
+    reduces to taken with i = 0.  The obstruction equation depends on s2
+    only through its parity, so the central shift needs no transport.  The
+    master parameters are read off the representative's images, and the
+    functional is the one _FAMILIES keys by decide's branch for it.  An
+    i = 1 class takes the representative's certificate: H carries
+    witnesses of the one to witnesses of the other and back, so refuting
+    the representative's equation refutes both, once check_h has confirmed
+    H."""
+    rep = replace(decide(cls).reduced, i=0)
+    label, functional = _FAMILIES[decide(rep).branch]
+    n1, n2 = (img.n for img in rep.images())
     if cls.i:
         check_h()
-        label, params, functional = _family(replace(cls, i=0))
-        return f"{label} via H", params, functional
-    z = cls.s2 % 2
-    if cls.kind == 1:
-        params = lambda m, n: MasterParams(0, 0, cls.s1, 0, 1, 0, m, n)
-        return "type1-even/xi-parity", params, lambda m, n: xi_parity(0)
-    if cls.kind == 2:
-        params = lambda m, n: MasterParams(0, 0, cls.s1, z, 1, 1, m, n)
-        return "type2/xi-parity", params, lambda m, n: xi_parity(1)
-    if cls.kind == 3:
-        params = lambda m, n: MasterParams(0, 0, cls.s1, z, 0, 1, m, n)
-        return (
-            "type3/xi-congruence",
-            params,
-            lambda m, n: xi_congruence(cls.s1, n, z),
-        )
-    params = lambda m, n: MasterParams(cls.r1, cls.r2, cls.s1, z, 0, 0, m, n)
-    if cls.r2 * cls.s1 != 0:
-        return "type4-(i)/xi-count", params, lambda m, n: xi_count(n)
-    if z == 0 and cls.r1 > 0 and cls.r2 % 2 == 0:
-        return (
-            "type4-(ii)/xi-column",
-            params,
-            lambda m, n: xi_column(cls.r1, cls.r2, m, n),
-        )
-    # the rest of the type-4 classes with the property: z = r1 = r2 = 0, s1 != 0
-    return "type4-(iii)/xi-row", params, lambda m, n: xi_row(cls.s1, n)
+        label += " via H"
+    return (
+        label,
+        lambda m, n: MasterParams(rep.r1, rep.r2, rep.s1, rep.s2, n1 % 2, n2 % 2, m, n),
+        lambda m, n: functional(rep, m, n),
+    )
 
 
 def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> CertificateReport:

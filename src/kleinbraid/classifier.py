@@ -17,6 +17,8 @@ Because multiplying the second image by central (1; 0, 2k) braids moves a
 witness across raw second coordinates mod 4, the status of a type-4 class
 depends on s2 only through its parity; decide() reduces s2 mod 2 first and
 records in the branch label whenever the unreduced reading would differ.
+The reduced class, taken with i = 0, is the representative that witnesses
+and certificates are built for.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ class HomClass:
             return KleinElt(0, 2 * self.s1), KleinElt(self.i, 2 * self.s2 + 1)
         return KleinElt(self.r1, 2 * self.s1), KleinElt(self.r2, 2 * self.s2)
 
-    def raw_second(self) -> int:
-        """Second coordinate of the (0,1)-image, before any reduction."""
-        return self.images()[1].n
-
     def describe(self) -> str:
         if self.kind == 4:
             return f"type 4 (r1={self.r1}, r2={self.r2}, s1={self.s1}, s2={self.s2})"
@@ -116,13 +114,10 @@ def normalize(h: HomDescriptor) -> HomClass:
 
 
 def central_shift_equiv(c: HomClass, c2: HomClass) -> bool:
-    """Same type and parameters apart from s2, with raw second coordinates
-    of the (0,1)-images congruent mod 4."""
-    if c.kind != c2.kind:
-        return False
-    if (c.i, c.s1, c.r1, c.r2) != (c2.i, c2.s1, c2.r1, c2.r2):
-        return False
-    return (c.raw_second() - c2.raw_second()) % 4 == 0
+    """Same representative under decide(): the classes agree apart from s2
+    and their s2 agree mod 2, so the central shift (1; 0, 2), which moves
+    s2 by 2, joins them."""
+    return decide(c).reduced == decide(c2).reduced
 
 
 def _decide_type4(r1: int, r2: int, s1: int, s2: int) -> tuple[bool, str]:

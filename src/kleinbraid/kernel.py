@@ -76,9 +76,6 @@ class KernelVector:
     def items(self) -> Iterator[Tuple[Basis, int]]:
         return iter(self._c.items())
 
-    def support(self):
-        return self._c.keys()
-
     def total(self) -> int:
         """Sum of all coefficients."""
         return sum(self._c.values())

@@ -284,15 +284,14 @@ def suite_q_identity() -> list[SuiteCheck]:
     return out
 
 
-def _grid_classes(span: int, r1_max: int | None = None) -> list[HomClass]:
+def _grid_classes(span: int) -> list[HomClass]:
     out = []
-    rng_r1 = range(0, (r1_max if r1_max is not None else span) + 1)
     for kind in (1, 2, 3):
         for i in (0, 1):
             for s1 in range(-span, span + 1):
                 for s2 in range(-span, span + 1):
                     out.append(HomClass(kind, i=i, s1=s1, s2=s2))
-    for r1 in rng_r1:
+    for r1 in range(0, span + 1):
         for r2 in range(-span, span + 1):
             for s1 in range(-span, span + 1):
                 for s2 in range(-span, span + 1):

@@ -7,17 +7,17 @@ the Borsuk-Ulam property when three conditions hold exactly:
     (ii)  p1(a) = image of (1, 0)
     (iii) p1(b · lsigma(b)) = image of (0, 1)
 
-Explicit families cover every failing class whose representative has first
-coordinates zero, plus every failing type-4 class; the central element
-(1; 0, 2) moves a pair across raw second coordinates mod 4, which extends
-each family to the whole shift tower.  The automorphism H of braid.py
-commutes with lsigma and lies over h(m, n) = (m + δn, n), which sends the
-images of each i = 0 class of types 1-3 to those of the i = 1 class with
-the same s1 and s2; so (a, b) ↦ (H(a), H(b)) carries the witnesses of
-the one to witnesses of the other, and that is how the i = 1 classes are
-built.  search_witness scans every pair with short words and small
-twists (exhaustively, after sound pruning by the exponent constraints
-that condition (i) forces).
+Explicit families cover every failing representative: the class that
+decide() reduces to, with s2 in {0, 1}, taken with i = 0.  build_witness
+carries the representative's pair to the requested class in one stated
+way.  First, when i = 1, the automorphism H of braid.py: it commutes with
+lsigma and lies over h(m, n) = (m + δn, n), which sends the images of each
+i = 0 class of types 1-3 to those of the i = 1 class with the same s1 and
+s2, so (a, b) ↦ (H(a), H(b)) carries witnesses of the one to witnesses of
+the other.  Then the central shift: b ↦ b · (1; 0, 2)^k with k = s2 // 2
+keeps condition (i) and moves s2 by 2k.  search_witness scans every pair
+with short words and small twists (exhaustively, after sound pruning by
+the exponent constraints that condition (i) forces).
 """
 
 from __future__ import annotations
@@ -122,46 +122,33 @@ def verify_pair(a: BraidElt, b: BraidElt, cls: HomClass, source: str = "construc
     return WitnessReport(a, b, checks, source, cls)
 
 
-def _base_pair(cls: HomClass) -> tuple[BraidElt, BraidElt, int]:
-    """Representative pair for the class's shift tower, plus the shift k
-    needed to reach the requested s2."""
-    if cls.kind == 2:
-        raise ValueError("type 2 classes always have the Borsuk-Ulam property")
-    if cls.i:
-        a, b, k = _base_pair(replace(cls, i=0))
-        return apply_images(H_IMAGES, a), apply_images(H_IMAGES, b), k
-    if cls.kind == 1:
-        # s2 odd; representative at raw second coordinate 2
-        s = cls.s1
+def _base_pair(rep: HomClass) -> tuple[BraidElt, BraidElt]:
+    """Witness pair of a failing representative: i = 0 and s2 in {0, 1}."""
+    if rep.kind == 1:
+        # a failing type-1 representative has s2 = 1
+        s = rep.s1
         x = V ** (2 * s + 2) * (BIG_B * V ** 2) ** (-s - 1)
         a = BraidElt(V ** (-(4 * s + 2)) * x, KleinElt(0, 2 * s + 1))
-        b = BraidElt(ONE, KleinElt(0, 1))
-        return a, b, (2 * cls.s2 - 2) // 4
-    if cls.kind == 3:
-        # s1 = 0; representative at raw second coordinate 2z+1
-        z = cls.s2 % 2
-        return B_IDENTITY, BraidElt(V, KleinElt(0, z)), (cls.s2 - z) // 2
-    # type 4, representative at raw second coordinate 2z
-    z = cls.s2 % 2
-    r1, r2, s = cls.r1, cls.r2, cls.s1
-    if z == 1:
+        return a, BraidElt(ONE, KleinElt(0, 1))
+    if rep.kind == 3:
+        # a failing type-3 representative has s1 = 0
+        return B_IDENTITY, BraidElt(V, KleinElt(0, rep.s2))
+    r1, r2, s = rep.r1, rep.r2, rep.s1
+    if rep.s2:
         w = omega(s)
         a = BraidElt(
             V ** (-2 * s) * (U ** (2 * r1 - 1) * V ** -1) ** (2 * s) * BIG_B ** (-r1),
             KleinElt(r1, 2 * s),
         )
-        b = BraidElt(U ** (-w * r2) * BIG_B ** (1 - w), KleinElt(0, 1))
-        return a, b, (cls.s2 - 1) // 2
+        return a, BraidElt(U ** (-w * r2) * BIG_B ** (1 - w), KleinElt(0, 1))
     if r2 % 2 == 0:
         # forces r1 == 0 and s1 == 0 for a failing class
-        return B_IDENTITY, BraidElt(ONE, KleinElt(r2 // 2, 0)), cls.s2 // 2
+        return B_IDENTITY, BraidElt(ONE, KleinElt(r2 // 2, 0))
     # r2 odd: collapse (b1·σ)^-r2 · σ^-1 into the pure group via σ² = (B;0,0)
     a_gen = BraidElt(U ** -2, KleinElt(1, 0))
     b_gen = BraidElt(U ** -1)
     c = b_gen * lsigma(b_gen) * SIGMA_SQ
-    a = a_gen ** r1
-    b = c.inv() ** ((r2 + 1) // 2) * b_gen
-    return a, b, cls.s2 // 2
+    return a_gen ** r1, c.inv() ** ((r2 + 1) // 2) * b_gen
 
 
 def build_witness(cls: HomClass) -> WitnessReport:
@@ -171,7 +158,10 @@ def build_witness(cls: HomClass) -> WitnessReport:
         raise ValueError(
             f"{cls.describe()} has the Borsuk-Ulam property; no witness exists"
         )
-    a, b, k = _base_pair(cls)
+    a, b = _base_pair(replace(verdict.reduced, i=0))
+    if cls.i:
+        a, b = apply_images(H_IMAGES, a), apply_images(H_IMAGES, b)
+    k = cls.s2 // 2
     if k:
         b = b * BraidElt(ONE, KleinElt(0, 2 * k))
     return verify_pair(a, b, cls, source="shifted" if k else "constructed")

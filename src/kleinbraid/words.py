@@ -12,7 +12,9 @@ product cancels only at the seam, an inverse reverses, and a power w^n
 writes w = p c p^-1 with c cyclically reduced and returns p c^n p^-1, which
 needs no cancellation at all (Lyndon-Schupp, *Combinatorial Group Theory*,
 I.2).  They wrap their runs with the private ``_from_reduced``, which skips
-the reduction; no public constructor does.
+the reduction; no public constructor does.  parse_word builds each term
+reduced and joins it to the runs collected so far at the seam only, so it
+too wraps its result with ``_from_reduced``.
 
 ``B`` abbreviates the fixed word u v u v^-1.  Input text may use it as
 shorthand (with an optional exponent); canonical output never emits it.
@@ -190,12 +192,24 @@ def parse_word(text: str) -> Word:
             )
         sym = m.group(1)
         exp = 1 if m.group(3) is None else int(m.group(3))
-        if sym in ("u", "v"):
-            runs.append((sym, exp))
-        elif sym == "B":
-            runs.extend((BIG_B ** exp).runs)
+        if sym == "B":
+            term = (BIG_B ** exp).runs
+        elif sym != "1" and exp:
+            term = ((sym, exp),)
+        else:
+            term = ()
+        # runs and term are both reduced, so they cancel only at the seam
+        j = 0
+        while j < len(term) and runs and runs[-1][0] == term[j][0]:
+            e = runs[-1][1] + term[j][1]
+            j += 1
+            if e:
+                runs[-1] = (runs[-1][0], e)
+                break
+            runs.pop()
+        runs.extend(term[j:])
         pos = m.end()
-    return Word(tuple(runs))
+    return _from_reduced(tuple(runs))
 
 
 def format_word(w: Word) -> str:

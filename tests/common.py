@@ -4,8 +4,9 @@ An expression is a nested tuple: a leaf ``("c", p, q)``, ``("theta", m,
 n)``, ``("rho",)`` or ``("id",)``, or ``(op, left, right)`` with op one of
 ``+``, ``-``, ``@``.  ``build`` turns one into a KernelOperator; the test
 modules that keep a reference model of the operators evaluate the same
-tuples their own way.  ``braids`` draws a braid from up to five runs with
-exponents in [-3, 3] and a twist with coordinates in [-4, 4].
+tuples their own way.  ``words`` draws a word from up to five runs with
+exponents in [-3, 3], ``twists`` a Klein-bottle element with coordinates in
+[-4, 4], and ``braids`` a braid made of one of each.
 """
 
 from hypothesis import settings
@@ -52,4 +53,6 @@ exprs = st.recursive(
 
 
 runs = st.lists(st.tuples(st.sampled_from("uv"), st.integers(-3, 3)), max_size=5)
-braids = st.builds(lambda rs, m, n: BraidElt(Word(tuple(rs)), KleinElt(m, n)), runs, small, small)
+words = runs.map(lambda rs: Word(tuple(rs)))
+twists = st.builds(KleinElt, small, small)
+braids = st.builds(BraidElt, words, twists)

@@ -1,6 +1,5 @@
-import random
-
 import pytest
+from hypothesis import given
 
 from kleinbraid.braid import (
     B_IDENTITY,
@@ -22,49 +21,35 @@ from kleinbraid.braid import (
     theta,
 )
 from kleinbraid.kleinpi import K_IDENTITY, KleinElt, eps
-from kleinbraid.words import BIG_B, ONE, U, V, Word, parse_word
+from kleinbraid.words import BIG_B, ONE, U, V, parse_word
 
-rng = random.Random(2024)
-
-
-def rand_word(max_letters=6):
-    return Word(
-        tuple((rng.choice("uv"), rng.choice((1, -1))) for _ in range(rng.randint(0, max_letters)))
-    )
-
-
-def rand_braid():
-    return BraidElt(rand_word(), KleinElt(rng.randint(-3, 3), rng.randint(-3, 3)))
+from common import PROFILE, braids, twists, words
 
 
 def test_theta_examples():
-    w = rand_word()
-    assert theta(K_IDENTITY, w) == w
+    assert theta(K_IDENTITY, parse_word("u v^-2 u")) == parse_word("u v^-2 u")
     assert theta(KleinElt(1, 0), U) == BIG_B * U * BIG_B.inv()
     assert theta(KleinElt(2, 1), BIG_B) == BIG_B.inv()
 
 
-def test_theta_is_action():
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            for m2 in range(-3, 4):
-                for n2 in range(-3, 4):
-                    t, t2 = KleinElt(m, n), KleinElt(m2, n2)
-                    w = rand_word(4)
-                    assert theta(t * t2, w) == theta(t, theta(t2, w))
+@PROFILE
+@given(twists, twists, words)
+def test_theta_is_action(t, t2, w):
+    assert theta(K_IDENTITY, w) == w
+    assert theta(t * t2, w) == theta(t, theta(t2, w))
 
 
-def test_theta_is_automorphism():
-    for _ in range(100):
-        t = KleinElt(rng.randint(-4, 4), rng.randint(-4, 4))
-        x, y = rand_word(), rand_word()
-        assert theta(t, x * y) == theta(t, x) * theta(t, y)
-        assert theta(t, ONE) == ONE
-        assert theta(t, BIG_B) == BIG_B ** eps(t.n)
+@PROFILE
+@given(twists, words, words)
+def test_theta_is_automorphism(t, x, y):
+    assert theta(t, x * y) == theta(t, x) * theta(t, y)
+    assert theta(t, x.inv()) == theta(t, x).inv()
+    assert theta(t, ONE) == ONE
+    assert theta(t, BIG_B) == BIG_B ** eps(t.n)
 
 
 def test_bmul_examples():
-    w = rand_word()
+    w = parse_word("v u^-1 v")
     assert bmul(BraidElt(w), BraidElt(ONE, KleinElt(2, 5))) == BraidElt(w, KleinElt(2, 5))
     centre = BraidElt(ONE, KleinElt(0, 2))
     u_braid = BraidElt(U)
@@ -81,10 +66,13 @@ def test_binv_examples():
     assert bmul(binv(a), a) == B_IDENTITY
 
 
-def test_bmul_associative():
-    for _ in range(150):
-        a, b, c = rand_braid(), rand_braid(), rand_braid()
-        assert bmul(bmul(a, b), c) == bmul(a, bmul(b, c))
+@PROFILE
+@given(braids, braids, braids)
+def test_bmul_associative(a, b, c):
+    # the group laws
+    assert bmul(bmul(a, b), c) == bmul(a, bmul(b, c))
+    assert bmul(a, B_IDENTITY) == a == bmul(B_IDENTITY, a)
+    assert bmul(a, binv(a)) == B_IDENTITY == bmul(binv(a), a)
 
 
 def test_lsigma_table():
@@ -98,20 +86,24 @@ def test_lsigma_table():
         assert got == want
 
 
-def test_lsigma_endomorphism_and_square():
-    for _ in range(150):
-        a, b = rand_braid(), rand_braid()
-        assert lsigma(bmul(a, b)) == bmul(lsigma(a), lsigma(b))
-        assert lsigma(lsigma(a)) == bmul(bmul(SIGMA_SQ, a), binv(SIGMA_SQ))
+@PROFILE
+@given(braids, braids)
+def test_lsigma_endomorphism_and_square(a, b):
+    assert lsigma(bmul(a, b)) == bmul(lsigma(a), lsigma(b))
+    assert lsigma(B_IDENTITY) == B_IDENTITY
+    assert lsigma(lsigma(a)) == bmul(bmul(SIGMA_SQ, a), binv(SIGMA_SQ))
 
 
 def test_gmap_examples():
     assert gmap(BIG_B) == K_IDENTITY
     assert gmap(ONE) == K_IDENTITY
     assert gmap(parse_word("u^3")) == KleinElt(3, 0)
-    for _ in range(100):
-        x, y = rand_word(), rand_word()
-        assert gmap(x * y) == gmap(x) * gmap(y)
+
+
+@PROFILE
+@given(words, words)
+def test_gmap_is_a_homomorphism(x, y):
+    assert gmap(x * y) == gmap(x) * gmap(y)
 
 
 def test_rho_examples():
@@ -129,10 +121,10 @@ def test_projections():
     assert p1(bmul(x, y)) == p1(x) * p1(y)
 
 
-def test_p1_lsigma_second_coordinate():
-    for _ in range(100):
-        a = rand_braid()
-        assert p1(lsigma(a)).n == p1(a).n + gmap(a.word).n
+@PROFILE
+@given(braids)
+def test_p1_lsigma_second_coordinate(a):
+    assert p1(lsigma(a)).n == p1(a).n + gmap(a.word).n
 
 
 def test_decompose_examples():
@@ -143,12 +135,15 @@ def test_decompose_examples():
     r, s, x = decompose(parse_word("v u"))
     assert (r, s) == (-1, 1)
     assert x == parse_word("v^-1 u v u")
-    for _ in range(100):
-        w = rand_word()
-        r, s, x = decompose(w)
-        assert gmap(w) == KleinElt(r, s)
-        assert gmap(x) == K_IDENTITY
-        assert U ** r * V ** s * x == w
+
+
+@PROFILE
+@given(words)
+def test_decompose_splits_off_the_kernel(w):
+    r, s, x = decompose(w)
+    assert gmap(w) == KleinElt(r, s)
+    assert gmap(x) == K_IDENTITY
+    assert U ** r * V ** s * x == w
 
 
 def test_formula_blsiga():
@@ -165,24 +160,27 @@ def test_formula_ablsiga():
     a = BraidElt(U ** -2, KleinElt(1, 0))
     b = BraidElt(U ** -1)
     assert formula_ablsiga(a, b) == b
-    for _ in range(50):
-        a, b = rand_braid(), rand_braid()
-        assert formula_ablsiga(a, b) == bmul(bmul(a, b), lsigma(a))
-        assert formula_blsiga(a, b) == bmul(b, lsigma(a))
 
 
-def test_formula_ablsiga_twist():
+@PROFILE
+@given(braids, braids)
+def test_closed_formulas_match_the_engine(a, b):
+    assert formula_ablsiga(a, b) == bmul(bmul(a, b), lsigma(a))
+    assert formula_blsiga(a, b) == bmul(b, lsigma(a))
+
+
+@PROFILE
+@given(braids, braids)
+def test_formula_ablsiga_twist(a, b):
     # second component of the closed formula, spelled out
-    for _ in range(50):
-        a, b = rand_braid(), rand_braid()
-        a1, a2, _ = decompose(a.word)
-        m1, n1 = a.twist.m, a.twist.n
-        m2, n2 = b.twist.m, b.twist.n
-        got = p1(formula_ablsiga(a, b))
-        assert got == KleinElt(
-            m1 + eps(n1) * m2 + eps(n1 + n2) * (a1 + eps(a2) * m1),
-            2 * n1 + n2 + a2,
-        )
+    a1, a2, _ = decompose(a.word)
+    m1, n1 = a.twist.m, a.twist.n
+    m2, n2 = b.twist.m, b.twist.n
+    got = p1(formula_ablsiga(a, b))
+    assert got == KleinElt(
+        m1 + eps(n1) * m2 + eps(n1 + n2) * (a1 + eps(a2) * m1),
+        2 * n1 + n2 + a2,
+    )
 
 
 def test_forced_word_exponents():

@@ -4,6 +4,7 @@ import pytest
 
 from kleinbraid.certificate import (
     CertificateReport,
+    _family,
     MasterParams,
     build_master,
     check_certificate,
@@ -18,9 +19,10 @@ from kleinbraid.certificate import (
     xi_parity,
     xi_row,
 )
-from kleinbraid.classifier import HomClass
+from kleinbraid.classifier import HomClass, decide
 from kleinbraid.kernel import KernelVector, c_ab, rho_ab, theta_ab, tilde_j, tilde_o
 from kleinbraid.kleinpi import KleinElt, delta, eps
+from kleinbraid.suites import _grid_classes
 
 
 def unit(k, l):
@@ -217,13 +219,39 @@ def test_check_certificate_examples():
     report = check_certificate(HomClass(3, i=0, s1=2, s2=0))
     assert report.success and report.family == "type3/xi-congruence"
     report = check_certificate(HomClass(4, r1=1, r2=2, s1=0, s2=0))
-    assert report.success and report.family == "type4-(ii)/xi-column"
+    assert report.success and report.family == "type4-(iii)/xi-column"
     report = check_certificate(HomClass(4, r1=0, r2=0, s1=1, s2=0))
-    assert report.success and report.family == "type4-(iii)/xi-row"
+    assert report.success and report.family == "type4-(ii)/xi-row"
     report = check_certificate(HomClass(4, r1=1, r2=2, s1=1, s2=1))
     assert report.success and report.family == "type4-(i)/xi-count"
     report = check_certificate(HomClass(1, i=0, s1=-2, s2=2))
     assert report.success and report.family == "type1-even/xi-parity"
+
+
+def test_family_follows_decide_branch():
+    # every class with the property in [-3, 3], i = 1 included: the label
+    # names decide's branch (test_sweep_matches_reference_on_grid checks
+    # that the same classes' reports succeed)
+    checked = 0
+    for cls in _grid_classes(3):
+        verdict = decide(cls)
+        if not verdict.bu:
+            continue
+        label, _, _ = _family(cls)
+        kind, _, rest = label.partition("/")
+        if cls.kind == 4:
+            assert kind == "type4-" + verdict.branch.split()[0][3:], cls
+        else:
+            assert kind in (f"type{cls.kind}", f"type{cls.kind}-even"), cls
+        assert rest.endswith(" via H") == bool(cls.i), cls
+        checked += 1
+    assert checked == 1331
+    # the (d)(ii) classes with r1 > 0 now take xi_row; they hold at the
+    # default windows too
+    for r1 in (1, 2, 3):
+        for s1 in (-3, -2, -1, 1, 2, 3):
+            report = check_certificate(HomClass(4, r1=r1, r2=0, s1=s1, s2=0))
+            assert report.success and report.family == "type4-(ii)/xi-row"
 
 
 def test_check_certificate_preconditions():

@@ -124,6 +124,36 @@ def test_central_shift_examples():
     )
 
 
+def ref_central_shift_equiv(c: HomClass, c2: HomClass) -> bool:
+    """Reference: same type and parameters apart from s2, with raw second
+    coordinates of the (0,1)-images congruent mod 4."""
+    if c.kind != c2.kind:
+        return False
+    if (c.i, c.s1, c.r1, c.r2) != (c2.i, c2.s1, c2.r1, c2.r2):
+        return False
+    return (c.images()[1].n - c2.images()[1].n) % 4 == 0
+
+
+def test_central_shift_matches_mod4_reference():
+    classes = [
+        HomClass(kind, i=i, s1=s1, s2=s2)
+        for kind in (1, 2, 3)
+        for i in (0, 1)
+        for s1 in (-1, 0, 1)
+        for s2 in range(-2, 3)
+    ] + [
+        HomClass(4, r1=r1, r2=r2, s1=s1, s2=s2)
+        for r1 in range(0, 3)
+        for r2 in range(-2, 3)
+        for s1 in (-1, 0, 1)
+        for s2 in range(-2, 3)
+    ]
+    assert len(classes) == 315
+    for c in classes:
+        for c2 in classes:
+            assert central_shift_equiv(c, c2) == ref_central_shift_equiv(c, c2), (c, c2)
+
+
 def test_decide_examples():
     assert decide(HomClass(1, i=0, s1=3, s2=0)).bu
     assert not decide(HomClass(3, i=0, s1=0, s2=1)).bu

@@ -204,7 +204,9 @@ def test_sweep_matches_reference_on_grid():
     for cls in _grid_classes(3):
         if not decide(cls).bu:
             continue
-        assert check_certificate(cls, window=2, mn=1) == reference_sweep(cls, 2, 1)
+        report = check_certificate(cls, window=2, mn=1)
+        assert report.success, cls
+        assert report == reference_sweep(cls, 2, 1)
         checked += 1
     assert checked == 1331
 

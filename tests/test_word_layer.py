@@ -204,6 +204,18 @@ def test_project_big_b_power():
     assert project(parse_word("B^200000")) == 200000 * KernelVector.unit(0, 0)
 
 
+def test_parse_joins_reduced_terms_without_reducing_again(monkeypatch):
+    # every term is reduced as built, so parse_word cancels only at the seams
+    def no_reduce(runs):
+        raise AssertionError("parse_word reduced its runs a second time")
+
+    monkeypatch.setattr("kleinbraid.words._reduce", no_reduce)
+    out = parse_word("B^200000")
+    assert len(out.runs) == 800000
+    assert out == BIG_B ** 200000
+    assert parse_word("u v v^-1 u^-1 B^2 u^0 1 B^-1 v^-1 v") == BIG_B
+
+
 def test_theta_large_twist_closed_form():
     m = 100000
     expected = BIG_B ** (m - 1) * U ** -1 * BIG_B * V * U ** (-2 * m) * BIG_B ** (1 - m)
