@@ -24,20 +24,32 @@ Every functional is periodic in (k, l), so a Functional is a table of its
 values on one period box.  Pulling it back through a term table gives
 f∘A as another small periodic table, since the ±1 slopes of A keep the
 parity of k and move k and l by whole periods.  The certificate sweep
-reads the linear part off the pulled-back tables of Ax and Ay and applies
-the functional itself only to the constant.
+reads the linear part off the pulled-back tables of Ax and Ay.
+
+build_master writes the constant as data: a tuple of atoms (coef, p, q,
+family, args), each standing for coef·c(p, q)(tilde_family(args)).
+MasterEquation.constant materialises them as a vector for the
+cross-checks, and the sweep applies the functional to the atoms
+themselves (Functional.on_atoms): each family's support is a few
+arithmetic-progression boxes, and summing a periodic table over a box
+needs only the residue counts of its two progressions over one period,
+so f(C(m, n)) costs the same however large the family arguments are.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import lcm
-from typing import Callable, Tuple
+from math import gcd, lcm
+from typing import Callable, Iterable, List, Tuple
 
 from .braid import check_h
-from .classifier import HomClass, decide
+from .classifier import HomClass, Verdict, decide
 from .kernel import (
+    BOXES,
     ID,
     RHO,
+    TILDE,
+    ZERO,
+    Atom,
     KernelOperator,
     KernelVector,
     c_ab,
@@ -77,6 +89,27 @@ class Functional:
         total = sum(c * table[k % pk][l % pl] for (k, l), c in vec.items())
         return total % self.mod if self.mod else total
 
+    def on_atoms(self, atoms: Iterable[Atom]) -> int:
+        """f(Σ coef·c(p, q)(tilde_family(args))) over the atoms, read off
+        the families' progression boxes without building a vector.
+
+        c(p, q) moves a box to the box at (k0 + p, l0 + ε(k0)·q), and the
+        value of f on a box is Σ count_k(a)·count_l(b)·table[a][b] over the
+        residues a, b of its two progressions."""
+        table, mod = self.table, self.mod
+        pk, pl = self.period
+        total = 0
+        for coef, p, q, family, args in atoms:
+            for c, k0, dk, l0, dl, nk, nl in BOXES[family](*args):
+                cols = _residue_counts(l0 - q if k0 & 1 else l0 + q, dl, nl, pl)
+                box = 0
+                for a, x in _residue_counts(k0 + p, dk, nk, pk):
+                    row = table[a]
+                    for b, y in cols:
+                        box += x * y * row[b]
+                total += coef * c * box
+        return total % mod if mod else total
+
     def pullback(self, op: KernelOperator) -> "Functional":
         """f∘op, tabulated over the period box (lcm(2, pk), pl).
 
@@ -95,6 +128,17 @@ class Functional:
             return total % mod if mod else total
 
         return _tabulate((lcm(2, pk), pl), on_basis, mod, f"{self.label}∘op")
+
+
+def _residue_counts(start: int, step: int, count: int, period: int) -> List[Tuple[int, int]]:
+    """(residue, multiplicity) of start + step·i mod period over i < count.
+    The residues repeat with cycle period / gcd(step, period) and are
+    distinct within one cycle, so one cycle gives all of them."""
+    if count == 1:  # the one row or column of most boxes
+        return [(start % period, 1)]
+    cycle = period // gcd(step, period)
+    full, rest = divmod(count, cycle)
+    return [((start + step * i) % period, full + (i < rest)) for i in range(min(count, cycle))]
 
 
 def _tabulate(
@@ -126,8 +170,17 @@ class MasterEquation:
     params: MasterParams
     ax: KernelOperator
     ay: KernelOperator
-    constant: KernelVector
+    atoms: Tuple[Atom, ...]  # the constant, as (coef, p, q, family, args)
     derived: Tuple[int, int, int, int, int]  # (a1, a2, b1, b2, g)
+
+    @property
+    def constant(self) -> KernelVector:
+        """C(m, n) as a vector, materialised from the atoms through c_ab
+        and the reference families."""
+        total = ZERO
+        for coef, p, q, family, args in self.atoms:
+            total = total + coef * c_ab(p, q, TILDE[family](*args))
+        return total
 
 
 def derived_exponents(p: MasterParams) -> Tuple[int, int, int, int, int]:
@@ -155,31 +208,32 @@ def build_master(p: MasterParams) -> MasterEquation:
         - ID
     )
 
-    constant = (
-        c_ab(a2, 0, tilde_t(a1 * eps(n + i), delta(n + i)))
-        + c_ab(
+    atoms = (
+        (1, a2, 0, "t", (a1 * eps(n + i), delta(n + i))),
+        (1, a2 - b2, 0, "o", (2 * s1 + i, a1 - b1)),
+        (
+            -delta(j + 1),
             a2 - b2,
             0,
-            tilde_o(2 * s1 + i, a1 - b1)
-            - delta(j + 1)
-            * tilde_o(s2 - n, 2 * delta(i) * m - 2 * delta(i + 1) * delta(n + 1) * r1)
-            + delta(j) * tilde_q(-2 * delta(i) * m, s2 - n),
-        )
-        + c_ab(
+            "o",
+            (s2 - n, 2 * delta(i) * m - 2 * delta(i + 1) * delta(n + 1) * r1),
+        ),
+        (delta(j), a2 - b2, 0, "q", (-2 * delta(i) * m, s2 - n)),
+        (
+            1,
             a2,
             a1 * eps(n + i),
-            tilde_j(delta(i + 1) * (n - s2), -2 * delta(i + 1) * delta(j + 1) * r1),
-        )
-        + c_ab(a2 - 1, a1 * eps(n + i + 1), tilde_i(-delta(i) * b2))
-        + c_ab(0, delta(n + i + 1), tilde_j(-2 * s1 - i, 1 - 2 * g))
-        + tilde_o(-2 * s1 - i, delta(n + i - 1))
-        + (delta(n + i) + delta(i) * eps(n + i) - g) * KernelVector.unit(0, 0)
-        + (delta(i) - delta(n + i) + eps(i) * m)
-        * KernelVector.unit(a2, a1 * eps(n + i))
-        + (delta(i + 1) * delta(j + 1) * r1 - delta(i))
-        * KernelVector.unit(a2 - b2, a1 - b1)
+            "j",
+            (delta(i + 1) * (n - s2), -2 * delta(i + 1) * delta(j + 1) * r1),
+        ),
+        (1, a2 - 1, a1 * eps(n + i + 1), "i", (-delta(i) * b2,)),
+        (1, 0, delta(n + i + 1), "j", (-2 * s1 - i, 1 - 2 * g)),
+        (1, 0, 0, "o", (-2 * s1 - i, delta(n + i - 1))),
+        (delta(n + i) + delta(i) * eps(n + i) - g, 0, 0, "unit", (0, 0)),
+        (delta(i) - delta(n + i) + eps(i) * m, 0, 0, "unit", (a2, a1 * eps(n + i))),
+        (delta(i + 1) * delta(j + 1) * r1 - delta(i), 0, 0, "unit", (a2 - b2, a1 - b1)),
     )
-    return MasterEquation(p, ax, ay, constant, (a1, a2, b1, b2, g))
+    return MasterEquation(p, ax, ay, tuple(a for a in atoms if a[0]), (a1, a2, b1, b2, g))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +423,11 @@ _FAMILIES = {
 }
 
 
-def _family(cls: HomClass):
+def _family(cls: HomClass, verdict: Verdict):
     """(family label, params builder, functional builder) for a class
-    with the Borsuk-Ulam property.
+    with the Borsuk-Ulam property, given its verdict.
 
-    Both builders work on the representative, the class that decide()
+    Both builders work on the representative, the class the verdict
     reduces to taken with i = 0.  The obstruction equation depends on s2
     only through its parity, so the central shift needs no transport.  The
     master parameters are read off the representative's images, and the
@@ -382,7 +436,7 @@ def _family(cls: HomClass):
     witnesses of the one to witnesses of the other and back, so refuting
     the representative's equation refutes both, once check_h has confirmed
     H."""
-    rep = replace(decide(cls).reduced, i=0)
+    rep = replace(verdict.reduced, i=0)
     label, functional = _FAMILIES[decide(rep).branch]
     n1, n2 = (img.n for img in rep.images())
     if cls.i:
@@ -402,7 +456,8 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     kill both linear operators on every basis vector with |k|, |l| <=
     window and take a nonzero value on the constant part.  The functional
     is pulled back through Ax and Ay once per (m, n); the window is read
-    off the pulled-back tables only when one of them is nonzero.
+    off the pulled-back tables only when one of them is nonzero.  The
+    constant is evaluated from its atoms, so the sweep builds no vector.
     """
     if window < 0 or mn < 0:
         raise ValueError(f"windows must be non-negative, got window={window}, mn={mn}")
@@ -412,7 +467,7 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
             f"{cls.describe()} fails the Borsuk-Ulam property; "
             "certificates only exist for classes that have it"
         )
-    family, params_at, functional_at = _family(cls)
+    family, params_at, functional_at = _family(cls, verdict)
     failures: list[Tuple[int, int, str, int, int]] = []
     linear_ok = constant_ok = True
     coords = range(-window, window + 1)
@@ -429,7 +484,7 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
                         if pulled.value(k, l):
                             linear_ok = False
                             failures.append((m, n, name, k, l))
-            if f(eq.constant) == 0:
+            if f.on_atoms(eq.atoms) == 0:
                 constant_ok = False
                 failures.append((m, n, "C", 0, 0))
     return CertificateReport(

@@ -28,6 +28,17 @@ terms e(k, l) ↦ ±e(±k + p, ±l + q) whose signs and offsets depend only on
 the parity of k.  KernelOperator holds one as a normal form of such terms
 per parity; distinct affine maps with ±1 slopes agree on at most a line,
 so operator equality is exact for all (k, l).
+
+The T/I/O/J/Q families are written twice: tilde_* builds each projection
+as a vector, the reference, and boxes_* lists its support as progression
+boxes (coef, k0, dk, l0, dl, I, J), each meaning
+
+    Σ_{i<I, j<J} coef · e(k0 + dk·i, l0 + dl·j),       dk even.
+
+An atom (coef, p, q, family, args) stands for coef·c(p, q)(tilde_family(args)),
+with the family "unit" for a single basis vector e(args).  Since dk is even,
+εk is ε(k0) on the whole box, so c(p, q) moves a box to the box at
+(k0 + p, l0 + ε(k0)·q) with the same steps and sizes.
 """
 
 from __future__ import annotations
@@ -357,3 +368,72 @@ def q_identity_check(k: int, l: int) -> bool:
         prod = prod * expand(2 * l, -i + shift)
     rhs = word_o(l, k).inv() * prod ** sk
     return word_q(k, l) == rhs
+
+
+# ---------------------------------------------------------------------------
+# the same families as progression boxes
+
+Box = Tuple[int, int, int, int, int, int, int]  # (coef, k0, dk, l0, dl, I, J), dk even
+Atom = Tuple[int, int, int, str, Tuple[int, ...]]  # (coef, p, q, family, args)
+
+
+def boxes_unit(k: int, l: int) -> Tuple[Box, ...]:
+    return ((1, k, 0, l, 0, 1, 1),)
+
+
+def boxes_t(k: int, r: int) -> Tuple[Box, ...]:
+    sk = sign_of(k)
+    shift = (sk * (1 - 2 * r) - 1) // 2
+    return ((sk, 0, 0, sk * (1 + shift), sk, 1, abs(k)),)
+
+
+def boxes_i(k: int) -> Tuple[Box, ...]:
+    # k moves by ±1, so the odd and the even i make one box each
+    sk = sign_of(k)
+    off = (1 - sk) // 2
+    return (
+        (-sk, sk + off, 2 * sk, 0, 0, (abs(k) + 1) // 2, 1),
+        (-sk, 2 * sk + off, 2 * sk, 0, 0, abs(k) // 2, 1),
+    )
+
+
+def boxes_o(k: int, l: int) -> Tuple[Box, ...]:
+    sk, sl = sign_of(k), sign_of(l)
+    lo = (sl - 1) // 2
+    hi = (1 + sl) // 2
+    return (
+        (sk * sl, sk, 2 * sk, lo - sl, -sl, abs(k), abs(l)),
+        (-sk * sl, sk - 1, 2 * sk, sl - hi, sl, abs(k), abs(l)),
+    )
+
+
+def boxes_j(k: int, l: int) -> Tuple[Box, ...]:
+    sk, sl = sign_of(k), sign_of(l)
+    hi = (1 + sl) // 2
+    return ((-sk * sl, sk, 2 * sk, sl * (1 - hi), sl, abs(k), abs(l)),)
+
+
+def boxes_q(k: int, l: int) -> Tuple[Box, ...]:
+    sk = sign_of(k)
+    off = (1 + sk) // 2
+    tail = (sk, 2 * l, 0, sk - off, sk, 1, abs(k))
+    return tuple((-box[0],) + box[1:] for box in boxes_o(l, k)) + (tail,)
+
+
+# family name -> the reference vector builder and the progression boxes
+TILDE = {
+    "unit": KernelVector.unit,
+    "t": tilde_t,
+    "i": tilde_i,
+    "o": tilde_o,
+    "j": tilde_j,
+    "q": tilde_q,
+}
+BOXES = {
+    "unit": boxes_unit,
+    "t": boxes_t,
+    "i": boxes_i,
+    "o": boxes_o,
+    "j": boxes_j,
+    "q": boxes_q,
+}

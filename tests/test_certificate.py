@@ -237,7 +237,7 @@ def test_family_follows_decide_branch():
         verdict = decide(cls)
         if not verdict.bu:
             continue
-        label, _, _ = _family(cls)
+        label, _, _ = _family(cls, verdict)
         kind, _, rest = label.partition("/")
         if cls.kind == 4:
             assert kind == "type4-" + verdict.branch.split()[0][3:], cls

@@ -3,10 +3,12 @@
 The references below are the closure formulas the xi_* builders used
 before they became tables, and the per-basis sweep check_certificate ran
 before it read pulled-back tables: it builds op.on_basis(k, l) for every
-window point and applies the functional to it.  The tables must agree
-with the formulas on boxes several periods wide, pulling back must agree
-with applying the functional after the operator, and the two sweeps must
-return equal reports, failures included.
+window point and applies the functional to the materialised constant.
+The tables must agree with the formulas on boxes several periods wide,
+pulling back must agree with applying the functional after the operator,
+the functional on the constant's atoms must agree with the functional on
+the vectors that tilde_* and c_ab build, and the two sweeps must return
+equal reports, failures included.
 """
 
 import itertools
@@ -16,10 +18,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kleinbraid import certificate
+from kleinbraid import certificate, kernel
 from kleinbraid.certificate import (
     CertificateReport,
     Functional,
+    MasterParams,
     build_master,
     check_certificate,
     xi_column,
@@ -29,7 +32,16 @@ from kleinbraid.certificate import (
     xi_row,
 )
 from kleinbraid.classifier import HomClass, decide
-from kleinbraid.kernel import ID, RHO, KernelVector, c_operator, theta_operator
+from kleinbraid.kernel import (
+    BOXES,
+    ID,
+    RHO,
+    TILDE,
+    KernelVector,
+    c_ab,
+    c_operator,
+    theta_operator,
+)
 from kleinbraid.kleinpi import delta, eps
 from kleinbraid.suites import _grid_classes
 
@@ -86,7 +98,7 @@ def functional_cases():
 def reference_sweep(cls, window, mn):
     """check_certificate as a per-basis sweep: every window point's image
     under Ax and Ay is built as a vector and the functional applied to it."""
-    family, params_at, functional_at = certificate._family(cls)
+    family, params_at, functional_at = certificate._family(cls, decide(cls))
     failures = []
     linear_ok = constant_ok = True
     coords = range(-window, window + 1)
@@ -139,10 +151,11 @@ nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
 
 @st.composite
 def periodic_tables(draw):
-    """A functional with an arbitrary period box, odd k-periods included."""
-    pk, pl = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    mod = draw(st.sampled_from((0, 2)))
-    values = st.integers(0, 1) if mod else st.integers(-2, 2)
+    """A functional with an arbitrary period box up to 6×5, odd k-periods
+    included, Z-valued or reduced mod 2 or 3."""
+    pk, pl = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    mod = draw(st.sampled_from((0, 2, 3)))
+    values = st.integers(0, mod - 1) if mod else st.integers(-2, 2)
     row = st.lists(values, min_size=pl, max_size=pl).map(tuple)
     table = draw(st.lists(row, min_size=pk, max_size=pk).map(tuple))
     return Functional(table, mod, "table")
@@ -195,6 +208,66 @@ def test_pullback_composes():
 
 
 # ---------------------------------------------------------------------------
+# the constant's atoms against the reference vectors
+
+# family arguments: small ones, zero among them, and ones up to 60 in size
+arg = st.one_of(st.integers(-3, 3), st.integers(-60, 60))
+FAMILY_ARGS = {
+    "unit": st.tuples(arg, arg),
+    "t": st.tuples(arg, st.integers(0, 1)),
+    "i": st.tuples(arg),
+    "o": st.tuples(arg, arg),
+    "j": st.tuples(arg, arg),
+    "q": st.tuples(arg, arg),
+}
+offsets = st.integers(-70, 70)
+
+
+@pytest.mark.parametrize("family", sorted(BOXES))
+@PROFILE
+@given(data=st.data(), f=periodic_tables(), coef=st.integers(-3, 3), p=offsets, q=offsets)
+def test_atom_equals_reference_vector(family, data, f, coef, p, q):
+    args = data.draw(FAMILY_ARGS[family], label="args")
+    want = f(coef * c_ab(p, q, TILDE[family](*args)))
+    assert f.on_atoms([(coef, p, q, family, args)]) == want
+
+
+master_params = st.builds(
+    MasterParams, small, small, small, small, st.integers(0, 1), st.integers(0, 1), small, small
+)
+
+
+@PROFILE
+@given(master_params, functionals)
+def test_atoms_equal_materialised_constant(params, f):
+    eq = build_master(params)
+    assert all(coef for coef, *_ in eq.atoms)
+    assert f.on_atoms(eq.atoms) == f(eq.constant)
+
+
+def test_sweep_builds_no_vectors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate sweep built a kernel vector")
+
+    monkeypatch.setattr(KernelVector, "__init__", refuse)
+    monkeypatch.setattr(kernel, "_vector", refuse)
+    assert check_certificate(HomClass(4, r1=1, r2=2, s1=1, s2=1)).success
+
+
+def test_certificate_decides_twice(monkeypatch):
+    # once for the class in check_certificate, once for its representative
+    calls = []
+
+    def counted(cls):
+        calls.append(cls)
+        return decide(cls)
+
+    monkeypatch.setattr(certificate, "decide", counted)
+    check_certificate(HomClass(2, i=1, s1=1, s2=3), window=1, mn=1)
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
 # the sweep against the per-basis reference
 
 
@@ -226,8 +299,8 @@ WRONG = [
 def test_failures_match_reference(monkeypatch, cls, wrong):
     original = certificate._family
 
-    def family(c):
-        label, params_at, _ = original(c)
+    def family(c, verdict):
+        label, params_at, _ = original(c, verdict)
         return label, params_at, wrong
 
     monkeypatch.setattr(certificate, "_family", family)

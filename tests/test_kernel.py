@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,20 +26,11 @@ from kleinbraid.kernel import (
 from kleinbraid.kleinpi import K_IDENTITY, KleinElt, eps, sign_of
 from kleinbraid.words import ONE, V, Word, comm, parse_word
 
-from common import PROFILE
-
-rng = random.Random(99)
+from common import PROFILE, basis_factors, basis_product, kernel_products, twists
 
 
 def unit(k, l):
     return KernelVector.unit(k, l)
-
-
-def rand_kernel_word(span=4, factors=4):
-    w = ONE
-    for _ in range(rng.randint(1, factors)):
-        w = w * expand(rng.randint(-span, span), rng.randint(-span, span)) ** rng.choice((1, -1))
-    return w
 
 
 def test_vector_arithmetic():
@@ -76,21 +65,13 @@ def test_project_rejects_nonkernel_words():
         project(parse_word("v^2 B"))
 
 
-def test_project_roundtrip_and_additivity():
-    for _ in range(200):
-        picks = [
-            (rng.randint(-5, 5), rng.randint(-5, 5), rng.choice((1, -1)))
-            for _ in range(rng.randint(0, 5))
-        ]
-        w, vec = ONE, KernelVector()
-        for k, l, s in picks:
-            w = w * expand(k, l) ** s
-            vec = vec + KernelVector({(k, l): s})
-        assert project(w) == vec
-    for _ in range(50):
-        x, y = rand_kernel_word(), rand_kernel_word()
-        assert project(x * y) == project(x) + project(y)
-        assert not project(comm(x, y))
+@PROFILE
+@given(basis_factors, kernel_products, kernel_products)
+def test_project_roundtrip_and_additivity(factors, x, y):
+    vec = KernelVector([((k, l), s) for k, l, s in factors])
+    assert project(basis_product(factors)) == vec
+    assert project(x * y) == project(x) + project(y)
+    assert not project(comm(x, y))
 
 
 def test_theta_ab_examples():
@@ -113,35 +94,40 @@ def test_c_ab_examples():
     assert c_ab(2, 1, unit(1, 0)) == unit(3, -1)
 
 
-def test_c_ab_invertible():
-    for _ in range(50):
-        v = KernelVector(
-            {(rng.randint(-4, 4), rng.randint(-4, 4)): rng.randint(-3, 3) for _ in range(4)}
-        )
-        p, q = rng.randint(-3, 3), rng.randint(-3, 3)
-        w = c_ab(p, q, v)
-        # undo per basis vector: the l-shift direction depends on the k parity
-        undone = KernelVector(
-            [((k - p, l - (1 if (k - p) % 2 == 0 else -1) * q), c) for (k, l), c in w.items()]
-        )
-        assert undone == v
+shifts = st.integers(-3, 3)
 
 
-def test_c_agreement_examples():
+@PROFILE
+@given(
+    st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), shifts, max_size=4),
+    shifts,
+    shifts,
+)
+def test_c_ab_invertible(coeffs, p, q):
+    v = KernelVector(coeffs)
+    w = c_ab(p, q, v)
+    # undo per basis vector: the l-shift direction depends on the k parity
+    undone = KernelVector(
+        [((k - p, l - (1 if (k - p) % 2 == 0 else -1) * q), c) for (k, l), c in w.items()]
+    )
+    assert undone == v
+
+
+@PROFILE
+@given(shifts, shifts, kernel_products)
+def test_c_agreement_examples(p, q, x):
     assert c_agreement(1, 0, parse_word("B"))
     assert project((V * parse_word("u^0")).conj(parse_word("B"))) == unit(1, 0)
     assert c_agreement(0, 1, expand(1, 1))
     assert c_ab(0, 1, unit(1, 1)) == unit(1, 0)
-    for _ in range(60):
-        assert c_agreement(rng.randint(-3, 3), rng.randint(-3, 3), rand_kernel_word())
+    assert c_agreement(p, q, x)
 
 
-def test_operator_compatibility_random():
-    for _ in range(120):
-        x = rand_kernel_word()
-        t = KleinElt(rng.randint(-3, 3), rng.randint(-3, 3))
-        assert project(theta(t, x)) == theta_ab(t, project(x))
-        assert project(rho(x)) == rho_ab(project(x))
+@PROFILE
+@given(kernel_products, twists)
+def test_operator_compatibility_random(x, t):
+    assert project(theta(t, x)) == theta_ab(t, project(x))
+    assert project(rho(x)) == rho_ab(project(x))
 
 
 def test_word_family_examples():
