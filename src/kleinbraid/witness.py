@@ -15,9 +15,18 @@ lsigma and lies over h(m, n) = (m + δn, n), which sends the images of each
 i = 0 class of types 1-3 to those of the i = 1 class with the same s1 and
 s2, so (a, b) ↦ (H(a), H(b)) carries witnesses of the one to witnesses of
 the other.  Then the central shift: b ↦ b · (1; 0, 2)^k with k = s2 // 2
-keeps condition (i) and moves s2 by 2k.  search_witness scans every pair
-with short words and small twists (exhaustively, after sound pruning by
-the exponent constraints that condition (i) forces).
+keeps condition (i) and moves s2 by 2k.
+
+search_witness scans every pair with short words and small twists,
+exhaustively, after sound pruning by the exponent constraints that
+condition (i) forces.  The short words are bucketed by gmap and grouped
+within a bucket by exponent sums, so the abelianised relation is checked
+once per group.  A pair that survives is checked as a word equation whose
+twisting images are computed once per search (for b's word) or once per
+choice of a's word and b's twist (for the tail lsigma(a) contributes),
+so a candidate pair costs two word products and one comparison at most.
+SearchBounds caps word_len and coord (MAX_WORD_LEN, MAX_COORD), so an
+oversized search fails at once instead of running without end.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .braid import (
     gmap,
     lsigma,
     p1,
+    theta,
 )
 from .classifier import HomClass, decide
 from .kleinpi import KleinElt, eps, omega
@@ -69,6 +79,16 @@ class WitnessReport:
     cls: HomClass
 
 
+# Budgets of the bounded search.  There are 2·3^k - 1 reduced words of at
+# most k letters, so word_len 10 already enumerates 118,097 of them.  The
+# theta images grow with |m|, so the cost grows about quadratically in
+# coord: at word_len 4 the slowest class of the type 1-4 grid with
+# parameters in [-1, 1] took 0.37 s at coord 100 and 18.6 s at coord 1000
+# (Python 3.11 on a 2-CPU host).
+MAX_WORD_LEN = 10
+MAX_COORD = 100
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     word_len: int = 4  # reduced letter count of each word part
@@ -79,6 +99,11 @@ class SearchBounds:
             raise ValueError(
                 f"search bounds must be non-negative, got word_len={self.word_len}, "
                 f"coord={self.coord}"
+            )
+        if self.word_len > MAX_WORD_LEN or self.coord > MAX_COORD:
+            raise ValueError(
+                f"search bounds exceed the budget word_len <= {MAX_WORD_LEN}, "
+                f"coord <= {MAX_COORD}, got word_len={self.word_len}, coord={self.coord}"
             )
 
 
@@ -193,12 +218,18 @@ def _short_words(max_len: int) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
-def _words_by_gmap(max_len: int) -> dict[tuple[int, int], tuple[Word, ...]]:
-    buckets: dict[tuple[int, int], list[Word]] = {}
+def _words_by_gmap(
+    max_len: int,
+) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[Word, ...]], ...]]:
+    """Short words bucketed by gmap, each bucket grouped by exponent sums."""
+    buckets: dict[tuple[int, int], dict[tuple[int, int], list[Word]]] = {}
     for w in _short_words(max_len):
         g = gmap(w)
-        buckets.setdefault((g.m, g.n), []).append(w)
-    return {key: tuple(ws) for key, ws in buckets.items()}
+        buckets.setdefault((g.m, g.n), {}).setdefault(w.exponent_sums(), []).append(w)
+    return {
+        key: tuple((sums, tuple(ws)) for sums, ws in groups.items())
+        for key, groups in buckets.items()
+    }
 
 
 def _ab_image(word: Word, twist: KleinElt) -> tuple[int, int, int, int]:
@@ -249,55 +280,71 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
 
     Candidate words are every reduced word of letter length <= word_len
     (which includes B and its short conjugates); twists have coordinates
-    bounded by coord.  Condition (ii) fixes a's twist, condition (iii)
-    pins b's twist given its word, and the exponents forced by condition
-    (i) select a's word bucket, so the scan is exhaustive over the bounded
-    space while only running the braid engine on surviving pairs.  The
-    returned pair is the deterministic minimum by total size.
+    bounded by coord.  Condition (ii) fixes a's twist t_a, condition (iii)
+    pins b's twist t_b given its word's gmap, and the exponents forced by
+    condition (i) select a's word bucket, so the scan is exhaustive over the
+    bounded space.  For each (w_a, t_b) the abelianised relation runs once
+    per exponent-sum group of b's words, since it reads w_b only through
+    those sums.  A pair in a group that passes is checked as the word
+    equation w_a · theta(t_a)(w_b) · theta(t_a·t_b)(w_ls) = w_b, where
+    (w_ls; ·) = lsigma(a): the filter has already matched the twists.  The
+    images theta(t_a)(w_b) are cached for the whole search, and the tail
+    theta(t_a·t_b)(w_ls) is computed once per (w_a, t_b), only when some
+    group passes.  examined counts every pair of the bounded space the scan
+    decides, filtered or not.  The returned pair is the deterministic
+    minimum by total size, re-verified on the braid engine by verify_pair.
     """
-    img10, _ = cls.images()
+    img10, img01 = cls.images()
     examined = 0
     found: list[tuple[tuple, BraidElt, BraidElt]] = []
     if abs(img10.m) <= bounds.coord and abs(img10.n) <= bounds.coord:
         t_a = img10
         a2 = -2 * t_a.n
         buckets = _words_by_gmap(bounds.word_len)
-        img01 = cls.images()[1]
-        lsig_cache: dict[Word, tuple[BraidElt, tuple[int, int, int, int]]] = {}
-        for (b1, b2), b_words in buckets.items():
+        # per w_a: the word of lsigma(a), and the abelian images of a and lsigma(a)
+        a_side: dict[Word, tuple[Word, tuple[int, int, int, int], tuple[int, int, int, int]]] = {}
+        twisted: dict[Word, Word] = {}  # theta(t_a)(w_b)
+        for (b1, b2), b_groups in buckets.items():
+            b_count = sum(len(ws) for _, ws in b_groups)
             for t_b in _candidate_b_twists(b1, b2, img01, bounds.coord):
                 a1, _ = forced_word_exponents(
                     BraidElt(ONE, t_a), BraidElt(ONE, t_b)
                 )
-                for w_a in buckets.get((a1, a2), ()):
-                    cached = lsig_cache.get(w_a)
-                    if cached is None:
-                        a = BraidElt(w_a, t_a)
-                        ls = lsigma(a)
-                        cached = (ls, _ab_image(ls.word, ls.twist))
-                        lsig_cache[w_a] = cached
-                    ls, ls_ab = cached
-                    a = BraidElt(w_a, t_a)
-                    a_ab = _ab_image(w_a, t_a)
-                    for w_b in b_words:
-                        examined += 1
-                        b_ab = _ab_image(w_b, t_b)
-                        lhs_ab = _ab_mul(_ab_mul(a_ab, b_ab), ls_ab)
-                        if lhs_ab != b_ab:
-                            continue
-                        b = BraidElt(w_b, t_b)
-                        if a * b * ls == b:
-                            key = (
-                                w_a.letter_length()
-                                + w_b.letter_length()
-                                + abs(t_a.m)
-                                + abs(t_a.n)
-                                + abs(t_b.m)
-                                + abs(t_b.n),
-                                str(a),
-                                str(b),
+                t_ab = t_a * t_b
+                for _, a_words in buckets.get((a1, a2), ()):
+                    for w_a in a_words:
+                        cached = a_side.get(w_a)
+                        if cached is None:
+                            ls = lsigma(BraidElt(w_a, t_a))
+                            cached = a_side[w_a] = (
+                                ls.word, _ab_image(w_a, t_a), _ab_image(ls.word, ls.twist)
                             )
-                            found.append((key, a, b))
+                        w_ls, a_ab, ls_ab = cached
+                        examined += b_count
+                        tail = None
+                        for (pu, pv), b_words in b_groups:
+                            b_ab = (pu, pv, t_b.m, t_b.n)
+                            if _ab_mul(_ab_mul(a_ab, b_ab), ls_ab) != b_ab:
+                                continue
+                            if tail is None:
+                                tail = theta(t_ab, w_ls)
+                            for w_b in b_words:
+                                img = twisted.get(w_b)
+                                if img is None:
+                                    img = twisted[w_b] = theta(t_a, w_b)
+                                if w_a * img * tail == w_b:
+                                    a, b = BraidElt(w_a, t_a), BraidElt(w_b, t_b)
+                                    key = (
+                                        w_a.letter_length()
+                                        + w_b.letter_length()
+                                        + abs(t_a.m)
+                                        + abs(t_a.n)
+                                        + abs(t_b.m)
+                                        + abs(t_b.n),
+                                        str(a),
+                                        str(b),
+                                    )
+                                    found.append((key, a, b))
     if not found:
         return SearchResult(None, examined, bounds)
     _, a, b = min(found, key=lambda item: item[0])

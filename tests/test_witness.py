@@ -1,19 +1,110 @@
+"""Witness construction, verification and the bounded search.
+
+reference_search below is the search loop as it was before the scan was
+grouped by exponent sums: one abelian filter per candidate pair and the
+braid engine on every pair that passes.  The grouped scan must return
+the same pair and the same examined count.
+"""
+
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
 
-from kleinbraid.braid import B_IDENTITY, H_IMAGES, BraidElt, apply_images, bmul, lsigma, p1
+from kleinbraid import witness
+from kleinbraid.braid import (
+    B_IDENTITY,
+    H_IMAGES,
+    BraidElt,
+    apply_images,
+    bmul,
+    forced_word_exponents,
+    gmap,
+    lsigma,
+    p1,
+    theta,
+)
 from kleinbraid.classifier import HomClass, decide
+from kleinbraid.cli import main
 from kleinbraid.kleinpi import KleinElt
+from kleinbraid.suites import _grid_classes
 from kleinbraid.witness import (
+    MAX_COORD,
+    MAX_WORD_LEN,
     SearchBounds,
+    SearchResult,
     WitnessVerificationError,
+    _ab_image,
+    _ab_mul,
+    _candidate_b_twists,
+    _short_words,
     build_witness,
     search_witness,
     second_image_of_pair,
     verify_pair,
 )
 from kleinbraid.words import ONE, U, V, parse_word
+
+from common import PROFILE, twists, words
+
+
+# ---------------------------------------------------------------------------
+# reference search
+
+
+def reference_search(cls, bounds):
+    img10, _ = cls.images()
+    examined = 0
+    found = []
+    if abs(img10.m) <= bounds.coord and abs(img10.n) <= bounds.coord:
+        t_a = img10
+        a2 = -2 * t_a.n
+        buckets = {}
+        for w in _short_words(bounds.word_len):
+            g = gmap(w)
+            buckets.setdefault((g.m, g.n), []).append(w)
+        img01 = cls.images()[1]
+        lsig_cache = {}
+        for (b1, b2), b_words in buckets.items():
+            for t_b in _candidate_b_twists(b1, b2, img01, bounds.coord):
+                a1, _ = forced_word_exponents(BraidElt(ONE, t_a), BraidElt(ONE, t_b))
+                for w_a in buckets.get((a1, a2), ()):
+                    cached = lsig_cache.get(w_a)
+                    if cached is None:
+                        ls = lsigma(BraidElt(w_a, t_a))
+                        cached = (ls, _ab_image(ls.word, ls.twist))
+                        lsig_cache[w_a] = cached
+                    ls, ls_ab = cached
+                    a = BraidElt(w_a, t_a)
+                    a_ab = _ab_image(w_a, t_a)
+                    for w_b in b_words:
+                        examined += 1
+                        b_ab = _ab_image(w_b, t_b)
+                        lhs_ab = _ab_mul(_ab_mul(a_ab, b_ab), ls_ab)
+                        if lhs_ab != b_ab:
+                            continue
+                        b = BraidElt(w_b, t_b)
+                        if a * b * ls == b:
+                            key = (
+                                w_a.letter_length()
+                                + w_b.letter_length()
+                                + abs(t_a.m)
+                                + abs(t_a.n)
+                                + abs(t_b.m)
+                                + abs(t_b.n),
+                                str(a),
+                                str(b),
+                            )
+                            found.append((key, a, b))
+    if not found:
+        return SearchResult(None, examined, bounds)
+    _, a, b = min(found, key=lambda item: item[0])
+    return SearchResult(verify_pair(a, b, cls, source="searched"), examined, bounds)
+
+
+def _outcome(result):
+    pair = (result.report.a, result.report.b) if result.found else None
+    return result.found, pair, result.examined
 
 
 def test_verify_pair_even_family():
@@ -148,3 +239,64 @@ def test_search_covers_uncovered_families():
 def test_out_of_bounds_class_is_not_searched():
     res = search_witness(HomClass(1, i=0, s1=3, s2=1), SearchBounds(4, 2))
     assert not res.found and res.examined == 0
+
+
+def test_search_matches_reference_on_grid():
+    bounds = SearchBounds(4, 2)
+    found = 0
+    for cls in _grid_classes(2):  # parameters in [-2, 2], r1 in 0..2
+        result = search_witness(cls, bounds)
+        assert _outcome(result) == _outcome(reference_search(cls, bounds)), cls
+        found += result.found
+    assert found > 0
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        HomClass(3, i=1, s1=0, s2=1),
+        HomClass(4, r1=1, r2=1, s1=0, s2=0),
+        HomClass(1, i=1, s1=0, s2=1),
+        HomClass(2, i=0, s1=0, s2=0),
+    ],
+    ids=HomClass.describe,
+)
+def test_search_matches_reference_at_longer_words(cls):
+    bounds = SearchBounds(6, 1)
+    assert _outcome(search_witness(cls, bounds)) == _outcome(reference_search(cls, bounds))
+
+
+@PROFILE
+@given(words, twists, words, twists)
+def test_hoisted_word_equation(w_a, t_a, w_b, t_b):
+    """The grouped scan's filter and word equation against the engine."""
+    a, b = BraidElt(w_a, t_a), BraidElt(w_b, t_b)
+    ls = lsigma(a)
+    lhs = a * b * ls
+    ab = _ab_mul(_ab_mul(_ab_image(w_a, t_a), _ab_image(w_b, t_b)), _ab_image(ls.word, ls.twist))
+    assert ab == _ab_image(lhs.word, lhs.twist)
+    hoisted = w_a * theta(t_a, w_b) * theta(t_a * t_b, ls.word)
+    assert hoisted == lhs.word
+    if ab == _ab_image(w_b, t_b):
+        assert (hoisted == w_b) == (lhs == b)
+
+
+def test_search_bounds_budget():
+    SearchBounds(MAX_WORD_LEN, MAX_COORD)
+    for word_len, coord in ((MAX_WORD_LEN + 1, 0), (14, 2), (4, MAX_COORD + 1), (4, 10**9)):
+        with pytest.raises(ValueError, match="budget"):
+            SearchBounds(word_len, coord)
+
+
+@pytest.mark.parametrize("option", [("--bounds", "14"), ("--coords", str(10**9))])
+def test_cli_rejects_search_over_budget(capsys, monkeypatch, option):
+    def no_enumeration(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(witness, "_short_words", no_enumeration)
+    monkeypatch.setattr(witness, "_words_by_gmap", no_enumeration)
+    args = ["witness", "--type", "3", "--i", "0", "--s1", "0", "--s2", "1", "--search"]
+    code = main([*args, *option])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "budget" in err
