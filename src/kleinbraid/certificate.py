@@ -37,7 +37,7 @@ so f(C(m, n)) costs the same however large the family arguments are.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterable, List, Tuple
 
@@ -73,7 +73,6 @@ class Functional:
 
     table: Tuple[Tuple[int, ...], ...]
     mod: int
-    label: str
 
     @property
     def period(self) -> Tuple[int, int]:
@@ -113,7 +112,7 @@ class Functional:
     def pullback(self, op: KernelOperator) -> "Functional":
         """f∘op, tabulated over the period box (lcm(2, pk), pl).
 
-        A term (c, a, p, b, q) at the parity of k sends e(k, l) to
+        An entry (a, p, b, q): c at the parity of k sends e(k, l) to
         c·e(a·k + p, b·l + q); with a, b = ±1, moving k by a multiple of
         lcm(2, pk) keeps its parity and moves a·k + p by a multiple of pk,
         and moving l by pl moves b·l + q by pl, so one box holds every
@@ -123,11 +122,12 @@ class Functional:
 
         def on_basis(k: int, l: int) -> int:
             total = sum(
-                c * table[(a * k + p) % pk][(b * l + q) % pl] for c, a, p, b, q in op.terms[k % 2]
+                c * table[(a * k + p) % pk][(b * l + q) % pl]
+                for (a, p, b, q), c in op.terms[k % 2].items()
             )
             return total % mod if mod else total
 
-        return _tabulate((lcm(2, pk), pl), on_basis, mod, f"{self.label}∘op")
+        return _tabulate((lcm(2, pk), pl), on_basis, mod)
 
 
 def _residue_counts(start: int, step: int, count: int, period: int) -> List[Tuple[int, int]]:
@@ -142,11 +142,11 @@ def _residue_counts(start: int, step: int, count: int, period: int) -> List[Tupl
 
 
 def _tabulate(
-    period: Tuple[int, int], on_basis: Callable[[int, int], int], mod: int, label: str
+    period: Tuple[int, int], on_basis: Callable[[int, int], int], mod: int
 ) -> Functional:
     pk, pl = period
     table = tuple(tuple(on_basis(k, l) for l in range(pl)) for k in range(pk))
-    return Functional(table, mod, label)
+    return Functional(table, mod)
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,6 @@ class MasterParams:
 
 @dataclass(frozen=True)
 class MasterEquation:
-    params: MasterParams
     ax: KernelOperator
     ay: KernelOperator
     atoms: Tuple[Atom, ...]  # the constant, as (coef, p, q, family, args)
@@ -233,7 +232,7 @@ def build_master(p: MasterParams) -> MasterEquation:
         (delta(i) - delta(n + i) + eps(i) * m, 0, 0, "unit", (a2, a1 * eps(n + i))),
         (delta(i + 1) * delta(j + 1) * r1 - delta(i), 0, 0, "unit", (a2 - b2, a1 - b1)),
     )
-    return MasterEquation(p, ax, ay, tuple(a for a in atoms if a[0]), (a1, a2, b1, b2, g))
+    return MasterEquation(ax, ay, tuple(a for a in atoms if a[0]), (a1, a2, b1, b2, g))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +344,8 @@ def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int):
 def xi_parity(w: int) -> Functional:
     """Z/2 functional: constant 1 when w is odd, otherwise parity of k."""
     if w % 2:
-        return _tabulate((2, 1), lambda k, l: 1, 2, f"xi(w={w})")
-    return _tabulate((2, 1), lambda k, l: k % 2, 2, f"xi(w={w})")
+        return _tabulate((2, 1), lambda k, l: 1, 2)
+    return _tabulate((2, 1), lambda k, l: k % 2, 2)
 
 
 def xi_congruence(s: int, n: int, z: int) -> Functional:
@@ -359,12 +358,12 @@ def xi_congruence(s: int, n: int, z: int) -> Functional:
     def on_basis(k: int, l: int) -> int:
         return 1 if (k % mod == 0 or (k - target) % mod == 0) else 0
 
-    return _tabulate((mod, 1), on_basis, 2, f"xi(4s-congruence, s={s})")
+    return _tabulate((mod, 1), on_basis, 2)
 
 
 def xi_count(n: int) -> Functional:
     """Z-valued functional: δ(k+n)."""
-    return _tabulate((2, 1), lambda k, l: delta(k + n), 0, "xi1")
+    return _tabulate((2, 1), lambda k, l: delta(k + n), 0)
 
 
 def xi_column(r1: int, r2: int, m: int, n: int) -> Functional:
@@ -380,7 +379,7 @@ def xi_column(r1: int, r2: int, m: int, n: int) -> Functional:
     def on_basis(k: int, l: int) -> int:
         return (k + n + 1) % 2 if (l - target) % mod == 0 else 0
 
-    return _tabulate((2, mod), on_basis, 2, "xi2")
+    return _tabulate((2, mod), on_basis, 2)
 
 
 def xi_row(s: int, n: int) -> Functional:
@@ -392,7 +391,7 @@ def xi_row(s: int, n: int) -> Functional:
     def on_basis(k: int, l: int) -> int:
         return 1 if (k - n) % mod == 0 else 0
 
-    return _tabulate((mod, 1), on_basis, 2, "xi3")
+    return _tabulate((mod, 1), on_basis, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +426,7 @@ def _family(cls: HomClass, verdict: Verdict):
     """(family label, params builder, functional builder) for a class
     with the Borsuk-Ulam property, given its verdict.
 
-    Both builders work on the representative, the class the verdict
+    Both builders work on verdict.representative, the class the verdict
     reduces to taken with i = 0.  The obstruction equation depends on s2
     only through its parity, so the central shift needs no transport.  The
     master parameters are read off the representative's images, and the
@@ -436,7 +435,7 @@ def _family(cls: HomClass, verdict: Verdict):
     witnesses of the one to witnesses of the other and back, so refuting
     the representative's equation refutes both, once check_h has confirmed
     H."""
-    rep = replace(verdict.reduced, i=0)
+    rep = verdict.representative
     label, functional = _FAMILIES[decide(rep).branch]
     n1, n2 = (img.n for img in rep.images())
     if cls.i:

@@ -18,7 +18,7 @@ witness across raw second coordinates mod 4, the status of a type-4 class
 depends on s2 only through its parity; decide() reduces s2 mod 2 first and
 records in the branch label whenever the unreduced reading would differ.
 The reduced class, taken with i = 0, is the representative that witnesses
-and certificates are built for.
+and certificates are built for (Verdict.representative).
 """
 
 from __future__ import annotations
@@ -87,6 +87,12 @@ class Verdict:
     bu: bool
     branch: str
     reduced: HomClass
+
+    @property
+    def representative(self) -> HomClass:
+        """The reduced class taken with i = 0: the one class that witnesses
+        and certificates are built for."""
+        return replace(self.reduced, i=0)
 
 
 def normalize(h: HomDescriptor) -> HomClass:

@@ -13,9 +13,10 @@ evaluated there).  The roundtrip project(expand(k, l)) == e(k, l) and the
 closed forms of the T/I/O/J/Q families pin the scan's correctness.
 
 A KernelVector stores only nonzero coefficients.  _accumulate is the one
-merge that keeps that form (KernelVector(...), + and - run it), project
-repeats its update inline, and the private _vector wraps dicts that are
-zero-free by construction (negation, scalar multiples, project's result).
+merge that keeps that form (KernelVector(...), + and - run it, and so do
+the term tables of KernelOperator), project repeats its update inline,
+and the private _vector wraps dicts that are zero-free by construction
+(negation, scalar multiples, project's result).
 
 theta_ab / rho_ab / c_ab apply the operators induced on the abelianisation:
 
@@ -25,9 +26,9 @@ theta_ab / rho_ab / c_ab apply the operators induced on the abelianisation:
 
 Every induced operator, and every sum and composition of them, is a sum of
 terms e(k, l) ↦ ±e(±k + p, ±l + q) whose signs and offsets depend only on
-the parity of k.  KernelOperator holds one as a normal form of such terms
-per parity; distinct affine maps with ±1 slopes agree on at most a line,
-so operator equality is exact for all (k, l).
+the parity of k.  KernelOperator holds one as a merged, zero-free table
+of such terms per parity; distinct affine maps with ±1 slopes agree on at
+most a line, so equality of the tables is operator equality for all (k, l).
 
 The T/I/O/J/Q families are written twice: tilde_* builds each projection
 as a vector, the reference, and boxes_* lists its support as progression
@@ -44,16 +45,17 @@ with the family "unit" for a single basis vector e(args).  Since dk is even,
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from typing import Dict, Iterable, Iterator, Tuple, TypeVar, Union
 
 from .kleinpi import KleinElt, eps, sign_of
 from .words import BIG_B, ONE, U, V, Word, comm
 
 Basis = Tuple[int, int]
 _Items = Union[Mapping[Basis, int], Iterable[Tuple[Basis, int]], None]
+_Key = TypeVar("_Key")
 
 
-def _accumulate(acc: Dict[Basis, int], items: Iterable[Tuple[Basis, int]]) -> Dict[Basis, int]:
+def _accumulate(acc: Dict[_Key, int], items: Iterable[Tuple[_Key, int]]) -> Dict[_Key, int]:
     """Add the (key, coefficient) items into acc, keeping it free of zeros."""
     for key, val in items:
         new = acc.get(key, 0) + val
@@ -86,10 +88,6 @@ class KernelVector:
 
     def items(self) -> Iterator[Tuple[Basis, int]]:
         return iter(self._c.items())
-
-    def total(self) -> int:
-        """Sum of all coefficients."""
-        return sum(self._c.values())
 
     def __add__(self, other: "KernelVector") -> "KernelVector":
         return _vector(_accumulate(dict(self._c), other._c.items()))
@@ -168,31 +166,29 @@ def project(w: Word) -> KernelVector:
 # induced operators
 
 Term = Tuple[int, int, int, int, int]  # (coef, a, p, b, q), a and b = ±1
+TermKey = Tuple[int, int, int, int]  # (a, p, b, q)
 
 
-def _normal(terms: Iterable[Term]) -> Tuple[Term, ...]:
-    merged: Dict[Tuple[int, int, int, int], int] = {}
+def _keyed(terms: Iterable[Term]) -> Iterator[Tuple[TermKey, int]]:
     for c, a, p, b, q in terms:
         if a not in (1, -1) or b not in (1, -1):
             raise ValueError(f"slopes must be ±1, got a={a}, b={b}")
-        key = (a, p, b, q)
-        merged[key] = merged.get(key, 0) + c
-    return tuple(sorted((c,) + key for key, c in merged.items() if c))
+        yield (a, p, b, q), c
 
 
 class KernelOperator:
-    """Linear operator on kernel vectors: a term (coef, a, p, b, q) of
+    """Linear operator on kernel vectors: an entry (a, p, b, q): coef of
     terms[π] sends e(k, l) with k ≡ π (mod 2) to coef·e(a·k + p, b·l + q).
-    Each table is merged, zero-free and sorted."""
+    Each table is merged and zero-free."""
 
     __slots__ = ("terms",)
 
     def __init__(self, even: Iterable[Term], odd: Iterable[Term]) -> None:
-        self.terms = (_normal(even), _normal(odd))
+        self.terms = (_accumulate({}, _keyed(even)), _accumulate({}, _keyed(odd)))
 
     def on_basis(self, k: int, l: int) -> KernelVector:
         return KernelVector(
-            [((a * k + p, b * l + q), c) for c, a, p, b, q in self.terms[k % 2]]
+            [((a * k + p, b * l + q), c) for (a, p, b, q), c in self.terms[k % 2].items()]
         )
 
     def __call__(self, vec: KernelVector) -> KernelVector:
@@ -200,15 +196,18 @@ class KernelOperator:
             [
                 ((a * k + p, b * l + q), c * x)
                 for (k, l), x in vec.items()
-                for c, a, p, b, q in self.terms[k % 2]
+                for (a, p, b, q), c in self.terms[k % 2].items()
             ]
         )
 
     def __add__(self, other: "KernelOperator") -> "KernelOperator":
-        return KernelOperator(self.terms[0] + other.terms[0], self.terms[1] + other.terms[1])
+        (even, odd), (even2, odd2) = self.terms, other.terms
+        return _operator(
+            _accumulate(dict(even), even2.items()), _accumulate(dict(odd), odd2.items())
+        )
 
     def __neg__(self) -> "KernelOperator":
-        return KernelOperator(*([(-c, a, p, b, q) for c, a, p, b, q in t] for t in self.terms))
+        return _operator(*({key: -c for key, c in t.items()} for t in self.terms))
 
     def __sub__(self, other: "KernelOperator") -> "KernelOperator":
         return self + (-other)
@@ -217,20 +216,32 @@ class KernelOperator:
         # a = ±1 keeps the parity of k, so a term of other at parity π lands
         # at parity π + p, where the table self.terms[(π + p) % 2] applies
         tables = [
-            [
-                (c2 * c, a2 * a, a2 * p + p2, b2 * b, b2 * q + q2)
-                for c, a, p, b, q in other.terms[parity]
-                for c2, a2, p2, b2, q2 in self.terms[(parity + p) % 2]
-            ]
+            _accumulate(
+                {},
+                [
+                    ((a2 * a, a2 * p + p2, b2 * b, b2 * q + q2), c2 * c)
+                    for (a, p, b, q), c in other.terms[parity].items()
+                    for (a2, p2, b2, q2), c2 in self.terms[(parity + p) % 2].items()
+                ],
+            )
             for parity in (0, 1)
         ]
-        return KernelOperator(*tables)
+        return _operator(*tables)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, KernelOperator) and self.terms == other.terms
 
     def __repr__(self) -> str:
-        return f"KernelOperator({self.terms[0]!r}, {self.terms[1]!r})"
+        even, odd = ([(c,) + key for key, c in sorted(t.items())] for t in self.terms)
+        return f"KernelOperator({even!r}, {odd!r})"
+
+
+def _operator(even: Dict[TermKey, int], odd: Dict[TermKey, int]) -> KernelOperator:
+    # the operations' constructor: takes ownership of tables that are
+    # zero-free and have ±1 slopes by construction
+    out = object.__new__(KernelOperator)
+    out.terms = (even, odd)
+    return out
 
 
 ID = KernelOperator([(1, 1, 0, 1, 0)], [(1, 1, 0, 1, 0)])

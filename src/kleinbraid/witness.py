@@ -31,7 +31,7 @@ oversized search fails at once instead of running without end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .braid import (
@@ -60,21 +60,12 @@ class WitnessVerificationError(Exception):
 
 
 @dataclass(frozen=True)
-class WitnessChecks:
-    relation: bool
-    first_image: bool
-    second_image: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.relation and self.first_image and self.second_image
-
-
-@dataclass(frozen=True)
 class WitnessReport:
+    """A witness pair; verify_pair builds one only after all three
+    conditions have held exactly."""
+
     a: BraidElt
     b: BraidElt
-    checks: WitnessChecks
     source: str  # constructed | shifted | searched
     cls: HomClass
 
@@ -128,23 +119,18 @@ def verify_pair(a: BraidElt, b: BraidElt, cls: HomClass, source: str = "construc
     """Check the three conditions exactly; raise with details on failure."""
     img10, img01 = cls.images()
     lhs = a * b * lsigma(a)
-    relation = lhs == b
-    first = p1(a) == img10
-    second = p1(b * lsigma(b)) == img01
-    checks = WitnessChecks(relation, first, second)
-    if not checks.all_ok:
-        failures = []
-        if not relation:
-            failures.append(f"(i) a·b·lsigma(a) = {lhs} but b = {b}")
-        if not first:
-            failures.append(f"(ii) p1(a) = {p1(a)} but image of (1,0) is {img10}")
-        if not second:
-            failures.append(
-                f"(iii) p1(b·lsigma(b)) = {p1(b * lsigma(b))} "
-                f"but image of (0,1) is {img01}"
-            )
+    first = p1(a)
+    second = p1(b * lsigma(b))
+    failures = []
+    if lhs != b:
+        failures.append(f"(i) a·b·lsigma(a) = {lhs} but b = {b}")
+    if first != img10:
+        failures.append(f"(ii) p1(a) = {first} but image of (1,0) is {img10}")
+    if second != img01:
+        failures.append(f"(iii) p1(b·lsigma(b)) = {second} but image of (0,1) is {img01}")
+    if failures:
         raise WitnessVerificationError(failures)
-    return WitnessReport(a, b, checks, source, cls)
+    return WitnessReport(a, b, source, cls)
 
 
 def _base_pair(rep: HomClass) -> tuple[BraidElt, BraidElt]:
@@ -183,7 +169,7 @@ def build_witness(cls: HomClass) -> WitnessReport:
         raise ValueError(
             f"{cls.describe()} has the Borsuk-Ulam property; no witness exists"
         )
-    a, b = _base_pair(replace(verdict.reduced, i=0))
+    a, b = _base_pair(verdict.representative)
     if cls.i:
         a, b = apply_images(H_IMAGES, a), apply_images(H_IMAGES, b)
     k = cls.s2 // 2

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -180,7 +181,7 @@ def test_selftest_unknown_suite(capsys):
 
 
 def test_selftest_lets_errors_inside_a_suite_propagate(monkeypatch):
-    def broken(seed):
+    def broken():
         return {}["missing-key"]
 
     monkeypatch.setitem(suites.SUITES, "tilde", broken)
@@ -189,9 +190,20 @@ def test_selftest_lets_errors_inside_a_suite_propagate(monkeypatch):
 
 
 def test_selftest_runs_named_suite(capsys):
-    code, out, _ = run(capsys, "selftest", "--suite", "tilde", "--seed", "3")
+    code, out, _ = run(capsys, "selftest", "--suite", "tilde")
     assert code == 0
     assert out.count("[pass]") >= 3
+
+
+def test_selftest_takes_no_seed(capsys):
+    code, out, err = run(capsys, "selftest", "--suite", "tilde", "--seed", "0")
+    assert code == 2 and out == ""
+    assert "--seed" in err
+
+
+def test_suites_take_no_arguments():
+    for fn in suites.SUITES.values():
+        assert not inspect.signature(fn).parameters
 
 
 def test_cli_output_roundtrips(capsys):

@@ -158,7 +158,7 @@ def periodic_tables(draw):
     values = st.integers(0, mod - 1) if mod else st.integers(-2, 2)
     row = st.lists(values, min_size=pl, max_size=pl).map(tuple)
     table = draw(st.lists(row, min_size=pk, max_size=pk).map(tuple))
-    return Functional(table, mod, "table")
+    return Functional(table, mod)
 
 
 functionals = st.one_of(
@@ -187,7 +187,7 @@ def test_pullback_equals_functional_after_operator(f, expr):
 def test_pullback_through_reflections_of_l():
     # RHO at even k and theta with odd n reverse l; a table more than two
     # columns wide tells a reversal from a shift
-    asym = Functional(((0, 1, 1), (1, 0, 0), (0, 0, 1)), 0, "asym")
+    asym = Functional(((0, 1, 1), (1, 0, 0), (0, 0, 1)), 0)
     fs = [asym] + [xi_column(r1, 0, m, n) for r1 in (2, 3) for m, n in ((1, 0), (-2, 1))]
     ops = [RHO, theta_operator(1, 1), c_operator(3, -2) @ RHO]
     for f, op in itertools.product(fs, ops):

@@ -95,7 +95,7 @@ def test_algebra_laws_hold_exactly(e1, e2, e3):
     assert (a + b) @ c == a @ c + b @ c
     assert a @ (b - c) == a @ b - a @ c
     assert ID @ a == a @ ID == a
-    assert (a - a).terms == ((), ())
+    assert (a - a).terms == ({}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_identities():
     assert c_operator(0, 0) == theta_operator(0, 0) == ID
     eq = build_master(MasterParams(1, -1, 2, 1, 0, 0, -1, 2))
     for op in (eq.ax, eq.ay, RHO):
-        assert (op - op).terms == ((), ())
+        assert (op - op).terms == ({}, {})
         assert op != op + op
 
 

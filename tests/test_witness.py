@@ -111,19 +111,13 @@ def test_verify_pair_even_family():
     a = B_IDENTITY
     b = BraidElt(ONE, KleinElt(1, 0))
     report = verify_pair(a, b, HomClass(4, r1=0, r2=2, s1=0, s2=0))
-    assert report.checks.all_ok
+    assert (report.a, report.b, report.source) == (a, b, "constructed")
 
 
 def test_verify_pair_mixed_family():
     # b = (v; 0, z) realizes the second image (0, 2z+1)
-    report = verify_pair(
-        B_IDENTITY, BraidElt(V, KleinElt(0, 1)), HomClass(3, i=0, s1=0, s2=1)
-    )
-    assert report.checks.all_ok
-    report = verify_pair(
-        B_IDENTITY, BraidElt(V, KleinElt(0, 0)), HomClass(3, i=0, s1=0, s2=0)
-    )
-    assert report.checks.all_ok
+    verify_pair(B_IDENTITY, BraidElt(V, KleinElt(0, 1)), HomClass(3, i=0, s1=0, s2=1))
+    verify_pair(B_IDENTITY, BraidElt(V, KleinElt(0, 0)), HomClass(3, i=0, s1=0, s2=0))
 
 
 def test_verify_pair_failure_reports_conditions():
@@ -132,6 +126,22 @@ def test_verify_pair_failure_reports_conditions():
         verify_pair(BraidElt(U), B_IDENTITY, cls)
     assert err.value.failures
     assert any("(i)" in f or "(ii)" in f for f in err.value.failures)
+
+
+# each pair breaks exactly one condition for a type-4 class; the class's
+# own witness is (1, (1; 1,0)) at r1 = 0, r2 = 2
+@pytest.mark.parametrize(
+    "condition, a, b, r1",
+    [
+        ("(i)", BraidElt(U ** 2), BraidElt(ONE, KleinElt(1, 0)), 0),
+        ("(ii)", B_IDENTITY, BraidElt(ONE, KleinElt(1, 0)), 1),
+        ("(iii)", B_IDENTITY, B_IDENTITY, 0),
+    ],
+)
+def test_verify_pair_names_the_one_failing_condition(condition, a, b, r1):
+    with pytest.raises(WitnessVerificationError) as err:
+        verify_pair(a, b, HomClass(4, r1=r1, r2=2, s1=0, s2=0))
+    assert [f.split()[0] for f in err.value.failures] == [condition]
 
 
 def test_second_image_shortcut():
@@ -149,7 +159,7 @@ def test_build_witness_examples():
     report = build_witness(HomClass(4, r1=3, r2=1, s1=0, s2=0))
     assert report.a == BraidElt(U ** -2, KleinElt(1, 0)) ** 3
     report = build_witness(HomClass(4, r1=2, r2=0, s1=1, s2=1))
-    assert report.checks.all_ok
+    assert report.cls == HomClass(4, r1=2, r2=0, s1=1, s2=1)
 
 
 def test_build_witness_rejects_property_classes():
@@ -165,7 +175,7 @@ def test_build_witness_transports_i1_classes():
         report = build_witness(cls)
         assert report.a == apply_images(H_IMAGES, partner.a)
         assert report.b == apply_images(H_IMAGES, partner.b)
-        assert report.source == "constructed" and report.checks.all_ok
+        assert report.source == "constructed"
 
 
 def test_build_witness_grid():
@@ -175,7 +185,7 @@ def test_build_witness_grid():
             for kind in (1, 3):
                 cls = HomClass(kind, i=0, s1=s1, s2=s2)
                 if not decide(cls).bu:
-                    assert build_witness(cls).checks.all_ok
+                    build_witness(cls)
                     count += 1
     for r1 in range(0, 4):
         for r2 in range(-3, 4):
@@ -183,7 +193,7 @@ def test_build_witness_grid():
                 for s2 in range(-3, 4):
                     cls = HomClass(4, r1=r1, r2=r2, s1=s1, s2=s2)
                     if not decide(cls).bu:
-                        assert build_witness(cls).checks.all_ok
+                        build_witness(cls)
                         count += 1
     assert count == 300
 
@@ -192,7 +202,6 @@ def test_shifted_witnesses():
     for k in range(-2, 3):
         cls = HomClass(3, i=0, s1=0, s2=1 + 2 * k)
         report = build_witness(cls)
-        assert report.checks.all_ok
         assert report.source == ("constructed" if k == 0 else "shifted")
 
 
