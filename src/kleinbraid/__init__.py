@@ -5,17 +5,14 @@ from .braid import (
     B_IDENTITY,
     SIGMA_SQ,
     BraidElt,
-    binv,
     bmul,
     decompose,
     forced_word_exponents,
-    format_braid,
     formula_ablsiga,
     formula_blsiga,
     gmap,
     lsigma,
     p1,
-    p_word,
     parse_braid,
     rho,
     theta,
@@ -73,13 +70,9 @@ from .kleinpi import (
     KleinElt,
     delta,
     eps,
-    i2,
-    kinv,
-    kmul,
     omega,
     parse_klein,
     sign_of,
-    theta2,
 )
 from .witness import (
     SearchBounds,
@@ -88,7 +81,6 @@ from .witness import (
     WitnessVerificationError,
     build_witness,
     search_witness,
-    second_image_of_pair,
     verify_pair,
 )
 from .words import (
@@ -98,14 +90,8 @@ from .words import (
     V,
     Word,
     WordParseError,
-    big_b,
     comm,
-    conj,
-    format_word,
-    inv,
-    mul,
     parse_word,
-    power,
 )
 
 __version__ = "0.1.0"

@@ -90,10 +90,6 @@ class BraidElt:
                 base = base * base
         return out
 
-    @property
-    def is_identity(self) -> bool:
-        return self.word.is_identity and self.twist == K_IDENTITY
-
     def __str__(self) -> str:
         return f"({self.word} ; {self.twist.m}, {self.twist.n})"
 
@@ -106,18 +102,9 @@ def bmul(a: BraidElt, b: BraidElt) -> BraidElt:
     return a * b
 
 
-def binv(a: BraidElt) -> BraidElt:
-    return a.inv()
-
-
 def p1(a: BraidElt) -> KleinElt:
     """Strand projection onto the twist coordinates."""
     return a.twist
-
-
-def p_word(a: BraidElt) -> Word:
-    """Projection onto the word coordinate."""
-    return a.word
 
 
 def gmap(w: Word) -> KleinElt:
@@ -305,7 +292,3 @@ def parse_braid(text: str) -> BraidElt:
     if m is None:
         raise ValueError(f"expected '(<word> ; m , n)', got {text!r}")
     return BraidElt(parse_word(m.group("word")), KleinElt(int(m.group("m")), int(m.group("n"))))
-
-
-def format_braid(a: BraidElt) -> str:
-    return str(a)

@@ -7,11 +7,11 @@ abelianised kernel that is linear in two unknown vectors x, y:
 
 where Ax, Ay and the constant C are assembled from the induced operators
 and the T/I/O/J/Q families.  A certificate for the property runs the
-contrapositive on finite windows: a class-specific linear functional is
-shown to kill Ax and Ay on every basis vector of a coordinate window
-while staying nonzero on C for every (m, n) in a parameter window.  That
-is a desk-scale verification of an infinite statement, so reports always
-carry their windows.
+contrapositive: a class-specific linear functional is shown to kill Ax
+and Ay on every basis vector e(k, l) while staying nonzero on C for
+every (m, n) in a parameter window.  The (m, n) window is what keeps the
+verification finite, so reports always carry it; the coordinate window
+they also carry only bounds which failures of the linear part are listed.
 
 build_master assembles the general equation from the class parameters
 (r1, r2, s1, s2, i, j) and the quantified pair (m, n); its Ax and Ay are
@@ -24,7 +24,8 @@ Every functional is periodic in (k, l), so a Functional is a table of its
 values on one period box.  Pulling it back through a term table gives
 f∘A as another small periodic table, since the ±1 slopes of A keep the
 parity of k and move k and l by whole periods.  The certificate sweep
-reads the linear part off the pulled-back tables of Ax and Ay.
+reads the linear part off the whole pulled-back tables of Ax and Ay, so
+it covers every (k, l).
 
 build_master writes the constant as data: a tuple of atoms (coef, p, q,
 family, args), each standing for coef·c(p, q)(tilde_family(args)).
@@ -452,10 +453,13 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     """Run the bounded certificate for a class with the property.
 
     For every (m, n) with |m|, |n| <= mn, the family's functional must
-    kill both linear operators on every basis vector with |k|, |l| <=
-    window and take a nonzero value on the constant part.  The functional
-    is pulled back through Ax and Ay once per (m, n); the window is read
-    off the pulled-back tables only when one of them is nonzero.  The
+    kill both linear operators on every basis vector e(k, l) and take a
+    nonzero value on the constant part.  The functional is pulled back
+    through Ax and Ay once per (m, n), and a pulled-back table holds f∘A
+    on every (k, l), so the linear part is decided for all (k, l) from the
+    whole table.  The coordinate window only bounds which failures are
+    listed: the nonzero entries with |k|, |l| <= window, or, when none
+    falls inside it, the nonzero entries of the table's period box.  The
     constant is evaluated from its atoms, so the sweep builds no vector.
     """
     if window < 0 or mn < 0:
@@ -478,11 +482,12 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
                 pulled = f.pullback(op)
                 if not any(map(any, pulled.table)):
                     continue
-                for k in coords:
-                    for l in coords:
-                        if pulled.value(k, l):
-                            linear_ok = False
-                            failures.append((m, n, name, k, l))
+                linear_ok = False
+                bad = [(k, l) for k in coords for l in coords if pulled.value(k, l)]
+                if not bad:
+                    pk, pl = pulled.period
+                    bad = [(k, l) for k in range(pk) for l in range(pl) if pulled.table[k][l]]
+                failures.extend((m, n, name, k, l) for k, l in bad)
             if f.on_atoms(eq.atoms) == 0:
                 constant_ok = False
                 failures.append((m, n, "C", 0, 0))

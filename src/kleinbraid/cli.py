@@ -259,7 +259,10 @@ class _ExprParser:
 def _cmd_braid_eval(args) -> int:
     tokens = _tokenize_expr(args.expression)
     parser = _ExprParser(tokens)
-    result = parser.parse_expr(stop=())
+    try:
+        result = parser.parse_expr(stop=())
+    except RecursionError:
+        raise _CliError("braid-eval: expression nested too deeply")
     print(result)
     return EXIT_OK
 

@@ -4,9 +4,7 @@ Product convention: (m, n) · (m', n') = (m + (-1)^n m', n + n').  The
 identity is (0, 0) and (m, n)^-1 = (-(-1)^n m, -n).
 
 delta/eps/sign_of/omega are the parity and sign gadgets the whole formula
-layer is written in.  i2 and theta2 are the two ends of the short exact
-sequence Z ⊕ Z → Z ⋊ Z → Z/2: i2 doubles the second coordinate, theta2
-reads its parity.
+layer is written in.
 """
 
 from __future__ import annotations
@@ -60,24 +58,6 @@ class KleinElt:
 
 
 K_IDENTITY = KleinElt(0, 0)
-
-
-def kmul(a: KleinElt, b: KleinElt) -> KleinElt:
-    return a * b
-
-
-def kinv(a: KleinElt) -> KleinElt:
-    return a.inv()
-
-
-def i2(p: int, q: int) -> KleinElt:
-    """Image of (p, q) ∈ Z ⊕ Z under the index-2 inclusion."""
-    return KleinElt(p, 2 * q)
-
-
-def theta2(a: KleinElt) -> int:
-    """Parity class of the second coordinate (the quotient map to Z/2)."""
-    return a.n % 2
 
 
 _KLEIN = re.compile(r"^\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$")

@@ -109,12 +109,6 @@ class SearchResult:
         return self.report is not None
 
 
-def second_image_of_pair(b: BraidElt) -> KleinElt:
-    """p1(b · lsigma(b)), which only needs b's twist and its word's gmap."""
-    t = b.twist
-    return t * gmap(b.word) * t
-
-
 def verify_pair(a: BraidElt, b: BraidElt, cls: HomClass, source: str = "constructed") -> WitnessReport:
     """Check the three conditions exactly; raise with details on failure."""
     img10, img01 = cls.images()

@@ -115,10 +115,6 @@ class Word:
         """self * x * self.inv()."""
         return self * x * self.inv()
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.runs
-
     def letter_length(self) -> int:
         return sum(abs(e) for _, e in self.runs)
 
@@ -147,30 +143,9 @@ V = Word((("v", 1),))
 BIG_B = Word((("u", 1), ("v", 1), ("u", 1), ("v", -1)))
 
 
-def big_b() -> Word:
-    """The fixed word u v u v^-1."""
-    return BIG_B
-
-
-def mul(x: Word, y: Word) -> Word:
-    return x * y
-
-
-def inv(x: Word) -> Word:
-    return x.inv()
-
-
-def conj(t: Word, x: Word) -> Word:
-    return t.conj(x)
-
-
 def comm(x: Word, y: Word) -> Word:
     """Commutator x y x^-1 y^-1."""
     return x * y * x.inv() * y.inv()
-
-
-def power(x: Word, n: int) -> Word:
-    return x ** n
 
 
 _TERM = re.compile(r"([uvB1])(\^(-?\d+))?")
@@ -210,7 +185,3 @@ def parse_word(text: str) -> Word:
         runs.extend(term[j:])
         pos = m.end()
     return _from_reduced(tuple(runs))
-
-
-def format_word(w: Word) -> str:
-    return str(w)

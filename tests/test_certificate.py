@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import pytest
 
+from kleinbraid import certificate
 from kleinbraid.certificate import (
     CertificateReport,
+    Functional,
     _family,
     MasterParams,
     build_master,
@@ -289,6 +291,24 @@ def test_certificate_blocks_windowed_solutions():
             for x in probes:
                 for y in probes:
                     assert eq.ax(x) + eq.ay(y) + eq.constant != KernelVector()
+
+
+@pytest.mark.parametrize("window", [0, 6])
+def test_linear_part_is_decided_on_the_whole_table(monkeypatch, window):
+    # a Z/2 functional that is 1 only at k = 8 (mod 16) does not kill Ax or
+    # Ay, although a small window may hold no nonzero pulled-back entry
+    spike = Functional(tuple((int(k == 8),) for k in range(16)), 2)
+    monkeypatch.setitem(certificate._FAMILIES, "(c)", ("type3/spike", lambda rep, m, n: spike))
+    cls = HomClass(3, s1=1)
+    report = check_certificate(cls, window=window, mn=1)
+    assert report.linear_killed is False
+    linear = [f for f in report.witnesses_of_failure if f[2] in ("Ax", "Ay")]
+    assert linear
+    # every listed failure is a basis vector the functional does not kill
+    _, params_at, _ = _family(cls, decide(cls))
+    for m, n, name, k, l in linear:
+        op = getattr(build_master(params_at(m, n)), name.lower())
+        assert spike(op(unit(k, l))) != 0
 
 
 def test_certificate_rejects_negative_windows():

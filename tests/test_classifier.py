@@ -10,13 +10,11 @@ from kleinbraid.classifier import (
     normalize,
     validate,
 )
-from kleinbraid.kleinpi import KleinElt, kinv, kmul
+from kleinbraid.kleinpi import KleinElt
 
 
 def conjugate_hom(c: KleinElt, h: HomDescriptor) -> HomDescriptor:
-    return HomDescriptor(
-        kmul(kmul(c, h.img10), kinv(c)), kmul(kmul(c, h.img01), kinv(c))
-    )
+    return HomDescriptor(c * h.img10 * c.inv(), c * h.img01 * c.inv())
 
 
 def brute_force_class(h: HomDescriptor, span: int = 6) -> HomClass:

@@ -149,6 +149,18 @@ def test_braid_eval_parse_error_position(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize(
+    "expression",
+    ["(" * 5000 + "(u;1,0)" + ")" * 5000, "inv " * 3000 + "(u;1,0)"],
+    ids=["parentheses", "inv-prefixes"],
+)
+def test_braid_eval_rejects_deep_nesting(capsys, expression):
+    code, out, err = run(capsys, "braid-eval", expression)
+    assert code == 2 and out == ""
+    assert err.startswith("error: braid-eval:")
+    assert "Traceback" not in err
+
+
 def test_kernel_project(capsys):
     code, out, _ = run(capsys, "kernel-project", "B")
     assert code == 0

@@ -40,7 +40,6 @@ from kleinbraid.witness import (
     _short_words,
     build_witness,
     search_witness,
-    second_image_of_pair,
     verify_pair,
 )
 from kleinbraid.words import ONE, U, V, parse_word
@@ -145,12 +144,13 @@ def test_verify_pair_names_the_one_failing_condition(condition, a, b, r1):
 
 
 def test_second_image_shortcut():
+    # _candidate_b_twists solves condition (iii) through this identity
     for b in [
         BraidElt(V, KleinElt(0, 1)),
         BraidElt(U ** -1, KleinElt(2, -1)),
         BraidElt(parse_word("u v^-2"), KleinElt(-1, 2)),
     ]:
-        assert second_image_of_pair(b) == p1(bmul(b, lsigma(b)))
+        assert b.twist * gmap(b.word) * b.twist == p1(bmul(b, lsigma(b)))
 
 
 def test_build_witness_examples():
