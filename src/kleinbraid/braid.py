@@ -35,7 +35,11 @@ import re
 from dataclasses import dataclass
 
 from .kleinpi import K_IDENTITY, KleinElt, delta, eps
-from .words import BIG_B, ONE, U, V, Word, parse_word
+from .words import BIG_B, MAX_RUNS, ONE, U, V, Word, parse_word
+
+# Budget of theta: it writes B^(m-δn), 4 runs per unit of m, so |m| up to
+# MAX_TWIST keeps that word within the parse budget of the words module.
+MAX_TWIST = MAX_RUNS // 4
 
 
 def theta(t: KleinElt, w: Word) -> Word:
@@ -45,9 +49,13 @@ def theta(t: KleinElt, w: Word) -> Word:
     substitution φ: u ↦ u^(εn), v ↦ B^(δn) v u^(-2m), that is
     theta(t)(w) = P · φ(w) · P^-1.  φ(w) takes one run per u-run of w and
     a power of the 2- or 3-run word φ(v) per v-run, reduced once, so the
-    cost is linear in the runs of φ(w) plus |m|.
+    cost is linear in the runs of φ(w) plus |m|.  |m| over MAX_TWIST
+    raises ValueError before anything is built.  n enters only through
+    its parity, so its size costs nothing and has no budget.
     """
     m, d = t.m, t.n % 2
+    if abs(m) > MAX_TWIST:
+        raise ValueError(f"twist m = {m} exceeds the budget |m| <= {MAX_TWIST} of theta")
     if not m and not d:  # theta(0, even n) is the identity
         return w
     e = eps(d)

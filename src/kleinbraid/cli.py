@@ -5,7 +5,9 @@ Every class is covered: witness and certify reach the i = 1 classes of
 types 1-3 through the automorphism H of the braid group.
 
 Exit codes: 0 success, 1 verification failure or property-false result,
-2 usage or precondition error.
+2 usage or precondition error, including input over one of the budgets
+(words.MAX_RUNS, braid.MAX_TWIST, SearchBounds, witness.MAX_PAIRS), which
+the library raises as ValueError before it builds anything large.
 """
 
 from __future__ import annotations

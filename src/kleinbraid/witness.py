@@ -25,8 +25,13 @@ once per group.  A pair that survives is checked as a word equation whose
 twisting images are computed once per search (for b's word) or once per
 choice of a's word and b's twist (for the tail lsigma(a) contributes),
 so a candidate pair costs two word products and one comparison at most.
-SearchBounds caps word_len and coord (MAX_WORD_LEN, MAX_COORD), so an
-oversized search fails at once instead of running without end.
+lsigma(a) is not computed per a-word: it is rho(w_a), cached beside the
+word buckets across searches and evicted with them, times a factor that
+depends on the a-bucket only, computed once per a-bucket in a search.
+SearchBounds caps word_len and coord (MAX_WORD_LEN, MAX_COORD), and
+search_witness counts the candidate pairs from the bucket sizes before it
+scans, refusing more than MAX_PAIRS, so an oversized search fails at once
+instead of running for minutes.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .braid import (
     gmap,
     lsigma,
     p1,
+    rho,
     theta,
 )
 from .classifier import HomClass, decide
@@ -78,6 +84,13 @@ class WitnessReport:
 # (Python 3.11 on a 2-CPU host).
 MAX_WORD_LEN = 10
 MAX_COORD = 100
+# The two caps above still admit 34,005,474 pairs for type 4 with
+# (r1, r2, s1, s2) = (0, 1, 0, 1) at word_len 10, coord 2.  The scan costs
+# about 1 µs a pair: that class took 0.70 s for 597,816 pairs at word_len 8,
+# coord 2 and 2.4 s for 2,230,980 at word_len 9, coord 1 (same host).  The
+# largest search of the tests, demos, selftest suites and benchmark
+# examines 17,689.
+MAX_PAIRS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -197,19 +210,22 @@ def _short_words(max_len: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
+_Buckets = dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[Word, ...]], ...]]
+
+
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
-def _words_by_gmap(
-    max_len: int,
-) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[Word, ...]], ...]]:
-    """Short words bucketed by gmap, each bucket grouped by exponent sums."""
+def _words_by_gmap(max_len: int) -> tuple[_Buckets, dict[Word, Word]]:
+    """Short words bucketed by gmap, each bucket grouped by exponent sums,
+    and beside them the cache of rho(w), filled as searches reach each w."""
     buckets: dict[tuple[int, int], dict[tuple[int, int], list[Word]]] = {}
     for w in _short_words(max_len):
         g = gmap(w)
         buckets.setdefault((g.m, g.n), {}).setdefault(w.exponent_sums(), []).append(w)
-    return {
+    grouped = {
         key: tuple((sums, tuple(ws)) for sums, ws in groups.items())
         for key, groups in buckets.items()
     }
+    return grouped, {}
 
 
 def _ab_image(word: Word, twist: KleinElt) -> tuple[int, int, int, int]:
@@ -263,68 +279,101 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     bounded by coord.  Condition (ii) fixes a's twist t_a, condition (iii)
     pins b's twist t_b given its word's gmap, and the exponents forced by
     condition (i) select a's word bucket, so the scan is exhaustive over the
-    bounded space.  For each (w_a, t_b) the abelianised relation runs once
-    per exponent-sum group of b's words, since it reads w_b only through
-    those sums.  A pair in a group that passes is checked as the word
-    equation w_a · theta(t_a)(w_b) · theta(t_a·t_b)(w_ls) = w_b, where
-    (w_ls; ·) = lsigma(a): the filter has already matched the twists.  The
-    images theta(t_a)(w_b) are cached for the whole search, and the tail
-    theta(t_a·t_b)(w_ls) is computed once per (w_a, t_b), only when some
-    group passes.  examined counts every pair of the bounded space the scan
-    decides, filtered or not.  The returned pair is the deterministic
-    minimum by total size, re-verified on the braid engine by verify_pair.
+    bounded space.  The number of pairs follows from the bucket sizes
+    before the scan starts; a search of more than MAX_PAIRS pairs raises
+    ValueError instead of running.
+
+    For each (w_a, t_b) the abelianised relation runs once per
+    exponent-sum group of b's words, since it reads w_b only through those
+    sums.  A pair in a group that passes is checked as the word equation
+    w_a · theta(t_a)(w_b) · theta(t_a·t_b)(w_ls) = w_b, where
+    (w_ls; ·) = lsigma(a): the filter has already matched the twists.
+    lsigma(a) is taken apart as the group law gives it,
+
+        lsigma((w_a; t_a)) = (rho(w_a); gmap(w_a)) · lsigma((1; t_a)),
+
+    so w_ls = rho(w_a) · theta(gmap(w_a))(w_L) with (w_L; ·) = lsigma((1; t_a)).
+    rho(w_a) is cached beside the word buckets, across searches; every
+    a-word of a bucket shares gmap(w_a), the bucket key, so the second
+    factor is computed once per a-bucket in a search, and each a-word costs
+    one word product.  The images theta(t_a)(w_b) are cached for the whole
+    search, and the tail theta(t_a·t_b)(w_ls) is computed once per
+    (w_a, t_b), only when some group passes.  examined counts every pair of
+    the bounded space the scan decides, filtered or not.  The returned pair
+    is the deterministic minimum by total size, re-verified on the braid
+    engine by verify_pair.
     """
     img10, img01 = cls.images()
+    if abs(img10.m) > bounds.coord or abs(img10.n) > bounds.coord:
+        return SearchResult(None, 0, bounds)
+    t_a = img10
+    a2 = -2 * t_a.n
+    buckets, rhos = _words_by_gmap(bounds.word_len)
+    sizes = {key: sum(len(ws) for _, ws in groups) for key, groups in buckets.items()}
+    # every (b-bucket, t_b) with the a-bucket that condition (i) forces on it
+    plan = []
     examined = 0
+    for (b1, b2), b_groups in buckets.items():
+        for t_b in _candidate_b_twists(b1, b2, img01, bounds.coord):
+            a1, _ = forced_word_exponents(BraidElt(ONE, t_a), BraidElt(ONE, t_b))
+            if (a1, a2) in buckets:
+                plan.append((a1, t_b, b_groups))
+                examined += sizes[a1, a2] * sizes[b1, b2]
+    if examined > MAX_PAIRS:
+        raise ValueError(
+            f"search of {examined} candidate pairs exceeds the budget of "
+            f"{MAX_PAIRS} at word_len={bounds.word_len}, coord={bounds.coord}"
+        )
+    w_l = lsigma(BraidElt(ONE, t_a)).word
+    # per a-bucket: theta(gmap(w_a))(w_L); per w_a: the word of lsigma(a),
+    # and the abelian images of a and lsigma(a)
+    factors: dict[int, Word] = {}
+    a_side: dict[Word, tuple[Word, tuple[int, int, int, int], tuple[int, int, int, int]]] = {}
+    twisted: dict[Word, Word] = {}  # theta(t_a)(w_b)
     found: list[tuple[tuple, BraidElt, BraidElt]] = []
-    if abs(img10.m) <= bounds.coord and abs(img10.n) <= bounds.coord:
-        t_a = img10
-        a2 = -2 * t_a.n
-        buckets = _words_by_gmap(bounds.word_len)
-        # per w_a: the word of lsigma(a), and the abelian images of a and lsigma(a)
-        a_side: dict[Word, tuple[Word, tuple[int, int, int, int], tuple[int, int, int, int]]] = {}
-        twisted: dict[Word, Word] = {}  # theta(t_a)(w_b)
-        for (b1, b2), b_groups in buckets.items():
-            b_count = sum(len(ws) for _, ws in b_groups)
-            for t_b in _candidate_b_twists(b1, b2, img01, bounds.coord):
-                a1, _ = forced_word_exponents(
-                    BraidElt(ONE, t_a), BraidElt(ONE, t_b)
-                )
-                t_ab = t_a * t_b
-                for _, a_words in buckets.get((a1, a2), ()):
-                    for w_a in a_words:
-                        cached = a_side.get(w_a)
-                        if cached is None:
-                            ls = lsigma(BraidElt(w_a, t_a))
-                            cached = a_side[w_a] = (
-                                ls.word, _ab_image(w_a, t_a), _ab_image(ls.word, ls.twist)
+    for a1, t_b, b_groups in plan:
+        t_ab = t_a * t_b
+        for (pu_a, pv_a), a_words in buckets[a1, a2]:
+            for w_a in a_words:
+                cached = a_side.get(w_a)
+                if cached is None:
+                    factor = factors.get(a1)
+                    if factor is None:
+                        factor = factors[a1] = theta(KleinElt(a1, a2), w_l)
+                    r = rhos.get(w_a)
+                    if r is None:
+                        r = rhos[w_a] = rho(w_a)
+                    w_ls = r * factor
+                    cached = a_side[w_a] = (
+                        w_ls,
+                        (pu_a, pv_a, t_a.m, t_a.n),
+                        _ab_image(w_ls, KleinElt(a1, a2) * t_a),
+                    )
+                w_ls, a_ab, ls_ab = cached
+                tail = None
+                for (pu, pv), b_words in b_groups:
+                    b_ab = (pu, pv, t_b.m, t_b.n)
+                    if _ab_mul(_ab_mul(a_ab, b_ab), ls_ab) != b_ab:
+                        continue
+                    if tail is None:
+                        tail = theta(t_ab, w_ls)
+                    for w_b in b_words:
+                        img = twisted.get(w_b)
+                        if img is None:
+                            img = twisted[w_b] = theta(t_a, w_b)
+                        if w_a * img * tail == w_b:
+                            a, b = BraidElt(w_a, t_a), BraidElt(w_b, t_b)
+                            key = (
+                                w_a.letter_length()
+                                + w_b.letter_length()
+                                + abs(t_a.m)
+                                + abs(t_a.n)
+                                + abs(t_b.m)
+                                + abs(t_b.n),
+                                str(a),
+                                str(b),
                             )
-                        w_ls, a_ab, ls_ab = cached
-                        examined += b_count
-                        tail = None
-                        for (pu, pv), b_words in b_groups:
-                            b_ab = (pu, pv, t_b.m, t_b.n)
-                            if _ab_mul(_ab_mul(a_ab, b_ab), ls_ab) != b_ab:
-                                continue
-                            if tail is None:
-                                tail = theta(t_ab, w_ls)
-                            for w_b in b_words:
-                                img = twisted.get(w_b)
-                                if img is None:
-                                    img = twisted[w_b] = theta(t_a, w_b)
-                                if w_a * img * tail == w_b:
-                                    a, b = BraidElt(w_a, t_a), BraidElt(w_b, t_b)
-                                    key = (
-                                        w_a.letter_length()
-                                        + w_b.letter_length()
-                                        + abs(t_a.m)
-                                        + abs(t_a.n)
-                                        + abs(t_b.m)
-                                        + abs(t_b.n),
-                                        str(a),
-                                        str(b),
-                                    )
-                                    found.append((key, a, b))
+                            found.append((key, a, b))
     if not found:
         return SearchResult(None, examined, bounds)
     _, a, b = min(found, key=lambda item: item[0])

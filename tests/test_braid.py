@@ -3,6 +3,7 @@ from hypothesis import given
 
 from kleinbraid.braid import (
     B_IDENTITY,
+    MAX_TWIST,
     SIGMA_SQ,
     BraidElt,
     bmul,
@@ -17,8 +18,9 @@ from kleinbraid.braid import (
     rho,
     theta,
 )
+from kleinbraid.cli import main
 from kleinbraid.kleinpi import K_IDENTITY, KleinElt, eps
-from kleinbraid.words import BIG_B, ONE, U, V, parse_word
+from kleinbraid.words import BIG_B, ONE, U, V, Word, parse_word
 
 from common import PROFILE, braids, twists, words
 
@@ -91,6 +93,18 @@ def test_lsigma_endomorphism_and_square(a, b):
     assert lsigma(lsigma(a)) == bmul(bmul(SIGMA_SQ, a), SIGMA_SQ.inv())
 
 
+@PROFILE
+@given(words, twists)
+def test_lsigma_factors_through_rho(w, t):
+    # the witness search caches rho(w) per word and multiplies by
+    # theta(gmap(w))(w_L), where (w_L; t) = lsigma((1; t))
+    tail = lsigma(BraidElt(ONE, t))
+    assert tail.twist == t
+    full = lsigma(BraidElt(w, t))
+    assert full == BraidElt(rho(w), gmap(w)) * tail
+    assert full.word == rho(w) * theta(gmap(w), tail.word)
+
+
 def test_gmap_examples():
     assert gmap(BIG_B) == K_IDENTITY
     assert gmap(ONE) == K_IDENTITY
@@ -101,6 +115,29 @@ def test_gmap_examples():
 @given(words, words)
 def test_gmap_is_a_homomorphism(x, y):
     assert gmap(x * y) == gmap(x) * gmap(y)
+
+
+def _no_powers(monkeypatch):
+    def no_power(self, n):
+        raise AssertionError("a word power was built")
+
+    monkeypatch.setattr(Word, "__pow__", no_power)
+
+
+def test_theta_twist_budget(monkeypatch):
+    _no_powers(monkeypatch)
+    for m in (MAX_TWIST + 1, -MAX_TWIST - 1, 3_000_000):
+        with pytest.raises(ValueError, match="budget"):
+            theta(KleinElt(m, 1), U * V)
+    # n is read only through its parity
+    assert theta(KleinElt(0, 10**12), U * V) == U * V
+
+
+def test_cli_rejects_twist_over_budget(capsys, monkeypatch):
+    _no_powers(monkeypatch)
+    assert main(["braid-eval", "(u;3000000,1) (v;0,0)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "budget" in err
 
 
 def test_rho_examples():

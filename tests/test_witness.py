@@ -22,6 +22,7 @@ from kleinbraid.braid import (
     gmap,
     lsigma,
     p1,
+    rho,
     theta,
 )
 from kleinbraid.classifier import HomClass, decide
@@ -29,7 +30,9 @@ from kleinbraid.cli import main
 from kleinbraid.kleinpi import KleinElt
 from kleinbraid.suites import _grid_classes
 from kleinbraid.witness import (
+    _WORD_CACHE_SIZE,
     MAX_COORD,
+    MAX_PAIRS,
     MAX_WORD_LEN,
     SearchBounds,
     SearchResult,
@@ -38,6 +41,7 @@ from kleinbraid.witness import (
     _ab_mul,
     _candidate_b_twists,
     _short_words,
+    _words_by_gmap,
     build_witness,
     search_witness,
     verify_pair,
@@ -275,6 +279,45 @@ def test_search_matches_reference_at_longer_words(cls):
     assert _outcome(search_witness(cls, bounds)) == _outcome(reference_search(cls, bounds))
 
 
+def test_search_matches_reference_on_a_warm_cache():
+    # the rho cache outlives a search; classes of different t_a share its
+    # words, so a stale per-class entry would change a later outcome
+    bounds = SearchBounds(4, 1)
+    classes = _grid_classes(1)
+    expected = {cls: _outcome(reference_search(cls, bounds)) for cls in classes}
+    _words_by_gmap.cache_clear()
+    for order in (classes, classes[::-1]):
+        for cls in order:
+            assert _outcome(search_witness(cls, bounds)) == expected[cls], cls
+
+
+def test_rho_cache_is_released_with_the_buckets(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return rho(w)
+
+    monkeypatch.setattr(witness, "rho", counted)
+    cls = HomClass(4, r1=0, r2=2, s1=0, s2=0)
+
+    def rho_calls(word_len):
+        before = len(calls)
+        search_witness(cls, SearchBounds(word_len, 1))
+        return len(calls) - before
+
+    _words_by_gmap.cache_clear()
+    first = rho_calls(4)
+    assert first > 0
+    assert rho_calls(4) == 0  # warm: every a-word's rho is cached
+    _words_by_gmap.cache_clear()
+    assert rho_calls(4) == first
+    # _WORD_CACHE_SIZE other lengths evict the least recently used one
+    for word_len in range(_WORD_CACHE_SIZE):
+        rho_calls(word_len)
+    assert rho_calls(4) == first
+
+
 @PROFILE
 @given(words, twists, words, twists)
 def test_hoisted_word_equation(w_a, t_a, w_b, t_b):
@@ -295,6 +338,36 @@ def test_search_bounds_budget():
     for word_len, coord in ((MAX_WORD_LEN + 1, 0), (14, 2), (4, MAX_COORD + 1), (4, 10**9)):
         with pytest.raises(ValueError, match="budget"):
             SearchBounds(word_len, coord)
+
+
+def _no_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("the scan started")
+
+    for builder in ("rho", "lsigma", "theta"):
+        monkeypatch.setattr(witness, builder, scan)
+
+
+def test_pair_cap_rejects_before_the_scan(monkeypatch):
+    cls = HomClass(4, r1=0, r2=1, s1=0, s2=1)
+    bounds = SearchBounds(4, 2)
+    examined = search_witness(cls, bounds).examined
+    assert examined == reference_search(cls, bounds).examined
+    _no_scan(monkeypatch)
+    monkeypatch.setattr(witness, "MAX_PAIRS", examined - 1)
+    with pytest.raises(ValueError, match=f"search of {examined} candidate pairs exceeds the budget"):
+        search_witness(cls, bounds)
+
+
+def test_cli_rejects_search_over_pair_cap(capsys, monkeypatch):
+    # within SearchBounds, but 2,230,980 pairs
+    _no_scan(monkeypatch)
+    args = ["witness", "--type", "4", "--r1", "0", "--r2", "1", "--s1", "0", "--s2", "1"]
+    code = main([*args, "--search", "--bounds", "9", "--coords", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"budget of {MAX_PAIRS}" in err
+    _words_by_gmap.cache_clear()  # drop the 39,365 words of length <= 9
 
 
 @pytest.mark.parametrize("option", [("--bounds", "14"), ("--coords", str(10**9))])

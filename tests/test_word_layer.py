@@ -18,7 +18,7 @@ from kleinbraid.braid import BraidElt, gmap, theta
 from kleinbraid.cli import main
 from kleinbraid.kernel import KernelVector, project
 from kleinbraid.kleinpi import KleinElt, eps
-from kleinbraid.words import BIG_B, ONE, U, V, Word, parse_word
+from kleinbraid.words import BIG_B, MAX_RUNS, ONE, U, V, Word, WordParseError, parse_word
 
 from common import PROFILE
 
@@ -214,6 +214,29 @@ def test_parse_joins_reduced_terms_without_reducing_again(monkeypatch):
     assert len(out.runs) == 800000
     assert out == BIG_B ** 200000
     assert parse_word("u v v^-1 u^-1 B^2 u^0 1 B^-1 v^-1 v") == BIG_B
+
+
+def test_parse_budget_fails_before_building(monkeypatch):
+    def no_power(self, n):
+        raise AssertionError("a word power was built")
+
+    monkeypatch.setattr(Word, "__pow__", no_power)
+    budget = MAX_RUNS // 4
+    for text, pos in ((f"B^{budget + 1}", 0), (f"u B^-{budget}", 2), ("u v B^20000000", 4)):
+        with pytest.raises(WordParseError, match="budget") as err:
+            parse_word(text)
+        assert err.value.pos == pos
+
+
+def test_cli_rejects_word_over_budget(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the word was built")
+
+    monkeypatch.setattr(Word, "__pow__", no_build)
+    monkeypatch.setattr("kleinbraid.cli.project", no_build)
+    assert main(["kernel-project", "B^20000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "budget" in err
 
 
 def test_theta_large_twist_closed_form():
