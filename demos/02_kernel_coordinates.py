@@ -1,5 +1,5 @@
 """The abelianised kernel: basis words, the coset-scan projection, induced
-operators, and the closed-form word families.
+operators, and the word families with their projections.
 
 Run as:  python3 demos/02_kernel_coordinates.py
 """

@@ -40,6 +40,14 @@ from .words import BIG_B, MAX_RUNS, ONE, U, V, Word, parse_word
 # Budget of theta: it writes B^(m-δn), 4 runs per unit of m, so |m| up to
 # MAX_TWIST keeps that word within the parse budget of the words module.
 MAX_TWIST = MAX_RUNS // 4
+# Budget of lsigma, in letters.  It makes one product per run, each copying
+# the image so far and twisting its piece by the prefix twist, so the cost
+# is quadratic in the letters; a run budget would miss (u^1000 v^2)^60, 120
+# runs and 11.7 s.  At 2000 letters, words whose prefix twist grows took
+# 0.81 s ((u v^2)^667, (u^2 v^2)^500) and B^500 0.09 s, against 9.9 s for
+# (u v^2)^2000 (Python 3.11 on a 2-CPU host).  The tests, demos, selftest
+# suites and benchmark pass lsigma words of 186 letters at most.
+MAX_LSIGMA_LETTERS = 2000
 
 
 def theta(t: KleinElt, w: Word) -> Word:
@@ -135,7 +143,16 @@ def _lsigma_v_run(s: int) -> BraidElt:
 
 
 def lsigma(a: BraidElt) -> BraidElt:
-    """Conjugation by σ, computed run by run through the table above."""
+    """Conjugation by σ, computed run by run through the table above.
+
+    A word of more than MAX_LSIGMA_LETTERS letters raises ValueError
+    before the first product."""
+    letters = a.word.letter_length()
+    if letters > MAX_LSIGMA_LETTERS:
+        raise ValueError(
+            f"lsigma of a word of {letters} letters exceeds the budget of "
+            f"{MAX_LSIGMA_LETTERS} letters"
+        )
     out = B_IDENTITY
     for g, k in a.word.runs:
         out = out * (_lsigma_u_run(k) if g == "u" else _lsigma_v_run(k))

@@ -48,11 +48,11 @@ from .kernel import (
     BOXES,
     ID,
     RHO,
-    TILDE,
     ZERO,
     Atom,
     KernelOperator,
     KernelVector,
+    _from_boxes,
     c_ab,
     c_operator,
     theta_operator,
@@ -146,6 +146,11 @@ def _tabulate(
     period: Tuple[int, int], on_basis: Callable[[int, int], int], mod: int
 ) -> Functional:
     pk, pl = period
+    if 2 * pk * pl > MAX_SWEEP_ENTRIES:
+        raise ValueError(
+            f"a table of {pk * pl} entries exceeds half the budget of {MAX_SWEEP_ENTRIES} "
+            "table entries of a certificate sweep"
+        )
     table = tuple(tuple(on_basis(k, l) for l in range(pl)) for k in range(pk))
     return Functional(table, mod)
 
@@ -175,11 +180,11 @@ class MasterEquation:
 
     @property
     def constant(self) -> KernelVector:
-        """C(m, n) as a vector, materialised from the atoms through c_ab
-        and the reference families."""
+        """C(m, n) as a vector: each atom's boxes materialised, then moved
+        by the operator c_ab, not by the box move that on_atoms makes."""
         total = ZERO
         for coef, p, q, family, args in self.atoms:
-            total = total + coef * c_ab(p, q, TILDE[family](*args))
+            total = total + coef * c_ab(p, q, _from_boxes(BOXES[family](*args)))
         return total
 
 
@@ -398,6 +403,15 @@ def xi_row(s: int, n: int) -> Functional:
 # ---------------------------------------------------------------------------
 # certificate driver
 
+# Budget of check_certificate, in pulled-back table entries.  Each (m, n)
+# point pulls back two tables of lcm(2, pk)·pl entries, about 4 µs an entry,
+# and spends about 0.14 ms, counted as 40 entries, on the rest.  At period
+# (2, 2) mn = 40 took 0.88 s and mn = 100 5.6 s; certify --type 3 --s1 10000
+# took 28.5 s (Python 3.11 on a 2-CPU host).  The budget admits mn <= 45
+# there and about 1.5 s of sweep; _tabulate refuses a table over half of it,
+# since every point pulls back two tables at least as large.
+MAX_SWEEP_ENTRIES = 400_000
+
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -461,6 +475,8 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     listed: the nonzero entries with |k|, |l| <= window, or, when none
     falls inside it, the nonzero entries of the table's period box.  The
     constant is evaluated from its atoms, so the sweep builds no vector.
+    A sweep over MAX_SWEEP_ENTRIES, counted from mn and the functional's
+    period, raises ValueError before it starts.
     """
     if window < 0 or mn < 0:
         raise ValueError(f"windows must be non-negative, got window={window}, mn={mn}")
@@ -471,6 +487,13 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
             "certificates only exist for classes that have it"
         )
     family, params_at, functional_at = _family(cls, verdict)
+    pk, pl = functional_at(0, 0).period
+    entries = (2 * mn + 1) ** 2 * (40 + 2 * lcm(2, pk) * pl)
+    if entries > MAX_SWEEP_ENTRIES:
+        raise ValueError(
+            f"certificate sweep of {entries} table entries (mn={mn}, period {pk}x{pl}) "
+            f"exceeds the budget of {MAX_SWEEP_ENTRIES}"
+        )
     failures: list[Tuple[int, int, str, int, int]] = []
     linear_ok = constant_ok = True
     coords = range(-window, window + 1)

@@ -6,8 +6,10 @@ types 1-3 through the automorphism H of the braid group.
 
 Exit codes: 0 success, 1 verification failure or property-false result,
 2 usage or precondition error, including input over one of the budgets
-(words.MAX_RUNS, braid.MAX_TWIST, SearchBounds, witness.MAX_PAIRS), which
-the library raises as ValueError before it builds anything large.
+(words.MAX_RUNS, braid.MAX_TWIST, braid.MAX_LSIGMA_LETTERS, SearchBounds,
+witness.MAX_PAIRS, witness.MAX_WITNESS_PARAM,
+certificate.MAX_SWEEP_ENTRIES), which the library raises as ValueError
+before it builds anything large.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ v-letter crossing coset (m, n) deposits the row
     σk · Σ_{i=1..|k|} e(n, σk·i - (1+σk)/2),        k = εn·m
 
 (a v^-1 letter first steps back to (m, n-1) and deposits the negated row
-evaluated there).  The roundtrip project(expand(k, l)) == e(k, l) and the
-closed forms of the T/I/O/J/Q families pin the scan's correctness.
+evaluated there).  The roundtrip project(expand(k, l)) == e(k, l) pins the
+scan's correctness, and the scan is in turn the reference for the
+T/I/O/J/Q families below.
 
 A KernelVector stores only nonzero coefficients.  _accumulate is the one
 merge that keeps that form (KernelVector(...), + and - run it, and so do
@@ -30,11 +31,14 @@ the parity of k.  KernelOperator holds one as a merged, zero-free table
 of such terms per parity; distinct affine maps with ±1 slopes agree on at
 most a line, so equality of the tables is operator equality for all (k, l).
 
-The T/I/O/J/Q families are written twice: tilde_* builds each projection
-as a vector, the reference, and boxes_* lists its support as progression
-boxes (coef, k0, dk, l0, dl, I, J), each meaning
+The projections of the T/I/O/J/Q families are written once, as
+progression boxes: boxes_* lists each support as boxes
+(coef, k0, dk, l0, dl, I, J), each meaning
 
-    Σ_{i<I, j<J} coef · e(k0 + dk·i, l0 + dl·j),       dk even.
+    Σ_{i<I, j<J} coef · e(k0 + dk·i, l0 + dl·j),       dk even,
+
+and tilde_* materialises those boxes as a vector.  Their reference is the
+coset scan of the words themselves, project(word_*).
 
 An atom (coef, p, q, family, args) stands for coef·c(p, q)(tilde_family(args)),
 with the family "unit" for a single basis vector e(args).  Since dk is even,
@@ -186,11 +190,6 @@ class KernelOperator:
     def __init__(self, even: Iterable[Term], odd: Iterable[Term]) -> None:
         self.terms = (_accumulate({}, _keyed(even)), _accumulate({}, _keyed(odd)))
 
-    def on_basis(self, k: int, l: int) -> KernelVector:
-        return KernelVector(
-            [((a * k + p, b * l + q), c) for (a, p, b, q), c in self.terms[k % 2].items()]
-        )
-
     def __call__(self, vec: KernelVector) -> KernelVector:
         return KernelVector(
             [
@@ -276,7 +275,10 @@ def c_agreement(p: int, q: int, x: Word) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the special word families and their closed-form projections
+# the special word families and their projections as progression boxes
+
+Box = Tuple[int, int, int, int, int, int, int]  # (coef, k0, dk, l0, dl, I, J), dk even
+Atom = Tuple[int, int, int, str, Tuple[int, ...]]  # (coef, p, q, family, args)
 
 
 def word_t(k: int, r: int) -> Word:
@@ -307,63 +309,6 @@ def word_q(k: int, l: int) -> Word:
     return U ** k * V ** (2 * l + 1) * U ** k * V ** (-2 * l - 1)
 
 
-def tilde_t(k: int, r: int) -> KernelVector:
-    if r not in (0, 1):
-        raise ValueError(f"r must be 0 or 1, got {r}")
-    if k == 0:
-        return ZERO
-    sk = sign_of(k)
-    shift = (sk * (1 - 2 * r) - 1) // 2
-    return KernelVector(
-        [((0, sk * (i + shift)), sk) for i in range(1, abs(k) + 1)]
-    )
-
-
-def tilde_i(k: int) -> KernelVector:
-    if k == 0:
-        return ZERO
-    sk = sign_of(k)
-    off = (1 - sk) // 2
-    return KernelVector(
-        [((sk * i + off, 0), -sk) for i in range(1, abs(k) + 1)]
-    )
-
-
-def tilde_o(k: int, l: int) -> KernelVector:
-    if k == 0 or l == 0:
-        return ZERO
-    sk, sl = sign_of(k), sign_of(l)
-    lo = (sl - 1) // 2
-    hi = (1 + sl) // 2
-    items = []
-    for i in range(1, abs(k) + 1):
-        for j in range(1, abs(l) + 1):
-            items.append(((sk * (2 * i - 1), -sl * j + lo), sk * sl))
-            items.append(((sk * (2 * i - 1) - 1, sl * j - hi), -sk * sl))
-    return KernelVector(items)
-
-
-def tilde_j(k: int, l: int) -> KernelVector:
-    if k == 0 or l == 0:
-        return ZERO
-    sk, sl = sign_of(k), sign_of(l)
-    hi = (1 + sl) // 2
-    items = []
-    for i in range(1, abs(k) + 1):
-        for j in range(1, abs(l) + 1):
-            items.append(((sk * (2 * i - 1), sl * (j - hi)), -sk * sl))
-    return KernelVector(items)
-
-
-def tilde_q(k: int, l: int) -> KernelVector:
-    if k == 0:
-        return ZERO
-    sk = sign_of(k)
-    off = (1 + sk) // 2
-    tail = KernelVector([((2 * l, sk * i - off), sk) for i in range(1, abs(k) + 1)])
-    return -tilde_o(l, k) + tail
-
-
 def q_identity_check(k: int, l: int) -> bool:
     """Exact word identity expressing word_q(k, l) through word_o and basis words.
 
@@ -381,18 +326,13 @@ def q_identity_check(k: int, l: int) -> bool:
     return word_q(k, l) == rhs
 
 
-# ---------------------------------------------------------------------------
-# the same families as progression boxes
-
-Box = Tuple[int, int, int, int, int, int, int]  # (coef, k0, dk, l0, dl, I, J), dk even
-Atom = Tuple[int, int, int, str, Tuple[int, ...]]  # (coef, p, q, family, args)
-
-
 def boxes_unit(k: int, l: int) -> Tuple[Box, ...]:
     return ((1, k, 0, l, 0, 1, 1),)
 
 
 def boxes_t(k: int, r: int) -> Tuple[Box, ...]:
+    if r not in (0, 1):
+        raise ValueError(f"r must be 0 or 1, got {r}")
     sk = sign_of(k)
     shift = (sk * (1 - 2 * r) - 1) // 2
     return ((sk, 0, 0, sk * (1 + shift), sk, 1, abs(k)),)
@@ -431,15 +371,7 @@ def boxes_q(k: int, l: int) -> Tuple[Box, ...]:
     return tuple((-box[0],) + box[1:] for box in boxes_o(l, k)) + (tail,)
 
 
-# family name -> the reference vector builder and the progression boxes
-TILDE = {
-    "unit": KernelVector.unit,
-    "t": tilde_t,
-    "i": tilde_i,
-    "o": tilde_o,
-    "j": tilde_j,
-    "q": tilde_q,
-}
+# family name -> its progression boxes
 BOXES = {
     "unit": boxes_unit,
     "t": boxes_t,
@@ -448,3 +380,35 @@ BOXES = {
     "j": boxes_j,
     "q": boxes_q,
 }
+
+
+def _from_boxes(boxes: Iterable[Box]) -> KernelVector:
+    """The vector Σ coef·e(k0 + dk·i, l0 + dl·j) over the boxes' points."""
+    return KernelVector(
+        [
+            ((k0 + dk * i, l0 + dl * j), coef)
+            for coef, k0, dk, l0, dl, nk, nl in boxes
+            for i in range(nk)
+            for j in range(nl)
+        ]
+    )
+
+
+def tilde_t(k: int, r: int) -> KernelVector:
+    return _from_boxes(boxes_t(k, r))
+
+
+def tilde_i(k: int) -> KernelVector:
+    return _from_boxes(boxes_i(k))
+
+
+def tilde_o(k: int, l: int) -> KernelVector:
+    return _from_boxes(boxes_o(k, l))
+
+
+def tilde_j(k: int, l: int) -> KernelVector:
+    return _from_boxes(boxes_j(k, l))
+
+
+def tilde_q(k: int, l: int) -> KernelVector:
+    return _from_boxes(boxes_q(k, l))

@@ -9,7 +9,7 @@ checks the same cases.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import certificate as cert
 from .braid import (
@@ -139,7 +139,7 @@ def suite_structural() -> list[SuiteCheck]:
 
 
 def suite_tilde() -> list[SuiteCheck]:
-    """Projection roundtrip, closed-form family projections, operators."""
+    """Projection roundtrip, family projections (boxes) against the words, operators."""
     rng = random.Random(0)
     out: list[SuiteCheck] = []
 
@@ -159,19 +159,16 @@ def suite_tilde() -> list[SuiteCheck]:
     _check(out, "project/expand roundtrip + additivity, 200 products", fails)
 
     fails = []
-    for k in range(-4, 5):
-        for r in (0, 1):
-            if project(word_t(k, r)) != tilde_t(k, r):
-                fails.append(("T", k, r))
-        if project(word_i(k)) != tilde_i(k):
-            fails.append(("I", k))
-        for l in range(-4, 5):
-            if project(word_o(k, l)) != tilde_o(k, l):
-                fails.append(("O", k, l))
-            if project(word_j(k, l)) != tilde_j(k, l):
-                fails.append(("J", k, l))
-            if project(word_q(k, l)) != tilde_q(k, l):
-                fails.append(("Q", k, l))
+    span = range(-4, 5)
+    pairs = [(k, l) for k in span for l in span]
+    for name, word, tilde, grid in (
+        ("T", word_t, tilde_t, [(k, r) for k in span for r in (0, 1)]),
+        ("I", word_i, tilde_i, [(k,) for k in span]),
+        ("O", word_o, tilde_o, pairs),
+        ("J", word_j, tilde_j, pairs),
+        ("Q", word_q, tilde_q, pairs),
+    ):
+        fails += [(name, *args) for args in grid if project(word(*args)) != tilde(*args)]
     _check(out, "project(word family) equals closed form, params in [-4,4]", fails)
 
     fails = []
@@ -329,9 +326,7 @@ def suite_witness_grid() -> list[SuiteCheck]:
         HomClass(4, r1=1, r2=0, s1=1, s2=1),
     ]:
         for k in range(-2, 3):
-            cls = HomClass(
-                base.kind, i=base.i, s1=base.s1, s2=base.s2 + 2 * k, r1=base.r1, r2=base.r2
-            )
+            cls = replace(base, s2=base.s2 + 2 * k)
             report = build_witness(cls)
             if k != 0 and report.source != "shifted":
                 fails.append((cls, k, report.source))
@@ -430,8 +425,15 @@ def suite_specialization() -> list[SuiteCheck]:
 
     def ops_equal(op1, op2):
         return op1 == op2 and all(
-            op1.on_basis(k, l) == op2.on_basis(k, l) for k in coords for l in coords
+            op1(KernelVector.unit(k, l)) == op2(KernelVector.unit(k, l))
+            for k in coords
+            for l in coords
         )
+
+    def agrees(equation, args, *master):
+        ax, ay, c = equation(*args)
+        eq = cert.build_master(cert.MasterParams(*master))
+        return ops_equal(ax, eq.ax) and ops_equal(ay, eq.ay) and c == eq.constant
 
     fails = []
     for s in range(-2, 3):
@@ -439,14 +441,9 @@ def suite_specialization() -> list[SuiteCheck]:
             for w in (0, 1):
                 for m in range(-2, 3):
                     for n in range(-2, 3):
-                        ax, ay, c = cert.equation_first_odd(s, z, w, m, n)
-                        eq = cert.build_master(cert.MasterParams(0, 0, s, z * w, 1, w, m, n))
-                        if not (
-                            ops_equal(ax, eq.ax)
-                            and ops_equal(ay, eq.ay)
-                            and c == eq.constant
-                        ):
-                            fails.append((s, z, w, m, n))
+                        args = (s, z, w, m, n)
+                        if not agrees(cert.equation_first_odd, args, 0, 0, s, z * w, 1, w, m, n):
+                            fails.append(args)
     _check(out, "first-odd family equals build_master(i=1, j=w)", fails)
 
     fails = []
@@ -454,12 +451,9 @@ def suite_specialization() -> list[SuiteCheck]:
         for z in (0, 1):
             for m in range(-2, 3):
                 for n in range(-2, 3):
-                    ax, ay, c = cert.equation_even_odd(s, z, m, n)
-                    eq = cert.build_master(cert.MasterParams(0, 0, s, z, 0, 1, m, n))
-                    if not (
-                        ops_equal(ax, eq.ax) and ops_equal(ay, eq.ay) and c == eq.constant
-                    ):
-                        fails.append((s, z, m, n))
+                    args = (s, z, m, n)
+                    if not agrees(cert.equation_even_odd, args, 0, 0, s, z, 0, 1, m, n):
+                        fails.append(args)
     _check(out, "even-odd family equals build_master(i=0, j=1)", fails)
 
     fails = []
@@ -469,16 +463,9 @@ def suite_specialization() -> list[SuiteCheck]:
                 for z in (0, 1):
                     for m in (-2, 0, 2):
                         for n in (-2, -1, 0, 1, 2):
-                            ax, ay, c = cert.equation_even_even(r1, r2, s, z, m, n)
-                            eq = cert.build_master(
-                                cert.MasterParams(r1, r2, s, z, 0, 0, m, n)
-                            )
-                            if not (
-                                ops_equal(ax, eq.ax)
-                                and ops_equal(ay, eq.ay)
-                                and c == eq.constant
-                            ):
-                                fails.append((r1, r2, s, z, m, n))
+                            args = (r1, r2, s, z, m, n)
+                            if not agrees(cert.equation_even_even, args, r1, r2, s, z, 0, 0, m, n):
+                                fails.append(args)
     _check(out, "even-even family (displayed mu/nu) equals build_master(i=j=0)", fails)
     return out
 
@@ -518,17 +505,11 @@ def suite_classifier_cross() -> list[SuiteCheck]:
         if bu and res.found:
             fails.append(("witness for a class with the property", cls, res.report))
         if not bu:
-            rep = build_witness(cls)
+            pair = build_witness(cls)
+            twists = (pair.a.twist, pair.b.twist)
             inside = (
-                rep.a.word.letter_length() <= bounds.word_len
-                and rep.b.word.letter_length() <= bounds.word_len
-                and max(
-                    abs(rep.a.twist.m),
-                    abs(rep.a.twist.n),
-                    abs(rep.b.twist.m),
-                    abs(rep.b.twist.n),
-                )
-                <= bounds.coord
+                max(pair.a.word.letter_length(), pair.b.word.letter_length()) <= bounds.word_len
+                and max(max(abs(t.m), abs(t.n)) for t in twists) <= bounds.coord
             )
             if inside and not res.found:
                 fails.append(("missed in-bounds witness", cls))
@@ -536,9 +517,7 @@ def suite_classifier_cross() -> list[SuiteCheck]:
 
     fails = []
     for cls in classes:
-        shifted = HomClass(
-            cls.kind, i=cls.i, s1=cls.s1, s2=cls.s2 + 2, r1=cls.r1, r2=cls.r2
-        )
+        shifted = replace(cls, s2=cls.s2 + 2)
         if not central_shift_equiv(cls, shifted):
             fails.append((cls, "+4 raw shift not equivalent"))
         if decide(cls).bu != decide(shifted).bu:

@@ -91,6 +91,13 @@ MAX_COORD = 100
 # largest search of the tests, demos, selftest suites and benchmark
 # examines 17,689.
 MAX_PAIRS = 1_000_000
+# Budget of build_witness, on the representative's r1, r2 and s1 (its s2 is
+# 0 or 1).  The pair's words grow linearly in each, and checking them takes
+# quadratic time: type 4 with (r1, r2) = (200, 1) took 0.80 s and (300, 1)
+# 1.9 s, type 1 with i = 1 and s1 = 200 0.04 s (same host).
+# Type 4 with s2 odd and r1, s1 both nonzero has words of about 4·|r1·s1|
+# letters, which the budget of lsigma refuses once the pair is built.
+MAX_WITNESS_PARAM = 200
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,13 @@ def build_witness(cls: HomClass) -> WitnessReport:
         raise ValueError(
             f"{cls.describe()} has the Borsuk-Ulam property; no witness exists"
         )
-    a, b = _base_pair(verdict.representative)
+    rep = verdict.representative
+    if max(abs(rep.r1), abs(rep.r2), abs(rep.s1)) > MAX_WITNESS_PARAM:
+        raise ValueError(
+            f"witness for {cls.describe()} exceeds the budget |r1|, |r2|, |s1| <= "
+            f"{MAX_WITNESS_PARAM}"
+        )
+    a, b = _base_pair(rep)
     if cls.i:
         a, b = apply_images(H_IMAGES, a), apply_images(H_IMAGES, b)
     k = cls.s2 // 2

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given
 
+from kleinbraid import braid
 from kleinbraid.braid import (
     B_IDENTITY,
+    MAX_LSIGMA_LETTERS,
     MAX_TWIST,
     SIGMA_SQ,
     BraidElt,
@@ -138,6 +140,34 @@ def test_cli_rejects_twist_over_budget(capsys, monkeypatch):
     assert main(["braid-eval", "(u;3000000,1) (v;0,0)"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "budget" in err
+
+
+def _no_products(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("a braid product was built")
+
+    monkeypatch.setattr(BraidElt, "__mul__", no_product)
+
+
+def test_lsigma_letter_budget(monkeypatch):
+    # B^500 has 2000 letters and (u v^2)^667 2001; the words' twists are free
+    at_budget = BraidElt(BIG_B ** 500, KleinElt(7, 3))
+    assert at_budget.word.letter_length() == MAX_LSIGMA_LETTERS
+    assert lsigma(at_budget).twist == KleinElt(7, 3)
+    _no_products(monkeypatch)
+    for w in ((U * V ** 2) ** 667, BIG_B ** 500 * U, U ** 3000, (U ** 1000 * V ** 2) ** 60):
+        with pytest.raises(ValueError, match=f"budget of {MAX_LSIGMA_LETTERS} letters"):
+            lsigma(BraidElt(w))
+    monkeypatch.setattr(braid, "MAX_LSIGMA_LETTERS", 3)
+    with pytest.raises(ValueError, match="word of 4 letters"):
+        rho(BIG_B)
+
+
+def test_cli_rejects_lsigma_over_budget(capsys, monkeypatch):
+    _no_products(monkeypatch)
+    assert main(["braid-eval", "lsigma(B^100000;0,0)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"budget of {MAX_LSIGMA_LETTERS} letters" in err
 
 
 def test_rho_examples():

@@ -4,6 +4,7 @@ import pytest
 
 from kleinbraid import certificate
 from kleinbraid.certificate import (
+    MAX_SWEEP_ENTRIES,
     CertificateReport,
     Functional,
     _family,
@@ -22,6 +23,7 @@ from kleinbraid.certificate import (
     xi_row,
 )
 from kleinbraid.classifier import HomClass, decide
+from kleinbraid.cli import main
 from kleinbraid.kernel import KernelVector, c_ab, rho_ab, theta_ab, tilde_j, tilde_o
 from kleinbraid.kleinpi import KleinElt, delta, eps
 from kleinbraid.suites import _grid_classes
@@ -73,7 +75,7 @@ def test_specializations_match_build_master(family):
     window = range(-4, 5)
 
     def window_equal(op1, op2):
-        return all(op1.on_basis(k, l) == op2.on_basis(k, l) for k in window for l in window)
+        return all(op1(unit(k, l)) == op2(unit(k, l)) for k in window for l in window)
 
     cases = {
         "first_odd": [(1, 0, 0, 0, 0), (-2, 1, 1, 2, -1), (2, 1, 0, -2, 3), (0, 0, 1, 1, 1)],
@@ -117,8 +119,8 @@ def test_mu_nu_displayed_vs_compositional():
                             assert mu == eq.ax and nu == eq.ay
                             for k in window:
                                 for l in window:
-                                    assert mu.on_basis(k, l) == eq.ax.on_basis(k, l)
-                                    assert nu.on_basis(k, l) == eq.ay.on_basis(k, l)
+                                    assert mu(unit(k, l)) == eq.ax(unit(k, l))
+                                    assert nu(unit(k, l)) == eq.ay(unit(k, l))
 
 
 def test_mu_nu_examples():
@@ -126,14 +128,14 @@ def test_mu_nu_examples():
     _, nu = mu_nu_operators(0, 2, 0, 0, 1, 1)
     for k in range(-3, 4):
         for l in range(-3, 4):
-            assert not nu.on_basis(k, l)
+            assert not nu(unit(k, l))
     # displayed value of mu at the origin basis vector, n even: the second
     # term's l-shift carries a factor delta(k) which vanishes at k = 0
     for n in (0, 2):
         for m, r1, r2, z, s in [(1, 1, 2, 0, 0), (-2, 2, 0, 0, 0)]:
             mu, _ = mu_nu_operators(r1, r2, s, z, m, n)
             want = unit(2 * n, 2 * delta(n + 1) * (m - r1) + eps(n + 1) * r2) + unit(0, 0)
-            assert mu.on_basis(0, 0) == want
+            assert mu(unit(0, 0)) == want
 
 
 def test_xi_parity():
@@ -318,3 +320,57 @@ def test_certificate_rejects_negative_windows():
         with pytest.raises(ValueError):
             check_certificate(cls, window=window, mn=mn)
     assert check_certificate(cls, window=0, mn=0).success
+
+
+def _no_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(certificate, "build_master", no_sweep)
+    monkeypatch.setattr(Functional, "pullback", no_sweep)
+
+
+def test_sweep_budget_counts_points_and_period(monkeypatch):
+    # 3 x 3 points of 40 + 2·lcm(2, pk)·pl entries each
+    cls = HomClass(4, r1=1, r2=2, s1=0, s2=0)  # xi_column, period (2, 2)
+    cost = 9 * (40 + 2 * 2 * 2)
+    monkeypatch.setattr(certificate, "MAX_SWEEP_ENTRIES", cost)
+    assert check_certificate(cls, mn=1).success
+    monkeypatch.setattr(certificate, "MAX_SWEEP_ENTRIES", cost - 1)
+    _no_sweep(monkeypatch)
+    with pytest.raises(ValueError, match=f"sweep of {cost} table entries"):
+        check_certificate(cls, mn=1)
+
+
+@pytest.mark.parametrize(
+    "cls, mn",
+    [
+        (HomClass(4, r1=1, r2=2, s1=0, s2=0), 1000),
+        (HomClass(2, i=0, s1=0, s2=0), 48),
+        (HomClass(3, i=0, s1=1000, s2=0), 4),  # period (4000, 1)
+        (HomClass(4, r1=1000, r2=2, s1=0, s2=0), 4),  # period (2, 2000)
+    ],
+)
+def test_sweep_budget_rejects_before_the_sweep(monkeypatch, cls, mn):
+    _no_sweep(monkeypatch)
+    with pytest.raises(ValueError, match=f"exceeds the budget of {MAX_SWEEP_ENTRIES}"):
+        check_certificate(cls, mn=mn)
+
+
+def test_no_table_over_half_the_sweep_budget(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(certificate, "Functional", no_table)
+    for cls in (HomClass(3, i=0, s1=100_000, s2=0), HomClass(4, r1=10**9, r2=2, s1=0, s2=0)):
+        with pytest.raises(ValueError, match="exceeds half the budget"):
+            check_certificate(cls)
+
+
+@pytest.mark.parametrize("args", [["--type", "3", "--s1", "100000"],
+                                  ["--type", "4", "--r1", "1", "--r2", "2", "--mn", "1000"]])
+def test_cli_rejects_certificate_over_budget(capsys, monkeypatch, args):
+    _no_sweep(monkeypatch)
+    assert main(["certify", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"budget of {MAX_SWEEP_ENTRIES}" in err

@@ -2,13 +2,13 @@
 
 The references below are the closure formulas the xi_* builders used
 before they became tables, and the per-basis sweep check_certificate ran
-before it read pulled-back tables: it builds op.on_basis(k, l) for every
+before it read pulled-back tables: it builds op(e(k, l)) for every
 window point and applies the functional to the materialised constant.
 The tables must agree with the formulas on boxes several periods wide,
 pulling back must agree with applying the functional after the operator,
 the functional on the constant's atoms must agree with the functional on
-the vectors that tilde_* and c_ab build, and the two sweeps must return
-equal reports, failures included.
+the projections of the family words moved by c_ab, and the two sweeps must
+return equal reports, failures included.
 """
 
 import itertools
@@ -36,11 +36,17 @@ from kleinbraid.kernel import (
     BOXES,
     ID,
     RHO,
-    TILDE,
     KernelVector,
     c_ab,
     c_operator,
+    expand,
+    project,
     theta_operator,
+    word_i,
+    word_j,
+    word_o,
+    word_q,
+    word_t,
 )
 from kleinbraid.kleinpi import delta, eps
 from kleinbraid.suites import _grid_classes
@@ -102,18 +108,18 @@ def reference_sweep(cls, window, mn):
     failures = []
     linear_ok = constant_ok = True
     coords = range(-window, window + 1)
+    units = [(k, l, KernelVector.unit(k, l)) for k in coords for l in coords]
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
             eq = build_master(params_at(m, n))
             f = functional_at(m, n)
-            for k in coords:
-                for l in coords:
-                    if f(eq.ax.on_basis(k, l)) != 0:
-                        linear_ok = False
-                        failures.append((m, n, "Ax", k, l))
-                    if f(eq.ay.on_basis(k, l)) != 0:
-                        linear_ok = False
-                        failures.append((m, n, "Ay", k, l))
+            for k, l, e in units:
+                if f(eq.ax(e)) != 0:
+                    linear_ok = False
+                    failures.append((m, n, "Ax", k, l))
+                if f(eq.ay(e)) != 0:
+                    linear_ok = False
+                    failures.append((m, n, "Ay", k, l))
             if f(eq.constant) == 0:
                 constant_ok = False
                 failures.append((m, n, "C", 0, 0))
@@ -181,7 +187,7 @@ def test_pullback_equals_functional_after_operator(f, expr):
     assert pulled.mod == f.mod
     for k in range(-13, 14):
         for l in range(-7, 8):
-            assert pulled.value(k, l) == f(op.on_basis(k, l))
+            assert pulled.value(k, l) == f(op(KernelVector.unit(k, l)))
 
 
 def test_pullback_through_reflections_of_l():
@@ -194,7 +200,7 @@ def test_pullback_through_reflections_of_l():
         pulled = f.pullback(op)
         for k in range(-7, 8):
             for l in range(-7, 8):
-                assert pulled.value(k, l) == f(op.on_basis(k, l))
+                assert pulled.value(k, l) == f(op(KernelVector.unit(k, l)))
 
 
 def test_pullback_composes():
@@ -208,7 +214,10 @@ def test_pullback_composes():
 
 
 # ---------------------------------------------------------------------------
-# the constant's atoms against the reference vectors
+# the constant's atoms against the projections of the family words
+
+# family name -> the kernel word whose projection the family's boxes list
+WORDS = {"unit": expand, "t": word_t, "i": word_i, "o": word_o, "j": word_j, "q": word_q}
 
 # family arguments: small ones, zero among them, and ones up to 60 in size
 arg = st.one_of(st.integers(-3, 3), st.integers(-60, 60))
@@ -228,7 +237,7 @@ offsets = st.integers(-70, 70)
 @given(data=st.data(), f=periodic_tables(), coef=st.integers(-3, 3), p=offsets, q=offsets)
 def test_atom_equals_reference_vector(family, data, f, coef, p, q):
     args = data.draw(FAMILY_ARGS[family], label="args")
-    want = f(coef * c_ab(p, q, TILDE[family](*args)))
+    want = f(coef * c_ab(p, q, project(WORDS[family](*args))))
     assert f.on_atoms([(coef, p, q, family, args)]) == want
 
 

@@ -4,7 +4,10 @@ from hypothesis import strategies as st
 
 from kleinbraid.braid import gmap, rho, theta
 from kleinbraid.kernel import (
+    BOXES,
     KernelVector,
+    _from_boxes,
+    boxes_t,
     c_ab,
     c_agreement,
     expand,
@@ -174,6 +177,28 @@ def test_tilde_matches_projection(k):
         assert project(word_o(k, l)) == tilde_o(k, l)
         assert project(word_j(k, l)) == tilde_j(k, l)
         assert project(word_q(k, l)) == tilde_q(k, l)
+
+
+def test_boxes_materialise_to_projection():
+    # every family's boxes, the basis vector's included, list the projection
+    # of its word; zero arguments give no box point and the empty vector
+    words = {"unit": expand, "t": word_t, "i": word_i, "o": word_o, "j": word_j, "q": word_q}
+    assert sorted(words) == sorted(BOXES)
+    grid = range(-6, 7)
+    args = {
+        "unit": [(k, l) for k in grid for l in grid],
+        "t": [(k, r) for k in grid for r in (0, 1)],
+        "i": [(k,) for k in grid],
+    }
+    for family, boxes in BOXES.items():
+        for a in args.get(family, [(k, l) for k in grid for l in grid]):
+            assert _from_boxes(boxes(*a)) == project(words[family](*a)), (family, a)
+    assert _from_boxes(boxes_t(0, 1)) == _from_boxes(BOXES["q"](0, 4)) == KernelVector()
+    for r in (-1, 2):
+        with pytest.raises(ValueError, match="r must be 0 or 1"):
+            boxes_t(3, r)
+        with pytest.raises(ValueError, match="r must be 0 or 1"):
+            tilde_t(3, r)
 
 
 def test_q_identity():

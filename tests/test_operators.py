@@ -82,7 +82,7 @@ def test_term_tables_act_as_reference_maps(expr, vec):
     op = build(expr)
     assert op(vec) == ref_apply(expr, vec)
     for k, l in itertools.product(BOX, repeat=2):
-        assert op.on_basis(k, l) == ref_apply(expr, KernelVector.unit(k, l))
+        assert op(KernelVector.unit(k, l)) == ref_apply(expr, KernelVector.unit(k, l))
 
 
 @PROFILE

@@ -33,6 +33,7 @@ from kleinbraid.witness import (
     _WORD_CACHE_SIZE,
     MAX_COORD,
     MAX_PAIRS,
+    MAX_WITNESS_PARAM,
     MAX_WORD_LEN,
     SearchBounds,
     SearchResult,
@@ -382,3 +383,58 @@ def test_cli_rejects_search_over_budget(capsys, monkeypatch, option):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert "budget" in err
+
+
+def _no_pair(monkeypatch):
+    def no_pair(rep):
+        raise AssertionError("the base pair was built")
+
+    monkeypatch.setattr(witness, "_base_pair", no_pair)
+
+
+OVER_WITNESS_BUDGET = [
+    HomClass(4, r1=MAX_WITNESS_PARAM + 1, r2=1, s1=0, s2=0),
+    HomClass(4, r1=0, r2=-MAX_WITNESS_PARAM - 1, s1=0, s2=2),
+    HomClass(4, r1=0, r2=0, s1=-MAX_WITNESS_PARAM - 1, s2=1),
+    HomClass(1, i=1, s1=MAX_WITNESS_PARAM + 1, s2=1),
+    HomClass(1, i=0, s1=-100_000, s2=3),
+]
+
+
+def test_witness_budget_rejects_before_the_pair(monkeypatch):
+    # at the budget the cheap branches still build and verify their pair
+    at_budget = [
+        HomClass(1, i=1, s1=-MAX_WITNESS_PARAM, s2=1),
+        HomClass(4, r1=0, r2=199, s1=0, s2=0),
+    ]
+    for cls in at_budget:
+        assert build_witness(cls).cls == cls
+    _no_pair(monkeypatch)
+    for cls in OVER_WITNESS_BUDGET:
+        with pytest.raises(ValueError, match=rf"\|s1\| <= {MAX_WITNESS_PARAM}"):
+            build_witness(cls)
+    # type 3 has no parameter in the budget: its representative is fixed
+    monkeypatch.undo()
+    assert build_witness(HomClass(3, i=1, s1=0, s2=10**9)).source == "shifted"
+
+
+def test_witness_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(witness, "MAX_WITNESS_PARAM", 3)
+    assert build_witness(HomClass(4, r1=3, r2=1, s1=0, s2=0)).source == "constructed"
+    with pytest.raises(ValueError, match="budget"):
+        build_witness(HomClass(4, r1=4, r2=1, s1=0, s2=0))
+
+
+def test_lsigma_budget_refuses_large_products_of_r1_and_s1():
+    # within MAX_WITNESS_PARAM, but a's word has about 4·r1·s1 letters
+    with pytest.raises(ValueError, match="lsigma of a word of"):
+        build_witness(HomClass(4, r1=MAX_WITNESS_PARAM, r2=0, s1=MAX_WITNESS_PARAM, s2=1))
+
+
+@pytest.mark.parametrize("args", [["--type", "4", "--r1", "3000", "--r2", "1"],
+                                  ["--type", "1", "--i", "1", "--s1", "100000", "--s2", "1"]])
+def test_cli_rejects_witness_over_budget(capsys, monkeypatch, args):
+    _no_pair(monkeypatch)
+    assert main(["witness", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"<= {MAX_WITNESS_PARAM}" in err
