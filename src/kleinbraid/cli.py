@@ -2,7 +2,9 @@
 kernel-project and selftest.
 
 Every class is covered: witness and certify reach the i = 1 classes of
-types 1-3 through the automorphism H of the braid group.
+types 1-3 through the automorphism H of the braid group. A class is given
+either by its images (--img10/--img01) or by --type and its parameters,
+never both.
 
 Exit codes: 0 success, 1 verification failure or property-false result,
 2 usage or precondition error, including input over one of the budgets
@@ -10,11 +12,16 @@ Exit codes: 0 success, 1 verification failure or property-false result,
 witness.MAX_PAIRS, witness.MAX_WITNESS_PARAM,
 certificate.MAX_SWEEP_ENTRIES), which the library raises as ValueError
 before it builds anything large.
+
+main(argv) may be called any number of times in one process. It builds
+its argparse parser once, on the first call, and reuses it; the parser
+is shared and must not be changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -37,26 +44,36 @@ class _CliError(Exception):
     """A usage error found by a command itself; main() exits EXIT_USAGE."""
 
 
+_CLASS_PARAMS = ("i", "s1", "s2", "r1", "r2")
+
+
 def _class_from_args(args) -> HomClass:
     if args.img10 is not None or args.img01 is not None:
         if args.img10 is None or args.img01 is None:
             raise _CliError("--img10 and --img01 must be given together")
+        given = [f"--{name}" for name in ("type",) + _CLASS_PARAMS
+                 if getattr(args, name) is not None]
+        if given:
+            raise _CliError(f"{', '.join(given)} cannot be given with --img10/--img01")
         h = HomDescriptor(parse_klein(args.img10), parse_klein(args.img01))
         return normalize(h)
     if args.type is None:
         raise _CliError("give either --img10/--img01 or --type with parameters")
-    return HomClass(args.type, i=args.i, s1=args.s1, s2=args.s2, r1=args.r1, r2=args.r2)
+    # an option left out means 0
+    params = {name: getattr(args, name) or 0 for name in _CLASS_PARAMS}
+    return HomClass(args.type, **params)
 
 
 def _add_class_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--img10", help="image of (1,0), e.g. '(0,3)'")
     p.add_argument("--img01", help="image of (0,1), e.g. '(0,4)'")
     p.add_argument("--type", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--i", type=int, default=0, choices=(0, 1))
-    p.add_argument("--s1", type=int, default=0)
-    p.add_argument("--s2", type=int, default=0)
-    p.add_argument("--r1", type=int, default=0)
-    p.add_argument("--r2", type=int, default=0)
+    # None, not 0, so that _class_from_args can tell a given option
+    p.add_argument("--i", type=int, choices=(0, 1))
+    p.add_argument("--s1", type=int)
+    p.add_argument("--s2", type=int)
+    p.add_argument("--r1", type=int)
+    p.add_argument("--r2", type=int)
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -299,7 +316,10 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call of main.
+    It binds the _cmd_* handlers and the SUITES names as they are then."""
     parser = argparse.ArgumentParser(
         prog="kleinbraid",
         description="Borsuk-Ulam classification over the Klein bottle: "
@@ -341,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

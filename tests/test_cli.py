@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 
@@ -24,6 +25,22 @@ def test_classify_by_images(capsys):
     code, out, _ = run(capsys, "classify", "--img10", "(0,3)", "--img01", "(0,4)")
     assert code == 0
     assert "type 1" in out and "yes" in out
+
+
+@pytest.mark.parametrize("command", ["classify", "witness", "certify"])
+@pytest.mark.parametrize(
+    "option", [("--type", "2"), ("--i", "0"), ("--s1", "0"), ("--s2", "1"), ("--r1", "0"), ("--r2", "0")]
+)
+def test_class_options_are_refused_beside_images(capsys, command, option):
+    code, out, err = run(capsys, command, "--img10", "(0,3)", "--img01", "(0,4)", *option)
+    assert code == 2 and out == ""
+    assert f"error: {option[0]} cannot be given with --img10/--img01" in err
+
+
+def test_omitted_class_options_mean_zero(capsys):
+    explicit = run(capsys, "classify", "--type", "4", "--r1", "0", "--r2", "0", "--s1", "0", "--s2", "0")
+    assert explicit[0] == 0
+    assert run(capsys, "classify", "--type", "4") == explicit
 
 
 def test_classify_json_roundtrip(capsys):
@@ -232,3 +249,46 @@ def test_cli_output_roundtrips(capsys):
         k, l = pair.strip("()").split(",")
         vec = vec + KernelVector({(int(k), int(l)): int(coeff)})
     assert vec == project(parse_word("B^2 u B u^-1"))
+
+
+# two passes of main in one process: whatever a call leaves behind shows
+# up as a difference in some later call of the second pass
+_REUSE_SEQUENCE = [
+    (["classify", "--type", "4", "--r1", "0", "--r2", "0", "--s1", "2", "--s2", "0"], 0),
+    (["classify", "--type", "9"], 2),  # argparse usage error
+    (["classify", "--img10", "(0,3)"], 2),  # _CliError
+    (["classify", "--type", "4", "--r1", "0", "--r2", "0", "--s1", "2", "--s2", "0", "--json"], 0),
+    (["kernel-project", "v B v^-1 B^-1"], 0),
+    (["braid-eval", "lsigma (B;0,0)"], 0),
+    (["--help"], 0),
+]
+
+
+def test_main_can_be_called_repeatedly(capsys):
+    cli._parser.cache_clear()  # the first pass starts from a new parser
+    passes = [[run(capsys, *argv) for argv, _ in _REUSE_SEQUENCE] for _ in range(2)]
+    assert [code for code, _, _ in passes[0]] == [code for _, code in _REUSE_SEQUENCE]
+    assert all(out or err for _, out, err in passes[0])
+    assert passes[1] == passes[0]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        counts = []
+        for argv in (["kernel-project", "B"], ["braid-eval", "(u;1,0)"], ["classify", "--type", "9"]):
+            main(argv)
+            counts.append(len(built))
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    # the top-level parser and its six subparsers, all on the first call
+    assert counts == [7, 7, 7]
