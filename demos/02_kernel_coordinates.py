@@ -35,10 +35,10 @@ print(f"rho_ab flips it to {rho_ab(v)}")
 print(f"c_ab(2,1) shifts it to {c_ab(2, 1, v)}")
 
 print()
-print("== word families with closed-form projections ==")
+print("== word families with projections written as progression boxes ==")
 print(f"O(2,-1) = {word_o(2, -1)}")
 print(f"  projects to {project(word_o(2, -1))}")
-print(f"  closed form {tilde_o(2, -1)}")
+print(f"  progression boxes {tilde_o(2, -1)}")
 print(f"J(1,2) = {word_j(1, 2)} -> {tilde_j(1, 2)}")
 print(f"Q(2,1) = {word_q(2, 1)} -> {tilde_q(2, 1)}")
 

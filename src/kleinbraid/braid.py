@@ -9,13 +9,18 @@ twist acts on words through the automorphisms
 (with B = u v u v^-1), which also send B to B^(εn).  The product law is
 (w; t) · (w'; t') = (w · theta(t)(w'); t t').
 
-lsigma is conjugation by the Artin generator σ, assembled from its values
-on u-runs, v-runs and pure twists:
+lsigma is conjugation by the Artin generator σ.  On u-runs, v-runs and
+pure twists it takes the closed forms
 
     lsigma(u^r; 0,0) = ((B u^-1)^r B^-r ; r, 0)
     lsigma(v^s; 0,0) = ((u v)^-s (u B)^δs ; 0, s)
     lsigma(1; m, 0)  = (1 ; m, 0)
     lsigma(1; 0, n)  = (B^δn ; 0, n)
+
+and it is held, like H below, as the images of the generators u, v, x, y
+(r = s = m = n = 1 above):
+
+    lsigma: u ↦ (B u^-1 B^-1; 1, 0),  v ↦ (v^-1 B; 0, 1),  x ↦ x,  y ↦ (B; 0, 1)
 
 σ² itself is the pure braid (B; 0, 0), so lsigma∘lsigma is conjugation by
 SIGMA_SQ.  gmap is the projection F(u, v) → Z ⋊ Z sending u ↦ (1,0),
@@ -35,18 +40,19 @@ import re
 from dataclasses import dataclass
 
 from .kleinpi import K_IDENTITY, KleinElt, delta, eps
-from .words import BIG_B, MAX_RUNS, ONE, U, V, Word, parse_word
+from .words import BIG_B, MAX_RUNS, ONE, U, V, Word, _from_reduced, parse_word
 
 # Budget of theta: it writes B^(m-δn), 4 runs per unit of m, so |m| up to
 # MAX_TWIST keeps that word within the parse budget of the words module.
 MAX_TWIST = MAX_RUNS // 4
-# Budget of lsigma, in letters.  It makes one product per run, each copying
-# the image so far and twisting its piece by the prefix twist, so the cost
-# is quadratic in the letters; a run budget would miss (u^1000 v^2)^60, 120
-# runs and 11.7 s.  At 2000 letters, words whose prefix twist grows took
-# 0.81 s ((u v^2)^667, (u^2 v^2)^500) and B^500 0.09 s, against 9.9 s for
-# (u v^2)^2000 (Python 3.11 on a 2-CPU host).  The tests, demos, selftest
-# suites and benchmark pass lsigma words of 186 letters at most.
+# Budget of lsigma, in letters.  apply_images makes one product per run,
+# each copying the image so far and twisting its piece by the prefix twist,
+# so the cost is quadratic in the letters; a run budget would miss
+# (u^1000 v^2)^60, 120 runs and 11.7 s.  At the budget, words whose prefix
+# twist grows took 0.81 s ((u v^2)^666) and 1.0 s ((u^2 v^2)^500) and
+# B^500 0.08 s, against 9.3 s for (u v^2)^2000 (medians of three, Python
+# 3.11 on a shared 2-CPU host).  The tests, demos, selftest suites and
+# benchmark pass lsigma words of 186 letters at most.
 MAX_LSIGMA_LETTERS = 2000
 
 
@@ -55,27 +61,48 @@ def theta(t: KleinElt, w: Word) -> Word:
 
     With P = B^(m-δn), theta(m, n) is conjugation by P after the
     substitution φ: u ↦ u^(εn), v ↦ B^(δn) v u^(-2m), that is
-    theta(t)(w) = P · φ(w) · P^-1.  φ(w) takes one run per u-run of w and
-    a power of the 2- or 3-run word φ(v) per v-run, reduced once, so the
-    cost is linear in the runs of φ(w) plus |m|.  |m| over MAX_TWIST
-    raises ValueError before anything is built.  n enters only through
-    its parity, so its size costs nothing and has no budget.
+    theta(t)(w) = P · φ(w) · P^-1.  φ(w) is written piece by piece, and
+    each piece is joined to the reduced runs so far at its seam only: one
+    run per u-run of w, and per v-run v^k the 2- or 3-run tuple of φ(v) or
+    φ(v)^-1 (built once per call) when |k| = 1, else the power φ(v)^k.  So
+    the runs so far stay reduced, φ(w) needs no reduction pass, and the
+    cost is linear in the runs of φ(w) plus |m|.  The empty word is
+    returned as it is, so pure twists build no P.  |m| over MAX_TWIST
+    raises ValueError, and so does a v-run whose power would take the runs
+    so far past MAX_RUNS, before that power is built.  n enters only
+    through its parity, so its size costs nothing and has no budget.
     """
     m, d = t.m, t.n % 2
     if abs(m) > MAX_TWIST:
         raise ValueError(f"twist m = {m} exceeds the budget |m| <= {MAX_TWIST} of theta")
-    if not m and not d:  # theta(0, even n) is the identity
+    if not w.runs or not m and not d:  # theta(0, even n) is the identity
         return w
     e = eps(d)
     img_v = BIG_B ** d * V * U ** (-2 * m)
+    fwd, back = img_v.runs, img_v.inv().runs
+    # φ(v)^k has len(fwd) + per·(|k| - 1) runs: φ(v) is v u^(-2m) or
+    # u v u^(1-2m), whose powers gain 2 runs per factor, except u v u^-1
+    # at m = δn = 1, whose powers keep 3
+    per = 0 if m == d else 2
     runs: list[tuple[str, int]] = []
     for g, k in w.runs:
         if g == "u":
-            runs.append(("u", e * k))
+            piece: tuple[tuple[str, int], ...] = (("u", e * k),)
+        elif len(runs) + len(fwd) + per * (abs(k) - 1) > MAX_RUNS:
+            raise ValueError(
+                f"theta({m}, {t.n}) of v^{k} exceeds the budget of {MAX_RUNS} runs"
+            )
         else:
-            runs.extend((img_v ** k).runs)
+            piece = fwd if k == 1 else back if k == -1 else (img_v ** k).runs
+        # runs and piece are both reduced, so they cancel only at the seam
+        while runs and piece and runs[-1][0] == piece[0][0]:
+            (h, a), b, piece = runs.pop(), piece[0][1], piece[1:]
+            if a + b:
+                runs.append((h, a + b))
+                break
+        runs.extend(piece)
     conj = BIG_B ** (m - d)
-    return conj * Word(tuple(runs)) * conj.inv()
+    return conj * _from_reduced(tuple(runs)) * conj.inv()
 
 
 @dataclass(frozen=True)
@@ -134,38 +161,27 @@ def gmap(w: Word) -> KleinElt:
     return KleinElt(m, n)
 
 
-def _lsigma_u_run(r: int) -> BraidElt:
-    return BraidElt((BIG_B * U.inv()) ** r * BIG_B ** (-r), KleinElt(r, 0))
-
-
-def _lsigma_v_run(s: int) -> BraidElt:
-    return BraidElt((U * V) ** (-s) * (U * BIG_B) ** delta(s), KleinElt(0, s))
-
-
 def lsigma(a: BraidElt) -> BraidElt:
-    """Conjugation by σ, computed run by run through the table above.
+    """Conjugation by σ: the image of a under LSIGMA_IMAGES.
 
-    A word of more than MAX_LSIGMA_LETTERS letters raises ValueError
-    before the first product."""
+    A word of more than MAX_LSIGMA_LETTERS letters, or a twist with |m|
+    over MAX_TWIST, raises ValueError before the first product."""
     letters = a.word.letter_length()
     if letters > MAX_LSIGMA_LETTERS:
         raise ValueError(
             f"lsigma of a word of {letters} letters exceeds the budget of "
             f"{MAX_LSIGMA_LETTERS} letters"
         )
-    out = B_IDENTITY
-    for g, k in a.word.runs:
-        out = out * (_lsigma_u_run(k) if g == "u" else _lsigma_v_run(k))
-    out = out * BraidElt(ONE, KleinElt(a.twist.m, 0))
-    out = out * BraidElt(BIG_B ** delta(a.twist.n), KleinElt(0, a.twist.n))
-    return out
+    if abs(a.twist.m) > MAX_TWIST:
+        raise ValueError(f"twist m = {a.twist.m} exceeds the budget |m| <= {MAX_TWIST} of theta")
+    return apply_images(LSIGMA_IMAGES, a)
 
 
 def rho(w: Word) -> Word:
     """Word coordinate of lsigma((w; 0, 0)).
 
     The twist coordinate of that image must equal gmap(w); a mismatch
-    means the run tables and the projection disagree, so it is fatal.
+    means LSIGMA_IMAGES and gmap disagree, so it is fatal.
     """
     full = lsigma(BraidElt(w, K_IDENTITY))
     if full.twist != gmap(w):
@@ -175,9 +191,15 @@ def rho(w: Word) -> Word:
     return full.word
 
 
-# the generators u, v, x, y and their images under H and H^-1
+# the generators u, v, x, y and their images under lsigma, H and H^-1
 _X, _Y = BraidElt(ONE, KleinElt(1, 0)), BraidElt(ONE, KleinElt(0, 1))
 _GENERATORS = (BraidElt(U), BraidElt(V), _X, _Y)
+LSIGMA_IMAGES = (
+    BraidElt(BIG_B * U.inv() * BIG_B.inv(), KleinElt(1, 0)),
+    BraidElt(V.inv() * BIG_B, KleinElt(0, 1)),
+    _X,
+    BraidElt(BIG_B, KleinElt(0, 1)),
+)
 H_IMAGES = (
     BraidElt(U),
     BraidElt(V * U.inv()),
@@ -198,22 +220,27 @@ def apply_images(images: tuple[BraidElt, ...], a: BraidElt) -> BraidElt:
     return out * img_x ** a.twist.m * img_y ** a.twist.n
 
 
-def check_h() -> None:
-    """Check H and H^-1 exactly on the generators; raise if any check fails.
+def _relation_failures(name: str, images: tuple[BraidElt, ...]) -> list[str]:
+    """The defining relations y x y^-1 = x^-1 and t g t^-1 = theta(t)(g)
+    (t in {x, y}, g in {u, v}) that the images of (u, v, x, y) break.
 
-    Respecting the defining relations makes both endomorphisms (von Dyck),
-    so identities between them that hold on the generators hold everywhere.
-    """
+    Images that break none define an endomorphism (von Dyck), so identities
+    between such maps that hold on the generators hold everywhere."""
     fails = []
-    for name, images in (("H", H_IMAGES), ("H^-1", H_INV_IMAGES)):
-        img_x, img_y = images[2:]
-        if img_y * img_x * img_y.inv() != img_x.inv():
-            fails.append(f"{name} breaks y x y^-1 = x^-1")
-        for t, img_t in zip(_GENERATORS[2:], images[2:]):
-            for g, img_g in zip(_GENERATORS[:2], images[:2]):
-                theta_g = apply_images(images, BraidElt(theta(t.twist, g.word)))
-                if img_t * img_g * img_t.inv() != theta_g:
-                    fails.append(f"{name} breaks t g t^-1 = theta(t)(g) at t = {t}, g = {g}")
+    img_x, img_y = images[2:]
+    if img_y * img_x * img_y.inv() != img_x.inv():
+        fails.append(f"{name} breaks y x y^-1 = x^-1")
+    for t, img_t in zip(_GENERATORS[2:], images[2:]):
+        for g, img_g in zip(_GENERATORS[:2], images[:2]):
+            theta_g = apply_images(images, BraidElt(theta(t.twist, g.word)))
+            if img_t * img_g * img_t.inv() != theta_g:
+                fails.append(f"{name} breaks t g t^-1 = theta(t)(g) at t = {t}, g = {g}")
+    return fails
+
+
+def check_h() -> None:
+    """Check H and H^-1 exactly on the generators; raise if any check fails."""
+    fails = _relation_failures("H", H_IMAGES) + _relation_failures("H^-1", H_INV_IMAGES)
     for g in _GENERATORS:
         h_g = apply_images(H_IMAGES, g)
         for law, ok in (

@@ -169,7 +169,7 @@ def suite_tilde() -> list[SuiteCheck]:
         ("Q", word_q, tilde_q, pairs),
     ):
         fails += [(name, *args) for args in grid if project(word(*args)) != tilde(*args)]
-    _check(out, "project(word family) equals closed form, params in [-4,4]", fails)
+    _check(out, "project(word family) equals progression boxes, params in [-4,4]", fails)
 
     fails = []
     for _ in range(200):

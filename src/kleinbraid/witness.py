@@ -93,8 +93,8 @@ MAX_COORD = 100
 MAX_PAIRS = 1_000_000
 # Budget of build_witness, on the representative's r1, r2 and s1 (its s2 is
 # 0 or 1).  The pair's words grow linearly in each, and checking them takes
-# quadratic time: type 4 with (r1, r2) = (200, 1) took 0.80 s and (300, 1)
-# 1.9 s, type 1 with i = 1 and s1 = 200 0.04 s (same host).
+# quadratic time: type 4 with (r1, r2) = (200, 1) took 0.85 s and (300, 1)
+# 2.1 s, type 1 with i = 1 and s1 = 200 0.05 s (medians of three, same host).
 # Type 4 with s2 odd and r1, s1 both nonzero has words of about 4·|r1·s1|
 # letters, which the budget of lsigma refuses once the pair is built.
 MAX_WITNESS_PARAM = 200
@@ -284,6 +284,15 @@ def _candidate_b_twists(
     return [KleinElt(m2, n2)]
 
 
+def _total_size(pair: tuple[BraidElt, BraidElt]) -> tuple[int, str, str]:
+    """Letters plus twist coordinates of both braids, ties broken by text."""
+    a, b = pair
+    size = sum(
+        x.word.letter_length() + abs(x.twist.m) + abs(x.twist.n) for x in pair
+    )
+    return size, str(a), str(b)
+
+
 def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> SearchResult:
     """Scan all pairs within bounds for a verified witness.
 
@@ -307,14 +316,15 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
 
     so w_ls = rho(w_a) · theta(gmap(w_a))(w_L) with (w_L; ·) = lsigma((1; t_a)).
     rho(w_a) is cached beside the word buckets, across searches; every
-    a-word of a bucket shares gmap(w_a), the bucket key, so the second
-    factor is computed once per a-bucket in a search, and each a-word costs
-    one word product.  The images theta(t_a)(w_b) are cached for the whole
-    search, and the tail theta(t_a·t_b)(w_ls) is computed once per
-    (w_a, t_b), only when some group passes.  examined counts every pair of
-    the bounded space the scan decides, filtered or not.  The returned pair
-    is the deterministic minimum by total size, re-verified on the braid
-    engine by verify_pair.
+    a-word of a bucket shares gmap(w_a), the bucket key, and the scan runs
+    a-bucket by a-bucket, so the loop order alone computes the second
+    factor once per a-bucket, and w_ls and its abelian image once per
+    a-word, at one word product each.  The images theta(t_a)(w_b) are
+    cached for the whole search, and the tail theta(t_a·t_b)(w_ls) is
+    computed once per (w_a, t_b), only when some group passes.  examined
+    counts every pair of the bounded space the scan decides, filtered or
+    not.  The returned pair is the deterministic minimum by total size,
+    re-verified on the braid engine by verify_pair.
     """
     img10, img01 = cls.images()
     if abs(img10.m) > bounds.coord or abs(img10.n) > bounds.coord:
@@ -323,14 +333,14 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     a2 = -2 * t_a.n
     buckets, rhos = _words_by_gmap(bounds.word_len)
     sizes = {key: sum(len(ws) for _, ws in groups) for key, groups in buckets.items()}
-    # every (b-bucket, t_b) with the a-bucket that condition (i) forces on it
-    plan = []
+    # per a-bucket, every (t_b, b-bucket) whose pairs condition (i) sends to it
+    plan: dict[int, list[tuple[KleinElt, tuple]]] = {}
     examined = 0
     for (b1, b2), b_groups in buckets.items():
         for t_b in _candidate_b_twists(b1, b2, img01, bounds.coord):
             a1, _ = forced_word_exponents(BraidElt(ONE, t_a), BraidElt(ONE, t_b))
             if (a1, a2) in buckets:
-                plan.append((a1, t_b, b_groups))
+                plan.setdefault(a1, []).append((t_b, b_groups))
                 examined += sizes[a1, a2] * sizes[b1, b2]
     if examined > MAX_PAIRS:
         raise ValueError(
@@ -338,56 +348,34 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
             f"{MAX_PAIRS} at word_len={bounds.word_len}, coord={bounds.coord}"
         )
     w_l = lsigma(BraidElt(ONE, t_a)).word
-    # per a-bucket: theta(gmap(w_a))(w_L); per w_a: the word of lsigma(a),
-    # and the abelian images of a and lsigma(a)
-    factors: dict[int, Word] = {}
-    a_side: dict[Word, tuple[Word, tuple[int, int, int, int], tuple[int, int, int, int]]] = {}
     twisted: dict[Word, Word] = {}  # theta(t_a)(w_b)
-    found: list[tuple[tuple, BraidElt, BraidElt]] = []
-    for a1, t_b, b_groups in plan:
-        t_ab = t_a * t_b
+    found: list[tuple[BraidElt, BraidElt]] = []
+    for a1, b_sides in plan.items():
+        g_a = KleinElt(a1, a2)
+        factor = theta(g_a, w_l)
         for (pu_a, pv_a), a_words in buckets[a1, a2]:
+            a_ab = (pu_a, pv_a, t_a.m, t_a.n)
             for w_a in a_words:
-                cached = a_side.get(w_a)
-                if cached is None:
-                    factor = factors.get(a1)
-                    if factor is None:
-                        factor = factors[a1] = theta(KleinElt(a1, a2), w_l)
-                    r = rhos.get(w_a)
-                    if r is None:
-                        r = rhos[w_a] = rho(w_a)
-                    w_ls = r * factor
-                    cached = a_side[w_a] = (
-                        w_ls,
-                        (pu_a, pv_a, t_a.m, t_a.n),
-                        _ab_image(w_ls, KleinElt(a1, a2) * t_a),
-                    )
-                w_ls, a_ab, ls_ab = cached
-                tail = None
-                for (pu, pv), b_words in b_groups:
-                    b_ab = (pu, pv, t_b.m, t_b.n)
-                    if _ab_mul(_ab_mul(a_ab, b_ab), ls_ab) != b_ab:
-                        continue
-                    if tail is None:
-                        tail = theta(t_ab, w_ls)
-                    for w_b in b_words:
-                        img = twisted.get(w_b)
-                        if img is None:
-                            img = twisted[w_b] = theta(t_a, w_b)
-                        if w_a * img * tail == w_b:
-                            a, b = BraidElt(w_a, t_a), BraidElt(w_b, t_b)
-                            key = (
-                                w_a.letter_length()
-                                + w_b.letter_length()
-                                + abs(t_a.m)
-                                + abs(t_a.n)
-                                + abs(t_b.m)
-                                + abs(t_b.n),
-                                str(a),
-                                str(b),
-                            )
-                            found.append((key, a, b))
+                r = rhos.get(w_a)
+                if r is None:
+                    r = rhos[w_a] = rho(w_a)
+                w_ls = r * factor
+                ls_ab = _ab_image(w_ls, g_a * t_a)
+                for t_b, b_groups in b_sides:
+                    tail = None
+                    for (pu, pv), b_words in b_groups:
+                        b_ab = (pu, pv, t_b.m, t_b.n)
+                        if _ab_mul(_ab_mul(a_ab, b_ab), ls_ab) != b_ab:
+                            continue
+                        if tail is None:
+                            tail = theta(t_a * t_b, w_ls)
+                        for w_b in b_words:
+                            img = twisted.get(w_b)
+                            if img is None:
+                                img = twisted[w_b] = theta(t_a, w_b)
+                            if w_a * img * tail == w_b:
+                                found.append((BraidElt(w_a, t_a), BraidElt(w_b, t_b)))
     if not found:
         return SearchResult(None, examined, bounds)
-    _, a, b = min(found, key=lambda item: item[0])
+    a, b = min(found, key=_total_size)
     return SearchResult(verify_pair(a, b, cls, source="searched"), examined, bounds)

@@ -14,7 +14,8 @@ needs no cancellation at all (Lyndon-Schupp, *Combinatorial Group Theory*,
 I.2).  They wrap their runs with the private ``_from_reduced``, which skips
 the reduction; no public constructor does.  parse_word builds each term
 reduced and joins it to the runs collected so far at the seam only, so it
-too wraps its result with ``_from_reduced``.
+too wraps its result with ``_from_reduced``; so does ``braid.theta``, which
+joins the images of the runs of a word the same way.
 
 ``B`` abbreviates the fixed word u v u v^-1.  Input text may use it as
 shorthand (with an optional exponent); canonical output never emits it.

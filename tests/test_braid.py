@@ -1,9 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given
 
 from kleinbraid import braid
 from kleinbraid.braid import (
     B_IDENTITY,
+    LSIGMA_IMAGES,
     MAX_LSIGMA_LETTERS,
     MAX_TWIST,
     SIGMA_SQ,
@@ -107,6 +110,53 @@ def test_lsigma_factors_through_rho(w, t):
     assert full.word == rho(w) * theta(gmap(w), tail.word)
 
 
+GENERATORS = braid._GENERATORS
+
+
+def lsigma_generator_failures():
+    """The exact checks of LSIGMA_IMAGES on the generators u, v, x, y.
+
+    Images that respect the defining relations define an endomorphism (von
+    Dyck), so lsigma∘lsigma and conjugation by SIGMA_SQ, both
+    endomorphisms, agree everywhere once they agree on the generators; that
+    makes lsigma an automorphism, on every braid and not only on samples."""
+    images = braid.LSIGMA_IMAGES
+    fails = braid._relation_failures("lsigma", images)
+    for g in GENERATORS:
+        if lsigma(lsigma(g)) != SIGMA_SQ * g * SIGMA_SQ.inv():
+            fails.append(f"lsigma∘lsigma = conjugation by SIGMA_SQ fails at {g}")
+    for g, img in zip(GENERATORS[:2], images[:2]):
+        if img.twist != gmap(g.word):
+            fails.append(f"twist of lsigma({g}) is {img.twist}, not gmap = {gmap(g.word)}")
+    return fails
+
+
+def test_lsigma_generator_check():
+    assert lsigma_generator_failures() == []
+
+
+_u = BraidElt(U)
+
+# (images of u, v, x, y, a check that must report them broken)
+WRONG_LSIGMA_IMAGES = [
+    # y ↦ y breaks the twisting relations of y
+    (LSIGMA_IMAGES[:3] + (GENERATORS[3],), r"breaks t g t\^-1 = theta\(t\)\(g\) at t = \(1 ; 0, 1\)"),
+    # x ↦ (v; 1, 0) breaks the relation between x and y
+    (LSIGMA_IMAGES[:2] + (BraidElt(V, KleinElt(1, 0)),) + LSIGMA_IMAGES[3:], r"breaks y x y\^-1 = x\^-1"),
+    # lsigma followed by conjugation by u: an automorphism, but its square
+    # is not conjugation by SIGMA_SQ
+    (tuple(_u * g * _u.inv() for g in LSIGMA_IMAGES), r"lsigma∘lsigma = conjugation by SIGMA_SQ fails"),
+    # the identity: an automorphism off the twists gmap gives
+    (GENERATORS, r"twist of lsigma\(\(u ; 0, 0\)\) is \(0,0\)"),
+]
+
+
+@pytest.mark.parametrize("images, law", WRONG_LSIGMA_IMAGES)
+def test_wrong_lsigma_image_is_caught(monkeypatch, images, law):
+    monkeypatch.setattr(braid, "LSIGMA_IMAGES", images)
+    assert any(re.search(law, fail) for fail in lsigma_generator_failures())
+
+
 def test_gmap_examples():
     assert gmap(BIG_B) == K_IDENTITY
     assert gmap(ONE) == K_IDENTITY
@@ -142,6 +192,45 @@ def test_cli_rejects_twist_over_budget(capsys, monkeypatch):
     assert out == "" and "budget" in err
 
 
+def test_theta_v_run_budget(monkeypatch):
+    # φ(v)^k has 2k runs under theta(1, 0) (v u^-2), 2k + 1 under
+    # theta(0, 1) (u v u), and 3 under theta(1, 1) (u v u^-1); the budget
+    # counts them reduced, so images of up to MAX_RUNS runs are written
+    monkeypatch.setattr(braid, "MAX_RUNS", 30)
+    for t, k in ((KleinElt(1, 0), 15), (KleinElt(0, 1), 14), (KleinElt(1, 1), 10**6)):
+        for w in (V ** k, V ** -k):
+            assert theta(t, w) == theta(t, V) ** (w.runs[0][1])
+    for t, k in ((KleinElt(1, 0), 16), (KleinElt(0, 1), 15)):
+        for w in (V ** k, V ** -k, U * V ** k, V ** 2 * U * V ** -k):
+            with pytest.raises(ValueError, match="budget of 30 runs"):
+                theta(t, w)
+    # (v u^-1)^10 under theta(1, 1) is (u v)^10, 20 runs, though its pieces
+    # u v u^-1 and u would make 40 runs unjoined
+    w = (V * U.inv()) ** 10
+    assert len(w.runs) == 20 and theta(KleinElt(1, 1), w) == theta(KleinElt(1, 1), V * U.inv()) ** 10
+
+
+def test_cli_rejects_v_run_over_budget(capsys, monkeypatch):
+    # φ(v^1000000) under theta(0, 1) would have 2,000,001 runs; under
+    # theta(1, 1) it is u v^1000000 u^-1
+    assert main(["braid-eval", "(1;1,1) (v^1000000;0,0)"]) == 0
+    assert capsys.readouterr().out == "(u v^1000000 u^-1 ; 1, 1)\n"
+    power = Word.__pow__
+
+    def small_power(self, n):
+        assert abs(n) < 1000, "a power of the image of v was built"
+        return power(self, n)
+
+    def no_word(runs):
+        raise AssertionError("the image of the word was built")
+
+    monkeypatch.setattr(Word, "__pow__", small_power)
+    monkeypatch.setattr(braid, "_from_reduced", no_word)
+    assert main(["braid-eval", "(1;0,1) (v^1000000;0,0)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"budget of {braid.MAX_RUNS} runs" in err
+
+
 def _no_products(monkeypatch):
     def no_product(self, other):
         raise AssertionError("a braid product was built")
@@ -161,6 +250,15 @@ def test_lsigma_letter_budget(monkeypatch):
     monkeypatch.setattr(braid, "MAX_LSIGMA_LETTERS", 3)
     with pytest.raises(ValueError, match="word of 4 letters"):
         rho(BIG_B)
+
+
+def test_lsigma_twist_budget(monkeypatch):
+    # the error names the given m, not a power of the image of x on the way
+    assert lsigma(BraidElt(ONE, KleinElt(MAX_TWIST, 1))).twist == KleinElt(MAX_TWIST, 1)
+    _no_products(monkeypatch)
+    for m in (MAX_TWIST + 1, -3000000):
+        with pytest.raises(ValueError, match=f"twist m = {m} exceeds the budget"):
+            lsigma(BraidElt(U, KleinElt(m, 0)))
 
 
 def test_cli_rejects_lsigma_over_budget(capsys, monkeypatch):

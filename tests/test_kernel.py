@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kleinbraid import kernel
 from kleinbraid.braid import gmap, rho, theta
+from kleinbraid.cli import main
 from kleinbraid.kernel import (
     BOXES,
+    MAX_DEPOSITS,
     KernelVector,
     _from_boxes,
     boxes_t,
@@ -294,3 +297,23 @@ def test_vector_results_stay_zero_free(a, b, pairs, scalar):
     assert x - x == 0 * x == KernelVector()
     assert x + y - y == x
     assert -(-x) == x
+
+
+def test_project_deposit_budget(monkeypatch):
+    # v^-2 at coset (3, 2) deposits 2·3 coefficients
+    monkeypatch.setattr(kernel, "MAX_DEPOSITS", 6)
+    assert project(word_o(1, 3)) == tilde_o(1, 3)
+    for w in (word_o(1, 4), word_o(1, -4), word_o(1, 3) * word_o(1, 1)):
+        with pytest.raises(ValueError, match="budget of 6 coefficients"):
+            project(w)
+
+
+def test_cli_rejects_deposits_over_budget(capsys, monkeypatch):
+    # one exponent would deposit 2,000,000 coefficients from four parsed runs
+    def no_vector(coeffs):
+        raise AssertionError("the projection was built")
+
+    monkeypatch.setattr(kernel, "_vector", no_vector)
+    assert main(["kernel-project", "v^2 u^1000000 v^-2 u^-1000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"budget of {MAX_DEPOSITS} coefficients" in err
