@@ -35,6 +35,14 @@ themselves (Functional.on_atoms): each family's support is a few
 arithmetic-progression boxes, and summing a periodic table over a box
 needs only the residue counts of its two progressions over one period,
 so f(C(m, n)) costs the same however large the family arguments are.
+
+The sweep does at each (m, n) only the work that changes there: it builds
+the master equation and the functional and applies the functional to the
+atoms, where most boxes stay in one residue class in both directions and
+read one table entry.  A pulled-back table is computed once per residue
+key of a sweep and shared by the points that have that key: the key is
+the functional's table and the operator's term tables with their offsets
+reduced mod the period, which is all a pullback reads of them.
 """
 from __future__ import annotations
 
@@ -95,15 +103,23 @@ class Functional:
 
         c(p, q) moves a box to the box at (k0 + p, l0 + ε(k0)·q), and the
         value of f on a box is Σ count_k(a)·count_l(b)·table[a][b] over the
-        residues a, b of its two progressions."""
+        residues a, b of its two progressions.  Most boxes have a cycle of
+        one residue in both directions (one row or column, or a step that
+        is a whole number of periods, as dk = 2 is for pk = 2), and such a
+        box is nk·nl times one table entry."""
         table, mod = self.table, self.mod
         pk, pl = self.period
         total = 0
         for coef, p, q, family, args in atoms:
             for c, k0, dk, l0, dl, nk, nl in BOXES[family](*args):
-                cols = _residue_counts(l0 - q if k0 & 1 else l0 + q, dl, nl, pl)
+                k = k0 + p
+                l = l0 - q if k0 & 1 else l0 + q
+                if (nk == 1 or dk % pk == 0) and (nl == 1 or dl % pl == 0):
+                    total += coef * c * nk * nl * table[k % pk][l % pl]
+                    continue
+                cols = _residue_counts(l, dl, nl, pl)
                 box = 0
-                for a, x in _residue_counts(k0 + p, dk, nk, pk):
+                for a, x in _residue_counts(k, dk, nk, pk):
                     row = table[a]
                     for b, y in cols:
                         box += x * y * row[b]
@@ -135,11 +151,33 @@ def _residue_counts(start: int, step: int, count: int, period: int) -> List[Tupl
     """(residue, multiplicity) of start + step·i mod period over i < count.
     The residues repeat with cycle period / gcd(step, period) and are
     distinct within one cycle, so one cycle gives all of them."""
-    if count == 1:  # the one row or column of most boxes
-        return [(start % period, 1)]
     cycle = period // gcd(step, period)
     full, rest = divmod(count, cycle)
     return [((start + step * i) % period, full + (i < rest)) for i in range(min(count, cycle))]
+
+
+def _pullback_once(cache: dict, f: Functional, op: KernelOperator) -> Functional:
+    """f.pullback(op), computed once per residue key and kept in cache.
+
+    The pullback reads an entry (a, p, b, q): c of op only through
+    p mod pk and q mod pl, so the key is f's (table, mod) and op's tables
+    with both offsets reduced.  Entries that meet after the reduction add
+    their coefficients: e(k, l) ↦ e(k, l) + e(k + 2, l) pulls back to
+    twice what e(k, l) ↦ e(k, l) does at pk = 2.  A key is order-sensitive,
+    so two orders of one table only cost a second pullback."""
+    pk, pl = f.period
+    reduced = []
+    for terms in op.terms:
+        merged: dict = {}
+        for (a, p, b, q), c in terms.items():
+            entry = (a, p % pk, b, q % pl)
+            merged[entry] = merged.get(entry, 0) + c
+        reduced.append(tuple(merged.items()))
+    key = (f.table, f.mod, *reduced)
+    pulled = cache.get(key)
+    if pulled is None:
+        pulled = cache[key] = f.pullback(op)
+    return pulled
 
 
 def _tabulate(
@@ -404,12 +442,14 @@ def xi_row(s: int, n: int) -> Functional:
 # certificate driver
 
 # Budget of check_certificate, in pulled-back table entries.  Each (m, n)
-# point pulls back two tables of lcm(2, pk)·pl entries, about 4 µs an entry,
-# and spends about 0.14 ms, counted as 40 entries, on the rest.  At period
-# (2, 2) mn = 40 took 0.88 s and mn = 100 5.6 s; certify --type 3 --s1 10000
-# took 28.5 s (Python 3.11 on a 2-CPU host).  The budget admits mn <= 45
-# there and about 1.5 s of sweep; _tabulate refuses a table over half of it,
-# since every point pulls back two tables at least as large.
+# point pulls back two tables of lcm(2, pk)·pl entries, about 2 µs an entry,
+# unless an earlier point had its residue key, and spends about 0.08 ms,
+# counted as 40 entries, on the rest.  At period (2, 2) mn = 40 took 0.52 s
+# and mn = 45, the most the budget admits there, 0.61 s; at mn = 4, type 3
+# with s1 = 612 (period (2448, 1), just within the budget) took 0.39 s
+# (medians of three, Python 3.11 on a shared 2-CPU host).  _tabulate
+# refuses a table over half the budget, since a sweep pulls back at least
+# two tables at least as large.
 MAX_SWEEP_ENTRIES = 400_000
 
 
@@ -468,15 +508,18 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
 
     For every (m, n) with |m|, |n| <= mn, the family's functional must
     kill both linear operators on every basis vector e(k, l) and take a
-    nonzero value on the constant part.  The functional is pulled back
-    through Ax and Ay once per (m, n), and a pulled-back table holds f∘A
-    on every (k, l), so the linear part is decided for all (k, l) from the
-    whole table.  The coordinate window only bounds which failures are
-    listed: the nonzero entries with |k|, |l| <= window, or, when none
-    falls inside it, the nonzero entries of the table's period box.  The
-    constant is evaluated from its atoms, so the sweep builds no vector.
-    A sweep over MAX_SWEEP_ENTRIES, counted from mn and the functional's
-    period, raises ValueError before it starts.
+    nonzero value on the constant part.  Each (m, n) builds its master
+    equation and functional and evaluates the constant; the pullbacks of
+    the functional through Ax and Ay are computed once per residue key
+    (_pullback_once) and reused at every point with that key.  A
+    pulled-back table holds f∘A on every (k, l), so the linear part is
+    decided for all (k, l) from the whole table.  The coordinate window
+    only bounds which failures are listed: the nonzero entries with
+    |k|, |l| <= window, or, when none falls inside it, the nonzero entries
+    of the table's period box.  The constant is evaluated from its atoms,
+    so the sweep builds no vector.  A sweep over MAX_SWEEP_ENTRIES,
+    counted from mn and the functional's period, raises ValueError before
+    it starts.
     """
     if window < 0 or mn < 0:
         raise ValueError(f"windows must be non-negative, got window={window}, mn={mn}")
@@ -497,12 +540,13 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     failures: list[Tuple[int, int, str, int, int]] = []
     linear_ok = constant_ok = True
     coords = range(-window, window + 1)
+    pulled_by_key: dict = {}
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
             eq = build_master(params_at(m, n))
             f = functional_at(m, n)
             for name, op in (("Ax", eq.ax), ("Ay", eq.ay)):
-                pulled = f.pullback(op)
+                pulled = _pullback_once(pulled_by_key, f, op)
                 if not any(map(any, pulled.table)):
                     continue
                 linear_ok = False

@@ -263,13 +263,15 @@ ID = KernelOperator([(1, 1, 0, 1, 0)], [(1, 1, 0, 1, 0)])
 RHO = KernelOperator([(1, -1, 0, -1, 0)], [(-1, -1, 0, 1, 0)])
 
 
+# c_operator and theta_operator have one term per parity, with coefficient
+# and slopes ±1, so their tables are written directly: nothing to merge or check
 def c_operator(p: int, q: int) -> KernelOperator:
-    return KernelOperator([(1, 1, p, 1, q)], [(1, 1, p, 1, -q)])
+    return _operator({(1, p, 1, q): 1}, {(1, p, 1, -q): 1})
 
 
 def theta_operator(m: int, n: int) -> KernelOperator:
     e = eps(n)
-    return KernelOperator([(e, 1, 0, e, 0)], [(e, 1, 0, e, -2 * m)])
+    return _operator({(1, 0, e, 0): e}, {(1, 0, e, -2 * m): e})
 
 
 def theta_ab(t: KleinElt, vec: KernelVector) -> KernelVector:

@@ -28,9 +28,10 @@ so a candidate pair costs two word products and one comparison at most.
 lsigma(a) is not computed per a-word: it is rho(w_a), cached beside the
 word buckets across searches and evicted with them, times a factor that
 depends on the a-bucket only, computed once per a-bucket in a search.
-SearchBounds caps word_len and coord (MAX_WORD_LEN, MAX_COORD), and
-search_witness counts the candidate pairs from the bucket sizes before it
-scans, refusing more than MAX_PAIRS, so an oversized search fails at once
+SearchBounds caps word_len and coord (MAX_WORD_LEN, MAX_COORD).
+search_witness counts the candidate pairs from the bucket sizes, which
+_bucket_sizes counts without building a word, and refuses more than
+MAX_PAIRS before it builds any, so an oversized search fails at once
 instead of running for minutes.
 """
 
@@ -223,6 +224,29 @@ def _short_words(max_len: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
+def _bucket_sizes(max_len: int) -> dict[tuple[int, int], int]:
+    """The number of words in each gmap bucket of _words_by_gmap(max_len),
+    counted without building a word: reduced words extend letter by letter,
+    so a count per (last letter, gmap of the word so far) carries over to
+    one more letter, as in a transfer-matrix count."""
+    sizes = {(0, 0): 1}
+    ends: dict[tuple[tuple[str, int], int, int], int] = {(("", 0), 0, 0): 1}
+    for _ in range(max_len):
+        longer: dict[tuple[tuple[str, int], int, int], int] = {}
+        for (last, m, n), count in ends.items():
+            for g in ("u", "v"):
+                for e in (1, -1):
+                    if (g, -e) == last:
+                        continue
+                    key = ((g, e), m + eps(n) * e, n) if g == "u" else ((g, e), m, n + e)
+                    longer[key] = longer.get(key, 0) + count
+        for (_, m, n), count in longer.items():
+            sizes[m, n] = sizes.get((m, n), 0) + count
+        ends = longer
+    return sizes
+
+
 _Buckets = dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[Word, ...]], ...]]
 
 
@@ -302,7 +326,7 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     pins b's twist t_b given its word's gmap, and the exponents forced by
     condition (i) select a's word bucket, so the scan is exhaustive over the
     bounded space.  The number of pairs follows from the bucket sizes
-    before the scan starts; a search of more than MAX_PAIRS pairs raises
+    before any word is built; a search of more than MAX_PAIRS pairs raises
     ValueError instead of running.
 
     For each (w_a, t_b) the abelianised relation runs once per
@@ -331,26 +355,27 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
         return SearchResult(None, 0, bounds)
     t_a = img10
     a2 = -2 * t_a.n
-    buckets, rhos = _words_by_gmap(bounds.word_len)
-    sizes = {key: sum(len(ws) for _, ws in groups) for key, groups in buckets.items()}
+    sizes = _bucket_sizes(bounds.word_len)
     # per a-bucket, every (t_b, b-bucket) whose pairs condition (i) sends to it
-    plan: dict[int, list[tuple[KleinElt, tuple]]] = {}
+    plan: dict[int, list[tuple[KleinElt, tuple[int, int]]]] = {}
     examined = 0
-    for (b1, b2), b_groups in buckets.items():
+    for (b1, b2), b_size in sizes.items():
         for t_b in _candidate_b_twists(b1, b2, img01, bounds.coord):
             a1, _ = forced_word_exponents(BraidElt(ONE, t_a), BraidElt(ONE, t_b))
-            if (a1, a2) in buckets:
-                plan.setdefault(a1, []).append((t_b, b_groups))
-                examined += sizes[a1, a2] * sizes[b1, b2]
+            if (a1, a2) in sizes:
+                plan.setdefault(a1, []).append((t_b, (b1, b2)))
+                examined += sizes[a1, a2] * b_size
     if examined > MAX_PAIRS:
         raise ValueError(
             f"search of {examined} candidate pairs exceeds the budget of "
             f"{MAX_PAIRS} at word_len={bounds.word_len}, coord={bounds.coord}"
         )
+    buckets, rhos = _words_by_gmap(bounds.word_len)
     w_l = lsigma(BraidElt(ONE, t_a)).word
     twisted: dict[Word, Word] = {}  # theta(t_a)(w_b)
     found: list[tuple[BraidElt, BraidElt]] = []
-    for a1, b_sides in plan.items():
+    for a1, sides in plan.items():
+        b_sides = [(t_b, buckets[b_key]) for t_b, b_key in sides]
         g_a = KleinElt(a1, a2)
         factor = theta(g_a, w_l)
         for (pu_a, pv_a), a_words in buckets[a1, a2]:

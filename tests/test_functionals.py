@@ -23,6 +23,7 @@ from kleinbraid.certificate import (
     CertificateReport,
     Functional,
     MasterParams,
+    _pullback_once,
     build_master,
     check_certificate,
     xi_column,
@@ -36,12 +37,18 @@ from kleinbraid.kernel import (
     BOXES,
     ID,
     RHO,
+    KernelOperator,
     KernelVector,
     c_ab,
     c_operator,
     expand,
     project,
     theta_operator,
+    tilde_i,
+    tilde_j,
+    tilde_o,
+    tilde_q,
+    tilde_t,
     word_i,
     word_j,
     word_o,
@@ -213,6 +220,25 @@ def test_pullback_composes():
             assert twice.value(k, l) == once.value(k, l)
 
 
+def test_pullback_once_merges_terms_that_meet_after_reduction():
+    # at period (2, 1), e(k, l) ↦ e(k, l) + e(k + 2, l) reduces to one
+    # entry of coefficient 2, not to the one-term identity
+    one = KernelOperator([(1, 1, 0, 1, 0)], [(1, 1, 0, 1, 0)])
+    two = KernelOperator([(1, 1, 0, 1, 0), (1, 1, 2, 1, 0)], [(1, 1, 0, 1, 0), (1, 1, 2, 1, 0)])
+    for f in (xi_parity(0), xi_count(0)):
+        assert f.pullback(one) != f.pullback(two)
+        for order in ((one, two), (two, one)):
+            cache = {}
+            for op in order:
+                assert _pullback_once(cache, f, op) == f.pullback(op)
+            assert len(cache) == 2
+        # offsets a whole period apart share one key
+        cache = {}
+        for op in (ID, c_operator(2, 5), c_operator(-4, -1)):
+            assert _pullback_once(cache, f, op) == f.pullback(op)
+        assert len(cache) == 1
+
+
 # ---------------------------------------------------------------------------
 # the constant's atoms against the projections of the family words
 
@@ -239,6 +265,38 @@ def test_atom_equals_reference_vector(family, data, f, coef, p, q):
     args = data.draw(FAMILY_ARGS[family], label="args")
     want = f(coef * c_ab(p, q, project(WORDS[family](*args))))
     assert f.on_atoms([(coef, p, q, family, args)]) == want
+
+
+# family name -> its projection, materialised from its boxes
+TILDE = {
+    "unit": KernelVector.unit, "t": tilde_t, "i": tilde_i, "o": tilde_o, "j": tilde_j, "q": tilde_q
+}
+
+
+def test_atoms_on_both_sides_of_the_single_residue_rule():
+    # a box whose two progressions each stay in one residue class is read
+    # as one table entry; period (4, 1) with dk = ±2 and nk > 1 visits two
+    # residues of k, and period (2, 4) two to four residues of l
+    fs = [
+        Functional(((1,), (2,), (0,), (-1,)), 0),
+        xi_count(1),
+        xi_column(2, 0, 1, 0),
+        Functional(((0, 1, 2, -1), (3, 0, -2, 1)), 0),
+    ]
+    args = {"unit": [(3, -2)], "t": [(5, 0), (-4, 1), (1, 1)], "i": [(1,), (5,), (-6,)]}
+    pairs = [(1, 1), (3, -2), (-4, 5), (0, 7), (2, 0), (-1, 1)]
+    args.update({family: pairs for family in ("o", "j", "q")})
+    sides = set()
+    for f in fs:
+        pk, pl = f.period
+        for family, family_args in args.items():
+            for a in family_args:
+                for coef, p, q in ((1, 0, 0), (-2, 3, 1), (3, -5, -2)):
+                    for _, _, dk, _, dl, nk, nl in BOXES[family](*a):
+                        sides.add((nk == 1 or dk % pk == 0) and (nl == 1 or dl % pl == 0))
+                    want = f(coef * c_ab(p, q, TILDE[family](*a)))
+                    assert f.on_atoms([(coef, p, q, family, a)]) == want, (f, family, a, p, q)
+    assert sides == {True, False}
 
 
 master_params = st.builds(

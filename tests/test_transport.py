@@ -64,3 +64,29 @@ def test_wrong_generator_image_is_caught(monkeypatch, images, inv_images, law):
         check_h()
     with pytest.raises(RuntimeError, match="internal consistency failure"):
         check_certificate(HomClass(2, i=1, s1=0, s2=0))
+
+
+def test_generator_check_runs_once_per_image_set(monkeypatch):
+    calls = []
+    relation_failures = braid._relation_failures
+
+    def counted(name, images):
+        calls.append(name)
+        return relation_failures(name, images)
+
+    monkeypatch.setattr(braid, "_relation_failures", counted)
+    braid._check_h.cache_clear()
+    check_h()
+    assert calls == ["H", "H^-1"]
+    check_h()
+    # images equal in value to checked ones are not checked again
+    monkeypatch.setattr(braid, "H_IMAGES", tuple(BraidElt(g.word, g.twist) for g in H_IMAGES))
+    check_h()
+    assert len(calls) == 2
+    # images that fail are checked again at every call
+    images, inv_images, law = WRONG[0]
+    monkeypatch.setattr(braid, "H_IMAGES", images)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=law):
+            check_h()
+    assert len(calls) == 6

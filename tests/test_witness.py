@@ -40,6 +40,7 @@ from kleinbraid.witness import (
     WitnessVerificationError,
     _ab_image,
     _ab_mul,
+    _bucket_sizes,
     _candidate_b_twists,
     _short_words,
     _words_by_gmap,
@@ -360,15 +361,37 @@ def test_pair_cap_rejects_before_the_scan(monkeypatch):
         search_witness(cls, bounds)
 
 
+def _no_words(monkeypatch):
+    def enumerate_words(*args):
+        raise AssertionError("the short words were built")
+
+    _words_by_gmap.cache_clear()
+    monkeypatch.setattr(witness, "_short_words", enumerate_words)
+
+
+def test_bucket_sizes_count_the_buckets():
+    for word_len in range(8):
+        buckets, _ = _words_by_gmap(word_len)
+        sizes = {key: sum(len(ws) for _, ws in groups) for key, groups in buckets.items()}
+        assert _bucket_sizes(word_len) == sizes
+    assert sum(_bucket_sizes(MAX_WORD_LEN).values()) == 2 * 3**MAX_WORD_LEN - 1
+
+
 def test_cli_rejects_search_over_pair_cap(capsys, monkeypatch):
-    # within SearchBounds, but 2,230,980 pairs
+    # within SearchBounds, but 2,230,980 and 34,005,474 pairs; the 39,365
+    # and 118,097 words of the two lengths are counted, not built
     _no_scan(monkeypatch)
+    _no_words(monkeypatch)
     args = ["witness", "--type", "4", "--r1", "0", "--r2", "1", "--s1", "0", "--s2", "1"]
-    code = main([*args, "--search", "--bounds", "9", "--coords", "1"])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert f"budget of {MAX_PAIRS}" in err
-    _words_by_gmap.cache_clear()  # drop the 39,365 words of length <= 9
+    for bounds, pairs, coord in ((["--bounds", "9", "--coords", "1"], 2230980, 1),
+                                 (["--bounds", "10"], 34005474, 2)):
+        code = main([*args, "--search", *bounds])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: search of {pairs} candidate pairs exceeds the budget of {MAX_PAIRS} "
+            f"at word_len={bounds[1]}, coord={coord}\n"
+        )
 
 
 @pytest.mark.parametrize("option", [("--bounds", "14"), ("--coords", str(10**9))])
