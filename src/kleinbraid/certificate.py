@@ -14,11 +14,13 @@ verification finite, so reports always carry it; the coordinate window
 they also carry only bounds which failures of the linear part are listed.
 
 build_master assembles the general equation from the class parameters
-(r1, r2, s1, s2, i, j) and the quantified pair (m, n); its Ax and Ay are
-kernel.KernelOperator term tables, not closures.  The three per-family
-builders below re-transcribe the specialised equations independently, the
-displayed mu/nu operators included, and their exact equality with
-build_master is part of the test surface.
+(r1, r2, s1, s2, i, j) and the quantified pair (m, n).  It writes the term
+tables of Ax and Ay directly from the derived exponents, two terms per
+parity, with no operator algebra; the compositions of c, theta, rho and id
+that define them are the tests' reference.  The three per-family builders
+below re-transcribe the specialised equations independently, composed
+from the induced operators or, for mu/nu, displayed, and their exact
+equality with build_master is part of the test surface.
 
 Every functional is periodic in (k, l), so a Functional is a table of its
 values on one period box.  Pulling it back through a term table gives
@@ -37,12 +39,13 @@ needs only the residue counts of its two progressions over one period,
 so f(C(m, n)) costs the same however large the family arguments are.
 
 The sweep does at each (m, n) only the work that changes there: it builds
-the master equation and the functional and applies the functional to the
-atoms, where most boxes stay in one residue class in both directions and
-read one table entry.  A pulled-back table is computed once per residue
-key of a sweep and shared by the points that have that key: the key is
-the functional's table and the operator's term tables with their offsets
-reduced mod the period, which is all a pullback reads of them.
+the master equation and applies the functional to the atoms, where most
+boxes stay in one residue class in both directions and read one table
+entry.  A functional is built once per distinct argument of a sweep, and
+a pulled-back table once per residue key, shared by the points that have
+that key: the key is the functional's table and the operator's term
+tables with their offsets reduced mod the period, which is all a pullback
+reads of them.
 """
 from __future__ import annotations
 
@@ -61,6 +64,7 @@ from .kernel import (
     KernelOperator,
     KernelVector,
     _from_boxes,
+    _operator,
     c_ab,
     c_operator,
     theta_operator,
@@ -239,20 +243,41 @@ def derived_exponents(p: MasterParams) -> Tuple[int, int, int, int, int]:
     return a1, a2, b1, b2, g
 
 
+_IDENTITY = (1, 0, 1, 0)  # the key of ID's one term at each parity
+
+
 def build_master(p: MasterParams) -> MasterEquation:
-    """The general two-unknown obstruction equation at (m, n)."""
+    """The general two-unknown obstruction equation at (m, n).
+
+    With e = ε(n+i), t = εi and r = δ(i+1)δ(j+1)r1, the operators are
+
+        Ax = c(a2 - b2, a1 - b1) + theta(g, δ(n+i))∘rho
+        Ay = c(a2, a1·e)∘theta(r, δi) - id
+
+    and their term tables are written directly: Ax has one c-term and one
+    theta∘rho-term per parity, which never share a key, and Ay one
+    c∘theta-term per parity less the identity."""
     r1, s1, s2, i, j, m, n = p.r1, p.s1, p.s2, p.i, p.j, p.m, p.n
     a1, a2, b1, b2, g = derived_exponents(p)
+    e, t = eps(n + i), eps(i)
+    r = delta(i + 1) * delta(j + 1) * r1
+    lam = a1 * e
 
-    ax = c_operator(a2 - b2, a1 - b1) + theta_operator(g, delta(n + i)) @ RHO
-    ay = (
-        c_operator(a2, a1 * eps(n + i))
-        @ theta_operator(delta(i + 1) * delta(j + 1) * r1, delta(i))
-        - ID
+    ax = _operator(
+        {(1, a2 - b2, 1, a1 - b1): 1, (-1, 0, -e, 0): e},
+        {(1, a2 - b2, 1, b1 - a1): 1, (-1, 0, e, -2 * g): -e},
+    )
+    # a term of Ay has the identity's key only with coefficient t = 1, and
+    # then the two cancel
+    ay = _operator(
+        *(
+            {} if key == _IDENTITY else {key: t, _IDENTITY: -1}
+            for key in ((1, a2, t, lam), (1, a2, t, -2 * r - lam))
+        )
     )
 
     atoms = (
-        (1, a2, 0, "t", (a1 * eps(n + i), delta(n + i))),
+        (1, a2, 0, "t", (lam, delta(n + i))),
         (1, a2 - b2, 0, "o", (2 * s1 + i, a1 - b1)),
         (
             -delta(j + 1),
@@ -262,19 +287,13 @@ def build_master(p: MasterParams) -> MasterEquation:
             (s2 - n, 2 * delta(i) * m - 2 * delta(i + 1) * delta(n + 1) * r1),
         ),
         (delta(j), a2 - b2, 0, "q", (-2 * delta(i) * m, s2 - n)),
-        (
-            1,
-            a2,
-            a1 * eps(n + i),
-            "j",
-            (delta(i + 1) * (n - s2), -2 * delta(i + 1) * delta(j + 1) * r1),
-        ),
-        (1, a2 - 1, a1 * eps(n + i + 1), "i", (-delta(i) * b2,)),
+        (1, a2, lam, "j", (delta(i + 1) * (n - s2), -2 * r)),
+        (1, a2 - 1, -lam, "i", (-delta(i) * b2,)),
         (1, 0, delta(n + i + 1), "j", (-2 * s1 - i, 1 - 2 * g)),
         (1, 0, 0, "o", (-2 * s1 - i, delta(n + i - 1))),
-        (delta(n + i) + delta(i) * eps(n + i) - g, 0, 0, "unit", (0, 0)),
-        (delta(i) - delta(n + i) + eps(i) * m, 0, 0, "unit", (a2, a1 * eps(n + i))),
-        (delta(i + 1) * delta(j + 1) * r1 - delta(i), 0, 0, "unit", (a2 - b2, a1 - b1)),
+        (delta(n + i) + delta(i) * e - g, 0, 0, "unit", (0, 0)),
+        (delta(i) - delta(n + i) + t * m, 0, 0, "unit", (a2, lam)),
+        (r - delta(i), 0, 0, "unit", (a2 - b2, a1 - b1)),
     )
     return MasterEquation(ax, ay, tuple(a for a in atoms if a[0]), (a1, a2, b1, b2, g))
 
@@ -339,7 +358,7 @@ def mu_nu_operators(r1: int, r2: int, s: int, z: int, m: int, n: int):
         nu: e(k, l) ↦ e(k-4s, l - 2δ(n+k+1)·r1) - e(k, l),    λ = 2δ(n+1)(m-r1) + ε(n+1)r2
 
     and not from c_operator/theta_operator/RHO, since they must equal the
-    compositional definitions that build_master computes:
+    compositional definitions, whose tables build_master writes directly:
 
         mu = c(2n-2z-4s, λ) + theta(m+ε(n+1)r1, δn)∘rho
         nu = c(-4s, -2δ(n+1)r1)∘theta(r1, 0) - id
@@ -442,14 +461,15 @@ def xi_row(s: int, n: int) -> Functional:
 # certificate driver
 
 # Budget of check_certificate, in pulled-back table entries.  Each (m, n)
-# point pulls back two tables of lcm(2, pk)·pl entries, about 2 µs an entry,
-# unless an earlier point had its residue key, and spends about 0.08 ms,
-# counted as 40 entries, on the rest.  At period (2, 2) mn = 40 took 0.52 s
-# and mn = 45, the most the budget admits there, 0.61 s; at mn = 4, type 3
-# with s1 = 612 (period (2448, 1), just within the budget) took 0.39 s
-# (medians of three, Python 3.11 on a shared 2-CPU host).  _tabulate
-# refuses a table over half the budget, since a sweep pulls back at least
-# two tables at least as large.
+# point pulls back two tables of lcm(2, pk)·pl entries, 1 to 1.5 µs an
+# entry, unless an earlier point had its residue key, and spends about
+# 0.03 ms on the rest (0.026 ms a point over mn = 40 at period (2, 1)),
+# counted as 40 entries.  At period (2, 2) mn = 40 took 0.33 s and mn = 45,
+# the most the budget admits there, 0.43 s; at mn = 4, type 3 with
+# s1 = 612 (period (2448, 1), just within the budget) took 0.33 s (medians
+# of three, Python 3.11 on a shared 2-CPU host).  _tabulate refuses a table
+# over half the budget, since a sweep pulls back at least two tables at
+# least as large.
 MAX_SWEEP_ENTRIES = 400_000
 
 
@@ -466,14 +486,15 @@ class CertificateReport:
         return self.linear_killed and self.constant_nonzero_for_all
 
 
-# family label and functional at (representative, m, n), keyed by decide's branch
+# family label, functional builder and its arguments at (representative,
+# m, n), keyed by decide's branch
 _FAMILIES = {
-    "(a)": ("type1-even/xi-parity", lambda rep, m, n: xi_parity(0)),
-    "(b)": ("type2/xi-parity", lambda rep, m, n: xi_parity(1)),
-    "(c)": ("type3/xi-congruence", lambda rep, m, n: xi_congruence(rep.s1, n, rep.s2)),
-    "(d)(i)": ("type4-(i)/xi-count", lambda rep, m, n: xi_count(n)),
-    "(d)(ii)": ("type4-(ii)/xi-row", lambda rep, m, n: xi_row(rep.s1, n)),
-    "(d)(iii)": ("type4-(iii)/xi-column", lambda rep, m, n: xi_column(rep.r1, rep.r2, m, n)),
+    "(a)": ("type1-even/xi-parity", xi_parity, lambda rep, m, n: (0,)),
+    "(b)": ("type2/xi-parity", xi_parity, lambda rep, m, n: (1,)),
+    "(c)": ("type3/xi-congruence", xi_congruence, lambda rep, m, n: (rep.s1, n, rep.s2)),
+    "(d)(i)": ("type4-(i)/xi-count", xi_count, lambda rep, m, n: (n,)),
+    "(d)(ii)": ("type4-(ii)/xi-row", xi_row, lambda rep, m, n: (rep.s1, n)),
+    "(d)(iii)": ("type4-(iii)/xi-column", xi_column, lambda rep, m, n: (rep.r1, rep.r2, m, n)),
 }
 
 
@@ -489,17 +510,32 @@ def _family(cls: HomClass, verdict: Verdict):
     i = 1 class takes the representative's certificate: H carries
     witnesses of the one to witnesses of the other and back, so refuting
     the representative's equation refutes both, once check_h has confirmed
-    H."""
+    H.
+
+    The functional builder builds each functional once per distinct
+    argument and keeps it for the life of the builder, which is one
+    sweep: xi_count(n) takes 2mn + 1 arguments over (2mn + 1)² points.
+    What it keeps stays within the sweep budget, which counts each point
+    for twice its functional's table at least."""
     rep = verdict.representative
-    label, functional = _FAMILIES[decide(rep).branch]
+    label, build, args_at = _FAMILIES[decide(rep).branch]
     n1, n2 = (img.n for img in rep.images())
     if cls.i:
         check_h()
         label += " via H"
+    built: dict = {}
+
+    def functional_at(m: int, n: int) -> Functional:
+        args = args_at(rep, m, n)
+        f = built.get(args)
+        if f is None:
+            f = built[args] = build(*args)
+        return f
+
     return (
         label,
         lambda m, n: MasterParams(rep.r1, rep.r2, rep.s1, rep.s2, n1 % 2, n2 % 2, m, n),
-        lambda m, n: functional(rep, m, n),
+        functional_at,
     )
 
 
@@ -509,17 +545,17 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     For every (m, n) with |m|, |n| <= mn, the family's functional must
     kill both linear operators on every basis vector e(k, l) and take a
     nonzero value on the constant part.  Each (m, n) builds its master
-    equation and functional and evaluates the constant; the pullbacks of
-    the functional through Ax and Ay are computed once per residue key
-    (_pullback_once) and reused at every point with that key.  A
-    pulled-back table holds f∘A on every (k, l), so the linear part is
-    decided for all (k, l) from the whole table.  The coordinate window
-    only bounds which failures are listed: the nonzero entries with
-    |k|, |l| <= window, or, when none falls inside it, the nonzero entries
-    of the table's period box.  The constant is evaluated from its atoms,
-    so the sweep builds no vector.  A sweep over MAX_SWEEP_ENTRIES,
-    counted from mn and the functional's period, raises ValueError before
-    it starts.
+    equation and evaluates the constant; the functional is built once per
+    distinct argument (_family), and its pullbacks through Ax and Ay once
+    per residue key (_pullback_once), each reused at every point that
+    shares it.  A pulled-back table holds f∘A on every (k, l), so the
+    linear part is decided for all (k, l) from the whole table.  The
+    coordinate window only bounds which failures are listed: the nonzero
+    entries with |k|, |l| <= window, or, when none falls inside it, the
+    nonzero entries of the table's period box.  The constant is evaluated
+    from its atoms, so the sweep builds no vector.  A sweep over
+    MAX_SWEEP_ENTRIES, counted from mn and the functional's period, raises
+    ValueError before it starts.
     """
     if window < 0 or mn < 0:
         raise ValueError(f"windows must be non-negative, got window={window}, mn={mn}")

@@ -341,7 +341,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the bounded certificate for a class with the property")
     _add_class_args(p)
-    p.add_argument("--window", type=int, default=6, help="coordinate window |k|,|l|")
+    p.add_argument(
+        "--window", type=int, default=6, help="list linear-part failures with |k|,|l| up to this"
+    )
     p.add_argument("--mn", type=int, default=4, help="parameter window |m|,|n|")
     p.set_defaults(fn=_cmd_certify)
 

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,18 @@ from kleinbraid.certificate import (
 )
 from kleinbraid.classifier import HomClass, decide
 from kleinbraid.cli import main
-from kleinbraid.kernel import KernelVector, c_ab, rho_ab, theta_ab, tilde_j, tilde_o
+from kleinbraid.kernel import (
+    ID,
+    RHO,
+    KernelVector,
+    c_ab,
+    c_operator,
+    rho_ab,
+    theta_ab,
+    theta_operator,
+    tilde_j,
+    tilde_o,
+)
 from kleinbraid.kleinpi import KleinElt, delta, eps
 from kleinbraid.suites import _grid_classes
 
@@ -104,6 +116,29 @@ def test_specializations_match_build_master(family):
         assert window_equal(ax, eq.ax)
         assert window_equal(ay, eq.ay)
         assert c == eq.constant
+
+
+def test_master_operators_equal_compositions():
+    # build_master writes Ax and Ay as term tables; the compositions of the
+    # induced operators are the reference, compared as whole tables
+    cancelled = set()
+    for r1, r2, s1, s2, i, j, m, n in itertools.product(
+        (-2, 0, 1, 3), (-1, 0, 2), (-1, 0, 2), (0, 1), (0, 1), (0, 1), (-2, 0, 1), (-3, 0, 1, 2)
+    ):
+        eq = build_master(MasterParams(r1, r2, s1, s2, i, j, m, n))
+        a1, a2, b1, b2, g = eq.derived
+        ax = c_operator(a2 - b2, a1 - b1) + theta_operator(g, delta(n + i)) @ RHO
+        ay = (
+            c_operator(a2, a1 * eps(n + i))
+            @ theta_operator(delta(i + 1) * delta(j + 1) * r1, delta(i))
+            - ID
+        )
+        assert eq.ax.terms == ax.terms and eq.ay.terms == ay.terms
+        for table in eq.ax.terms + eq.ay.terms:
+            assert all(table.values())
+        cancelled.update(parity for parity in (0, 1) if not eq.ay.terms[parity])
+    # the identity cancels against the c∘theta term at both parities
+    assert cancelled == {0, 1}
 
 
 def test_mu_nu_displayed_vs_compositional():
@@ -300,7 +335,8 @@ def test_linear_part_is_decided_on_the_whole_table(monkeypatch, window):
     # a Z/2 functional that is 1 only at k = 8 (mod 16) does not kill Ax or
     # Ay, although a small window may hold no nonzero pulled-back entry
     spike = Functional(tuple((int(k == 8),) for k in range(16)), 2)
-    monkeypatch.setitem(certificate._FAMILIES, "(c)", ("type3/spike", lambda rep, m, n: spike))
+    spiked = ("type3/spike", lambda: spike, lambda rep, m, n: ())
+    monkeypatch.setitem(certificate._FAMILIES, "(c)", spiked)
     cls = HomClass(3, s1=1)
     report = check_certificate(cls, window=window, mn=1)
     assert report.linear_killed is False
@@ -320,6 +356,23 @@ def test_certificate_rejects_negative_windows():
         with pytest.raises(ValueError):
             check_certificate(cls, window=window, mn=mn)
     assert check_certificate(cls, window=0, mn=0).success
+
+
+def test_functional_built_once_per_argument_of_a_sweep(monkeypatch):
+    calls = []
+    label, build, args_at = certificate._FAMILIES["(d)(i)"]
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setitem(certificate._FAMILIES, "(d)(i)", (label, counted, args_at))
+    cls = HomClass(4, r1=0, r2=2, s1=1, s2=0)  # xi_count(n)
+    assert check_certificate(cls, mn=4).success
+    assert sorted(calls) == [(n,) for n in range(-4, 5)]
+    # the memo lives for one sweep: a second sweep builds its own
+    assert check_certificate(cls, mn=1).success
+    assert sorted(calls[9:]) == [(-1,), (0,), (1,)]
 
 
 def _no_sweep(monkeypatch):
