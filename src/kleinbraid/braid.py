@@ -106,7 +106,7 @@ def theta(t: KleinElt, w: Word) -> Word:
     return conj * _from_reduced(tuple(runs)) * conj.inv()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidElt:
     """A braid (word; twist) in normal form; the word is always reduced."""
 

@@ -487,14 +487,20 @@ class CertificateReport:
 
 
 # family label, functional builder and its arguments at (representative,
-# m, n), keyed by decide's branch
+# m, n), keyed by decide's branch.  Each argument is reduced to what the
+# functional's table reads: xi_count reads n mod 2, xi_row n mod 4|s|,
+# xi_congruence n mod 2|s| (through 2n mod 4|s|), and xi_column m mod 2|r1|
+# and n mod 2 (through ε(n)·m mod 2|r1| and k + n mod 2).  The branch fixes
+# s1 != 0 for (c) and (d)(ii) and r1 > 0 for (d)(iii).
 _FAMILIES = {
     "(a)": ("type1-even/xi-parity", xi_parity, lambda rep, m, n: (0,)),
     "(b)": ("type2/xi-parity", xi_parity, lambda rep, m, n: (1,)),
-    "(c)": ("type3/xi-congruence", xi_congruence, lambda rep, m, n: (rep.s1, n, rep.s2)),
-    "(d)(i)": ("type4-(i)/xi-count", xi_count, lambda rep, m, n: (n,)),
-    "(d)(ii)": ("type4-(ii)/xi-row", xi_row, lambda rep, m, n: (rep.s1, n)),
-    "(d)(iii)": ("type4-(iii)/xi-column", xi_column, lambda rep, m, n: (rep.r1, rep.r2, m, n)),
+    "(c)": ("type3/xi-congruence", xi_congruence,
+            lambda rep, m, n: (rep.s1, n % (2 * abs(rep.s1)), rep.s2)),
+    "(d)(i)": ("type4-(i)/xi-count", xi_count, lambda rep, m, n: (n % 2,)),
+    "(d)(ii)": ("type4-(ii)/xi-row", xi_row, lambda rep, m, n: (rep.s1, n % (4 * abs(rep.s1)))),
+    "(d)(iii)": ("type4-(iii)/xi-column", xi_column,
+                 lambda rep, m, n: (rep.r1, rep.r2, m % (2 * rep.r1), n % 2)),
 }
 
 
@@ -514,9 +520,11 @@ def _family(cls: HomClass, verdict: Verdict):
 
     The functional builder builds each functional once per distinct
     argument and keeps it for the life of the builder, which is one
-    sweep: xi_count(n) takes 2mn + 1 arguments over (2mn + 1)² points.
-    What it keeps stays within the sweep budget, which counts each point
-    for twice its functional's table at least."""
+    sweep.  _FAMILIES reduces the arguments to the residues the tables
+    read, so however large mn, a sweep builds at most 2 xi_count, 4|s|
+    xi_row, 2|s| xi_congruence or 4|r1| xi_column functionals.  What it
+    keeps stays within the sweep budget, which counts each point for
+    twice its functional's table at least."""
     rep = verdict.representative
     label, build, args_at = _FAMILIES[decide(rep).branch]
     n1, n2 = (img.n for img in rep.images())

@@ -33,7 +33,7 @@ def omega(n: int) -> int:
     return 1 if n == 0 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KleinElt:
     """An element (m, n) of Z ⋊ Z."""
 

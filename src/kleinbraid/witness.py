@@ -20,11 +20,16 @@ keeps condition (i) and moves s2 by 2k.
 search_witness scans every pair with short words and small twists,
 exhaustively, after sound pruning by the exponent constraints that
 condition (i) forces.  The short words are bucketed by gmap and grouped
-within a bucket by exponent sums, so the abelianised relation is checked
-once per group.  A pair that survives is checked as a word equation whose
-twisting images are computed once per search (for b's word) or once per
-choice of a's word and b's twist (for the tail lsigma(a) contributes),
-so a candidate pair costs two word products and one comparison at most.
+within a bucket by exponent sums.  The abelianised relation is linear in
+those sums, so each choice of a's word and b's twist solves it for the one
+level of b's words that can pass.  A pair that passes is tested next in the
+finite quotient psi: F(u, v) → A5, u ↦ (0 1 2 3 4), v ↦ (0 1 2), at two
+lookups in one multiplication table.  Only a pair that passes there is
+checked as the exact word equation, which alone accepts a pair; psi is a
+homomorphism, so no solution fails in A5 (Holt, Eick & O'Brien, *Handbook
+of Computational Group Theory*, 2005).  psi of each short word is kept in
+its bucket and evicted with it; the images under psi of the words twisted
+by theta are folds over their runs, made per search, with no word built.
 lsigma(a) is not computed per a-word: it is rho(w_a), cached beside the
 word buckets across searches and evicted with them, times a factor that
 depends on the a-bucket only, computed once per a-bucket in a search.
@@ -38,7 +43,7 @@ instead of running for minutes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .braid import (
     B_IDENTITY,
@@ -66,7 +71,7 @@ class WitnessVerificationError(Exception):
         self.failures = failures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessReport:
     """A witness pair; verify_pair builds one only after all three
     conditions have held exactly."""
@@ -79,18 +84,19 @@ class WitnessReport:
 
 # Budgets of the bounded search.  There are 2·3^k - 1 reduced words of at
 # most k letters, so word_len 10 already enumerates 118,097 of them.  The
-# theta images grow with |m|, so the cost grows about quadratically in
-# coord: at word_len 4 the slowest class of the type 1-4 grid with
-# parameters in [-1, 1] took 0.37 s at coord 100 and 18.6 s at coord 1000
-# (Python 3.11 on a 2-CPU host).
+# pairs grow linearly in coord and the theta images with |m|, so the cost
+# grows faster than linearly: at word_len 4 the slowest class of the type
+# 1-4 grid with parameters in [-1, 1] took 0.15 s at coord 100 and 7.5 s
+# at coord 1000 (Python 3.11 on a 2-CPU host).
 MAX_WORD_LEN = 10
 MAX_COORD = 100
 # The two caps above still admit 34,005,474 pairs for type 4 with
 # (r1, r2, s1, s2) = (0, 1, 0, 1) at word_len 10, coord 2.  The scan costs
-# about 1 µs a pair: that class took 0.70 s for 597,816 pairs at word_len 8,
-# coord 2 and 2.4 s for 2,230,980 at word_len 9, coord 1 (same host).  The
-# largest search of the tests, demos, selftest suites and benchmark
-# examines 17,689.
+# 0.1-0.2 µs a pair on buckets already built: that class took 0.12 s for
+# 597,816 pairs at word_len 8, coord 2, and 0.23 s for 2,230,980 at
+# word_len 9, coord 1; with the buckets built first, 0.28 s and 0.70 s
+# (medians of three, same host).  The largest search of the tests, demos,
+# selftest suites and benchmark examines 17,689.
 MAX_PAIRS = 1_000_000
 # Budget of build_witness, on the representative's r1, r2 and s1 (its s2 is
 # 0 or 1).  The pair's words grow linearly in each, and checking them takes
@@ -119,7 +125,7 @@ class SearchBounds:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     report: "WitnessReport | None"
     examined: int
@@ -247,22 +253,102 @@ def _bucket_sizes(max_len: int) -> dict[tuple[int, int], int]:
     return sizes
 
 
-_Buckets = dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[Word, ...]], ...]]
+_Buckets = dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[tuple[Word, int], ...]], ...]]
 
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _words_by_gmap(max_len: int) -> tuple[_Buckets, dict[Word, Word]]:
     """Short words bucketed by gmap, each bucket grouped by exponent sums,
-    and beside them the cache of rho(w), filled as searches reach each w."""
-    buckets: dict[tuple[int, int], dict[tuple[int, int], list[Word]]] = {}
+    each word held with psi(w); and beside them the cache of rho(w), filled
+    as searches reach each w."""
+    buckets: dict[tuple[int, int], dict[tuple[int, int], list[tuple[Word, int]]]] = {}
     for w in _short_words(max_len):
         g = gmap(w)
-        buckets.setdefault((g.m, g.n), {}).setdefault(w.exponent_sums(), []).append(w)
+        buckets.setdefault((g.m, g.n), {}).setdefault(w.exponent_sums(), []).append((w, _psi(w)))
     grouped = {
         key: tuple((sums, tuple(ws)) for sums, ws in groups.items())
         for key, groups in buckets.items()
     }
     return grouped, {}
+
+
+# ---------------------------------------------------------------------------
+# the A5 quotient: psi: F(u, v) → A5, u ↦ (0 1 2 3 4), v ↦ (0 1 2)
+
+# every element order of A5 divides 30, so x^e = x^(e mod 30)
+_A5_EXPONENT = 30
+
+
+@cache
+def _a5() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """A5 as the indices 0-59: (mul, power), where mul[x][y] is the index
+    of x·y and power[x][e] that of x^e for 0 <= e < 30.  Index 0 is the
+    identity, 1 is psi(u) and 2 is psi(v).
+
+    The 60 permutations are found breadth-first from the identity by right
+    multiplication with the generators, and each row of mul is read off an
+    earlier one: row x·g is z ↦ x·(g·z).  Built on the first search, not at
+    import, and kept for the process; it takes about 0.5 ms."""
+    gens = ((1, 2, 3, 4, 0), (1, 2, 0, 3, 4))  # (0 1 2 3 4), (0 1 2) as i ↦ p[i]
+    perms = [(0, 1, 2, 3, 4)]
+    index = {perms[0]: 0}
+    steps: list[tuple[int, int]] = []  # steps[y - 1] = (x, g): y = x·gens[g]
+    for x, p in enumerate(perms):  # perms grows while it is read
+        for g, q in enumerate(gens):
+            pq = tuple(p[i] for i in q)
+            if pq not in index:
+                index[pq] = len(perms)
+                perms.append(pq)
+                steps.append((x, g))
+    # z ↦ g·z for each generator g
+    left = [[index[tuple(q[i] for i in p)] for p in perms] for q in gens]
+    mul = [list(range(len(perms)))]
+    for x, g in steps:
+        row = mul[x]
+        mul.append([row[z] for z in left[g]])
+    power = []
+    for x, row in enumerate(mul):
+        cycle, y = [0], x
+        while y:
+            cycle.append(y)
+            y = row[y]
+        power.append(tuple(cycle * (_A5_EXPONENT // len(cycle))))
+    return tuple(map(tuple, mul)), tuple(power)
+
+
+_PSI_U, _PSI_V = 1, 2
+
+
+def _fold(images: tuple[int, int], w: Word) -> int:
+    """The image of w under the homomorphism F(u, v) → A5 that sends u and
+    v to the given images: one product per run of w."""
+    mul, power = _a5()
+    pu, pv = power[images[0]], power[images[1]]
+    x = 0
+    for g, e in w.runs:
+        x = mul[x][(pu if g == "u" else pv)[e % _A5_EXPONENT]]
+    return x
+
+
+def _psi(w: Word) -> int:
+    """The image of w under psi: u ↦ (0 1 2 3 4), v ↦ (0 1 2)."""
+    return _fold((_PSI_U, _PSI_V), w)
+
+
+def _psi_images(t: KleinElt) -> tuple[int, int]:
+    """The images of u and v under psi∘theta(t), from the table alone.
+
+    theta(t) is φ followed by conjugation by P = B^(m-δn), with
+    φ(u) = u^(εn) and φ(v) = B^(δn) v u^(-2m), so it depends on t only
+    through (m, n mod 2); _fold with these images is psi(theta(t)(w))."""
+    mul, power = _a5()
+    d = t.n % 2
+    b = _fold((_PSI_U, _PSI_V), BIG_B)
+    p = power[b][(t.m - d) % _A5_EXPONENT]
+    p_inv = power[p][_A5_EXPONENT - 1]
+    phi_u = power[_PSI_U][eps(d) % _A5_EXPONENT]
+    phi_v = mul[mul[power[b][d]][_PSI_V]][power[_PSI_U][-2 * t.m % _A5_EXPONENT]]
+    return mul[mul[p][phi_u]][p_inv], mul[mul[p][phi_v]][p_inv]
 
 
 def _ab_image(word: Word, twist: KleinElt) -> tuple[int, int, int, int]:
@@ -329,11 +415,27 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     before any word is built; a search of more than MAX_PAIRS pairs raises
     ValueError instead of running.
 
-    For each (w_a, t_b) the abelianised relation runs once per
-    exponent-sum group of b's words, since it reads w_b only through those
-    sums.  A pair in a group that passes is checked as the word equation
-    w_a · theta(t_a)(w_b) · theta(t_a·t_b)(w_ls) = w_b, where
-    (w_ls; ·) = lsigma(a): the filter has already matched the twists.
+    A pair is checked as the word equation
+
+        w_a · theta(t_a)(w_b) · theta(t_a·t_b)(w_ls) = w_b,
+
+    where (w_ls; ·) = lsigma(a), after two necessary stages.  First the
+    abelianised relation, which matches the twists too.  With b's exponent
+    sums (p, q) it reads lhs = (-level(p, q), 0, m_b, n_b), where lhs is its
+    left side at p = q = 0 and level is linear with coefficients from t_a
+    alone.  So each b-bucket's words are indexed by level once per search,
+    and each (w_a, t_b) computes lhs once and looks up the one level that
+    passes.  Then the equation's image under psi,
+
+        psi(w_a) · psi_{t_a}(w_b) · psi_{t_a·t_b}(w_ls) = psi(w_b),
+
+    where psi_t = psi∘theta(t) is the fold of w's runs over the two images
+    psi_t(u) and psi_t(v), read off the table: theta(t) depends on t only
+    through (m, n mod 2).  psi(w) is held beside each word in the buckets,
+    psi_{t_a}(w_b) is folded once per b-word per search, and
+    psi_{t_a·t_b}(w_ls) once per (w_a, t_b) whose level is not empty.
+    Only a pair that passes both builds theta(t_a)(w_b), and the tail
+    theta(t_a·t_b)(w_ls) once per (w_a, t_b) for its first such pair.
     lsigma(a) is taken apart as the group law gives it,
 
         lsigma((w_a; t_a)) = (rho(w_a); gmap(w_a)) · lsigma((1; t_a)),
@@ -343,12 +445,10 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     a-word of a bucket shares gmap(w_a), the bucket key, and the scan runs
     a-bucket by a-bucket, so the loop order alone computes the second
     factor once per a-bucket, and w_ls and its abelian image once per
-    a-word, at one word product each.  The images theta(t_a)(w_b) are
-    cached for the whole search, and the tail theta(t_a·t_b)(w_ls) is
-    computed once per (w_a, t_b), only when some group passes.  examined
-    counts every pair of the bounded space the scan decides, filtered or
-    not.  The returned pair is the deterministic minimum by total size,
-    re-verified on the braid engine by verify_pair.
+    a-word, at one word product each.  examined counts every pair of the
+    bounded space the scan decides, filtered or not.  The returned pair is
+    the deterministic minimum by total size, re-verified on the braid
+    engine by verify_pair.
     """
     img10, img01 = cls.images()
     if abs(img10.m) > bounds.coord or abs(img10.n) > bounds.coord:
@@ -371,35 +471,52 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
             f"{MAX_PAIRS} at word_len={bounds.word_len}, coord={bounds.coord}"
         )
     buckets, rhos = _words_by_gmap(bounds.word_len)
+    mul = _a5()[0]
     w_l = lsigma(BraidElt(ONE, t_a)).word
-    twisted: dict[Word, Word] = {}  # theta(t_a)(w_b)
+    images_a = _psi_images(t_a)
+    twist_a = (0, 0, t_a.m, t_a.n)
+    # per b-bucket, its (w_b, psi(w_b), psi_{t_a}(w_b)) by the level of
+    # their exponent sums
+    b_levels: dict[tuple[int, int], dict[int, list[tuple[Word, int, int]]]] = {}
     found: list[tuple[BraidElt, BraidElt]] = []
     for a1, sides in plan.items():
-        b_sides = [(t_b, buckets[b_key]) for t_b, b_key in sides]
+        b_sides = []
+        for t_b, b_key in sides:
+            levels = b_levels.get(b_key)
+            if levels is None:
+                levels = b_levels[b_key] = {}
+                for (pu, pv), entries in buckets[b_key]:
+                    level = _ab_mul(twist_a, (pu, pv, 0, 0))[0] - pu
+                    levels.setdefault(level, []).extend(
+                        (w, p, _fold(images_a, w)) for w, p in entries
+                    )
+            t_ab = t_a * t_b
+            b_sides.append((t_b, (0, 0, t_b.m, t_b.n), t_ab, _psi_images(t_ab), levels))
         g_a = KleinElt(a1, a2)
         factor = theta(g_a, w_l)
-        for (pu_a, pv_a), a_words in buckets[a1, a2]:
+        for (pu_a, pv_a), a_entries in buckets[a1, a2]:
             a_ab = (pu_a, pv_a, t_a.m, t_a.n)
-            for w_a in a_words:
+            for w_a, p_a in a_entries:
                 r = rhos.get(w_a)
                 if r is None:
                     r = rhos[w_a] = rho(w_a)
                 w_ls = r * factor
                 ls_ab = _ab_image(w_ls, g_a * t_a)
-                for t_b, b_groups in b_sides:
+                row_a = mul[p_a]
+                for t_b, b_zero, t_ab, images_ab, levels in b_sides:
+                    lhs = _ab_mul(_ab_mul(a_ab, b_zero), ls_ab)
+                    b_entries = levels.get(-lhs[0]) if lhs[1:] == b_zero[1:] else None
+                    if b_entries is None:
+                        continue
+                    p_ls = _fold(images_ab, w_ls)
                     tail = None
-                    for (pu, pv), b_words in b_groups:
-                        b_ab = (pu, pv, t_b.m, t_b.n)
-                        if _ab_mul(_ab_mul(a_ab, b_ab), ls_ab) != b_ab:
+                    for w_b, p_b, q_b in b_entries:
+                        if mul[row_a[q_b]][p_ls] != p_b:
                             continue
                         if tail is None:
-                            tail = theta(t_a * t_b, w_ls)
-                        for w_b in b_words:
-                            img = twisted.get(w_b)
-                            if img is None:
-                                img = twisted[w_b] = theta(t_a, w_b)
-                            if w_a * img * tail == w_b:
-                                found.append((BraidElt(w_a, t_a), BraidElt(w_b, t_b)))
+                            tail = theta(t_ab, w_ls)
+                        if w_a * theta(t_a, w_b) * tail == w_b:
+                            found.append((BraidElt(w_a, t_a), BraidElt(w_b, t_b)))
     if not found:
         return SearchResult(None, examined, bounds)
     a, b = min(found, key=_total_size)

@@ -367,12 +367,53 @@ def test_functional_built_once_per_argument_of_a_sweep(monkeypatch):
         return build(*args)
 
     monkeypatch.setitem(certificate._FAMILIES, "(d)(i)", (label, counted, args_at))
-    cls = HomClass(4, r1=0, r2=2, s1=1, s2=0)  # xi_count(n)
+    cls = HomClass(4, r1=0, r2=2, s1=1, s2=0)  # xi_count(n mod 2)
     assert check_certificate(cls, mn=4).success
-    assert sorted(calls) == [(n,) for n in range(-4, 5)]
+    assert sorted(calls) == [(0,), (1,)]
     # the memo lives for one sweep: a second sweep builds its own
     assert check_certificate(cls, mn=1).success
-    assert sorted(calls[9:]) == [(-1,), (0,), (1,)]
+    assert sorted(calls[2:]) == [(0,), (1,)]
+
+
+# the arguments of each family as the builders take them, unreduced
+_RAW_ARGS = {
+    "(c)": lambda rep, m, n: (rep.s1, n, rep.s2),
+    "(d)(i)": lambda rep, m, n: (n,),
+    "(d)(ii)": lambda rep, m, n: (rep.s1, n),
+    "(d)(iii)": lambda rep, m, n: (rep.r1, rep.r2, m, n),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, branch",
+    [
+        (HomClass(3, i=0, s1=3, s2=0), "(c)"),
+        (HomClass(3, i=1, s1=-2, s2=1), "(c)"),
+        (HomClass(4, r1=1, r2=-2, s1=3, s2=0), "(d)(i)"),
+        (HomClass(4, r1=0, r2=0, s1=-3, s2=2), "(d)(ii)"),
+        (HomClass(4, r1=3, r2=-4, s1=0, s2=0), "(d)(iii)"),
+        (HomClass(4, r1=1, r2=2, s1=0, s2=0), "(d)(iii)"),
+    ],
+    ids=lambda x: x.describe() if isinstance(x, HomClass) else x,
+)
+def test_reduced_arguments_build_the_raw_tables(cls, branch):
+    rep = decide(cls).representative
+    assert decide(rep).branch == branch
+    _, build, args_at = certificate._FAMILIES[branch]
+    reduced = set()
+    for m in range(-13, 14):
+        for n in range(-13, 14):
+            args = args_at(rep, m, n)
+            assert build(*args) == build(*_RAW_ARGS[branch](rep, m, n)), (m, n)
+            reduced.add(args)
+    # every residue the tables read, and no more
+    residues = {
+        "(c)": 2 * abs(rep.s1),
+        "(d)(i)": 2,
+        "(d)(ii)": 4 * abs(rep.s1),
+        "(d)(iii)": 4 * rep.r1,
+    }
+    assert len(reduced) == residues[branch]
 
 
 def _no_sweep(monkeypatch):

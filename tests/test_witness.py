@@ -2,14 +2,16 @@
 
 reference_search below is the search loop as it was before the scan was
 grouped by exponent sums: one abelian filter per candidate pair and the
-braid engine on every pair that passes.  The grouped scan must return
-the same pair and the same examined count.
+braid engine on every pair that passes.  The grouped scan, with its
+levels and its A5 stage, must return the same pair and the same examined
+count.
 """
 
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from kleinbraid import witness
 from kleinbraid.braid import (
@@ -38,9 +40,13 @@ from kleinbraid.witness import (
     SearchBounds,
     SearchResult,
     WitnessVerificationError,
+    _a5,
     _ab_image,
     _ab_mul,
     _bucket_sizes,
+    _fold,
+    _psi,
+    _psi_images,
     _candidate_b_twists,
     _short_words,
     _words_by_gmap,
@@ -48,7 +54,7 @@ from kleinbraid.witness import (
     search_witness,
     verify_pair,
 )
-from kleinbraid.words import ONE, U, V, parse_word
+from kleinbraid.words import ONE, U, V, Word, parse_word
 
 from common import PROFILE, twists, words
 
@@ -293,31 +299,111 @@ def test_search_matches_reference_on_a_warm_cache():
             assert _outcome(search_witness(cls, bounds)) == expected[cls], cls
 
 
-def test_rho_cache_is_released_with_the_buckets(monkeypatch):
+def _assert_kept_with_the_buckets(monkeypatch, name):
+    """Calls of witness.<name> per search: some on cold buckets, none on
+    warm ones, and as many again once the buckets are cleared or evicted."""
     calls = []
+    builder = getattr(witness, name)
 
     def counted(w):
         calls.append(w)
-        return rho(w)
+        return builder(w)
 
-    monkeypatch.setattr(witness, "rho", counted)
+    monkeypatch.setattr(witness, name, counted)
     cls = HomClass(4, r1=0, r2=2, s1=0, s2=0)
 
-    def rho_calls(word_len):
+    def builder_calls(word_len):
         before = len(calls)
         search_witness(cls, SearchBounds(word_len, 1))
         return len(calls) - before
 
     _words_by_gmap.cache_clear()
-    first = rho_calls(4)
+    first = builder_calls(4)
     assert first > 0
-    assert rho_calls(4) == 0  # warm: every a-word's rho is cached
+    assert builder_calls(4) == 0  # warm: every value is kept
     _words_by_gmap.cache_clear()
-    assert rho_calls(4) == first
+    assert builder_calls(4) == first
     # _WORD_CACHE_SIZE other lengths evict the least recently used one
     for word_len in range(_WORD_CACHE_SIZE):
-        rho_calls(word_len)
-    assert rho_calls(4) == first
+        builder_calls(word_len)
+    assert builder_calls(4) == first
+
+
+def test_rho_cache_is_released_with_the_buckets(monkeypatch):
+    _assert_kept_with_the_buckets(monkeypatch, "rho")
+
+
+def test_psi_values_are_released_with_the_buckets(monkeypatch):
+    # psi of every short word is kept in its bucket; the per-search folds
+    # of psi∘theta(t) are not psi calls
+    _assert_kept_with_the_buckets(monkeypatch, "_psi")
+
+
+# ---------------------------------------------------------------------------
+# the A5 quotient
+
+
+def test_a5_table_is_a_group():
+    mul, power = _a5()
+    elements = range(60)
+    assert len(mul) == 60 and all(len(row) == 60 for row in mul)
+    assert len(set(mul)) == 60  # no two elements act alike
+    assert all(mul[0][x] == mul[x][0] == x for x in elements)
+    for x in elements:
+        row = mul[x]
+        for y in elements:
+            xy = row[y]
+            for z in elements:
+                assert mul[xy][z] == row[mul[y][z]]
+    for x in elements:
+        assert power[x][0] == 0 and len(power[x]) == 30
+        for e in range(29):
+            assert power[x][e + 1] == mul[power[x][e]][x]
+        assert mul[x][power[x][29]] == mul[power[x][29]][x] == 0  # the inverse
+    # psi(u) has order 5 and psi(v) order 3, and they generate all 60
+    assert [power[1][e] == 0 for e in range(1, 6)] == [False] * 4 + [True]
+    assert [power[2][e] == 0 for e in range(1, 4)] == [False, False, True]
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [mul[x][g] for x in frontier for g in (1, 2) if mul[x][g] not in reached]
+        reached.update(frontier)
+    assert reached == set(elements)
+
+
+def _inverse(x):
+    return _a5()[1][x][29]
+
+
+# exponents past the element orders 2, 3 and 5, and a multiple of 30
+long_words = st.lists(
+    st.tuples(st.sampled_from("uv"), st.integers(-61, 61)), max_size=6
+).map(lambda rs: Word(tuple(rs)))
+far_twists = st.builds(
+    KleinElt, st.integers(-2 * MAX_COORD, 2 * MAX_COORD), st.integers(-5, 5)
+)
+
+
+@PROFILE
+@given(long_words, long_words)
+def test_psi_is_a_homomorphism(x, y):
+    mul = _a5()[0]
+    assert _psi(x * y) == mul[_psi(x)][_psi(y)]
+    assert _psi(x.inv()) == _inverse(_psi(x))
+
+
+@PROFILE
+@given(long_words, far_twists)
+def test_psi_of_theta_is_a_fold(w, t):
+    assert _fold(_psi_images(t), w) == _psi(theta(t, w))
+
+
+def test_psi_of_theta_reads_m_and_the_parity_of_n():
+    w = parse_word("u^2 v^-1 u v^3")
+    for m in (-2 * MAX_COORD, -7, 0, 1, 2 * MAX_COORD):
+        for n in range(-4, 5):
+            t = KleinElt(m, n)
+            assert _psi_images(t) == _psi_images(KleinElt(m, n % 2))
+            assert _fold(_psi_images(t), w) == _psi(theta(t, w))
 
 
 @PROFILE
@@ -333,6 +419,20 @@ def test_hoisted_word_equation(w_a, t_a, w_b, t_b):
     assert hoisted == lhs.word
     if ab == _ab_image(w_b, t_b):
         assert (hoisted == w_b) == (lhs == b)
+    # the search's levels: ab is the relation's left side at zero exponent
+    # sums of w_b, plus a part linear in them with coefficients from t_a
+    pu, pv = w_b.exponent_sums()
+    zero = _ab_mul(_ab_mul(_ab_image(w_a, t_a), (0, 0, t_b.m, t_b.n)), _ab_image(ls.word, ls.twist))
+    level = _ab_mul((0, 0, t_a.m, t_a.n), (pu, pv, 0, 0))[0] - pu
+    assert ab == (zero[0] + level + pu, zero[1] + pv, *zero[2:])
+    # the A5 stage: the image of the hoisted side, so a solution passes it
+    mul = _a5()[0]
+    psi_lhs = mul[mul[_psi(w_a)][_fold(_psi_images(t_a), w_b)]][
+        _fold(_psi_images(t_a * t_b), ls.word)
+    ]
+    assert psi_lhs == _psi(hoisted)
+    if hoisted == w_b:
+        assert psi_lhs == _psi(w_b)
 
 
 def test_search_bounds_budget():
