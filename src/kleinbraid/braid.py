@@ -23,8 +23,10 @@ and it is held, like H below, as the images of the generators u, v, x, y
     lsigma: u ↦ (B u^-1 B^-1; 1, 0),  v ↦ (v^-1 B; 0, 1),  x ↦ x,  y ↦ (B; 0, 1)
 
 σ² itself is the pure braid (B; 0, 0), so lsigma∘lsigma is conjugation by
-SIGMA_SQ.  gmap is the projection F(u, v) → Z ⋊ Z sending u ↦ (1,0),
-v ↦ (0,1); its kernel is where the kernel module lives.
+SIGMA_SQ.  apply_images writes the image of a braid under such generator
+images in one pass over its runs, with the seam writer of the words
+module, as theta does.  gmap is the projection F(u, v) → Z ⋊ Z sending
+u ↦ (1,0), v ↦ (0,1); its kernel is where the kernel module lives.
 
 H is an automorphism that commutes with lsigma and lies over the
 Klein-bottle map h(m, n) = (m + δn, n), held as the images of the
@@ -38,71 +40,71 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .kleinpi import K_IDENTITY, KleinElt, delta, eps
-from .words import BIG_B, MAX_RUNS, ONE, U, V, Word, _from_reduced, parse_word
+from .words import BIG_B, MAX_RUNS, ONE, U, V, Run, Word, _from_reduced, _join, parse_word
 
 # Budget of theta: it writes B^(m-δn), 4 runs per unit of m, so |m| up to
 # MAX_TWIST keeps that word within the parse budget of the words module.
 MAX_TWIST = MAX_RUNS // 4
-# Budget of lsigma, in letters.  apply_images makes one product per run,
-# each copying the image so far and twisting its piece by the prefix twist,
-# so the cost is quadratic in the letters; a run budget would miss
-# (u^1000 v^2)^60, 120 runs and 11.7 s.  At the budget, words whose prefix
-# twist grows took 0.81 s ((u v^2)^666) and 1.0 s ((u^2 v^2)^500) and
-# B^500 0.08 s, against 9.3 s for (u v^2)^2000 (medians of three, Python
-# 3.11 on a shared 2-CPU host).  The tests, demos, selftest suites and
-# benchmark pass lsigma words of 186 letters at most.
-MAX_LSIGMA_LETTERS = 2000
 
 
-def theta(t: KleinElt, w: Word) -> Word:
-    """Image of w under the twisting automorphism with parameters t.
+def _conj(t: KleinElt) -> int:
+    """The exponent c of the conjugator B^c of theta(t): c = m - δn."""
+    return t.m - t.n % 2
 
-    With P = B^(m-δn), theta(m, n) is conjugation by P after the
-    substitution φ: u ↦ u^(εn), v ↦ B^(δn) v u^(-2m), that is
-    theta(t)(w) = P · φ(w) · P^-1.  φ(w) is written piece by piece, and
-    each piece is joined to the reduced runs so far at its seam only: one
-    run per u-run of w, and per v-run v^k the 2- or 3-run tuple of φ(v) or
-    φ(v)^-1 (built once per call) when |k| = 1, else the power φ(v)^k.  So
-    the runs so far stay reduced, φ(w) needs no reduction pass, and the
-    cost is linear in the runs of φ(w) plus |m|.  The empty word is
-    returned as it is, so pure twists build no P.  |m| over MAX_TWIST
-    raises ValueError, and so does a v-run whose power would take the runs
-    so far past MAX_RUNS, before that power is built.  n enters only
-    through its parity, so its size costs nothing and has no budget.
-    """
+
+@lru_cache(maxsize=1024)
+def _substitution(m: int, d: int) -> tuple[int, Word, tuple[Run, ...], tuple[Run, ...], int]:
+    """The substitution φ of theta(m, n), with d = δn, built once per twist
+    in use: εn, φ(v), the runs of φ(v) and of φ(v)^-1, and the runs that
+    each further factor of a power of φ(v) adds."""
+    # B v = u v u, so φ(v) is v u^(-2m) or u v u^(1-2m); their powers gain
+    # 2 runs per factor, except u v u^-1 at m = δn = 1, whose keep 3
+    img_v = Word(((("u", 1),) if d else ()) + (("v", 1), ("u", d - 2 * m)))
+    return eps(d), img_v, img_v.runs, img_v.inv().runs, 0 if m == d else 2
+
+
+def _phi(t: KleinElt, w: Word, runs: list[Run]) -> None:
+    """Join φ_t(w) onto the reduced runs, where φ_t is the substitution of
+    theta(t): u ↦ u^(εn), v ↦ B^(δn) v u^(-2m).
+
+    One piece per run of w: u^(εn·k) for a u-run, and for a v-run v^k the
+    2- or 3-run tuple of φ_t(v) or φ_t(v)^-1 when |k| = 1, else the power
+    φ_t(v)^k.  Each is joined at its seam, so the cost is linear in the
+    pieces.  A v-run whose power would take the runs past MAX_RUNS raises
+    ValueError before that power is built."""
     m, d = t.m, t.n % 2
-    if abs(m) > MAX_TWIST:
-        raise ValueError(f"twist m = {m} exceeds the budget |m| <= {MAX_TWIST} of theta")
-    if not w.runs or not m and not d:  # theta(0, even n) is the identity
-        return w
-    e = eps(d)
-    img_v = BIG_B ** d * V * U ** (-2 * m)
-    fwd, back = img_v.runs, img_v.inv().runs
-    # φ(v)^k has len(fwd) + per·(|k| - 1) runs: φ(v) is v u^(-2m) or
-    # u v u^(1-2m), whose powers gain 2 runs per factor, except u v u^-1
-    # at m = δn = 1, whose powers keep 3
-    per = 0 if m == d else 2
-    runs: list[tuple[str, int]] = []
+    e, img_v, fwd, back, per = _substitution(m, d)
     for g, k in w.runs:
         if g == "u":
-            piece: tuple[tuple[str, int], ...] = (("u", e * k),)
+            _join(runs, (("u", e * k),))
         elif len(runs) + len(fwd) + per * (abs(k) - 1) > MAX_RUNS:
             raise ValueError(
                 f"theta({m}, {t.n}) of v^{k} exceeds the budget of {MAX_RUNS} runs"
             )
         else:
-            piece = fwd if k == 1 else back if k == -1 else (img_v ** k).runs
-        # runs and piece are both reduced, so they cancel only at the seam
-        while runs and piece and runs[-1][0] == piece[0][0]:
-            (h, a), b, piece = runs.pop(), piece[0][1], piece[1:]
-            if a + b:
-                runs.append((h, a + b))
-                break
-        runs.extend(piece)
-    conj = BIG_B ** (m - d)
+            _join(runs, fwd if k == 1 else back if k == -1 else (img_v ** k).runs)
+
+
+def theta(t: KleinElt, w: Word) -> Word:
+    """Image of w under the twisting automorphism with parameters t.
+
+    theta(t)(w) = P · φ_t(w) · P^-1 with P = B^(m-δn), where _phi writes
+    the substitution φ_t.  The budget of _phi counts the runs of φ_t(w)
+    reduced, so images of up to MAX_RUNS runs are written.  The empty word
+    is returned as it is, so pure twists build no P.  |m| over MAX_TWIST
+    raises ValueError before anything is built.  n enters only through
+    its parity, so its size costs nothing and has no budget.
+    """
+    if abs(t.m) > MAX_TWIST:
+        raise ValueError(f"twist m = {t.m} exceeds the budget |m| <= {MAX_TWIST} of theta")
+    if not w.runs or not t.m and not t.n % 2:  # theta(0, even n) is the identity
+        return w
+    runs: list[Run] = []
+    _phi(t, w, runs)
+    conj = BIG_B ** _conj(t)
     return conj * _from_reduced(tuple(runs)) * conj.inv()
 
 
@@ -123,15 +125,12 @@ class BraidElt:
         return BraidElt(theta(t, self.word.inv()), t)
 
     def __pow__(self, k: int) -> "BraidElt":
-        base = self if k >= 0 else self.inv()
-        out = B_IDENTITY
-        k = abs(k)
-        while k:
-            if k & 1:
+        # square and multiply, reading the bits of |k| from the top
+        base, out = self if k >= 0 else self.inv(), B_IDENTITY
+        for bit in f"{abs(k):b}":
+            out = out * out
+            if bit == "1":
                 out = out * base
-            k >>= 1
-            if k:
-                base = base * base
         return out
 
     def __str__(self) -> str:
@@ -165,14 +164,9 @@ def gmap(w: Word) -> KleinElt:
 def lsigma(a: BraidElt) -> BraidElt:
     """Conjugation by σ: the image of a under LSIGMA_IMAGES.
 
-    A word of more than MAX_LSIGMA_LETTERS letters, or a twist with |m|
-    over MAX_TWIST, raises ValueError before the first product."""
-    letters = a.word.letter_length()
-    if letters > MAX_LSIGMA_LETTERS:
-        raise ValueError(
-            f"lsigma of a word of {letters} letters exceeds the budget of "
-            f"{MAX_LSIGMA_LETTERS} letters"
-        )
+    A twist with |m| over MAX_TWIST raises ValueError before anything is
+    built, and so does a word whose image would write more than MAX_RUNS
+    runs (apply_images)."""
     if abs(a.twist.m) > MAX_TWIST:
         raise ValueError(f"twist m = {a.twist.m} exceeds the budget |m| <= {MAX_TWIST} of theta")
     return apply_images(LSIGMA_IMAGES, a)
@@ -210,15 +204,62 @@ H_IMAGES = (
 H_INV_IMAGES = (BraidElt(U), BraidElt(V * U), _X, BraidElt(BIG_B, KleinElt(-1, 1)))
 
 
+@lru_cache(maxsize=64)
+def _factor(image: BraidElt, sign: int) -> tuple[BraidElt, tuple[tuple[int, tuple[Run, ...]], ...]]:
+    """f = image^sign, and per parity d of the prefix twist t of one factor
+    f = (w_f; s) in apply_images: the runs the factor writes at most, and
+    the runs of its conjugator step B^(c(t·s) - c(t)), which depends on d
+    alone.  φ_t writes one run per u-run of w_f and at most 2|k| + d per
+    v-run v^k, and the step 4 per unit of its exponent."""
+    f = image if sign > 0 else image.inv()
+    per_parity = []
+    for d in (0, 1):
+        step = _conj(KleinElt(0, d) * f.twist) + d
+        pieces = sum(1 if g == "u" else 2 * abs(k) + d for g, k in f.word.runs)
+        per_parity.append((pieces + 4 * abs(step), (BIG_B ** step).runs))
+    return f, tuple(per_parity)
+
+
 def apply_images(images: tuple[BraidElt, ...], a: BraidElt) -> BraidElt:
     """Image of a = (w; m, n) under the map with the given images of
     (u, v, x, y): the product of image(g)^k over the runs g^k of w, then
-    image(x)^m · image(y)^n."""
-    img_u, img_v, img_x, img_y = images
-    out = B_IDENTITY
+    image(x)^m · image(y)^n.
+
+    Written in one pass, with no braid product over the runs of w.  A run
+    g^k is |k| factors (w_f; s) = image(g)^±1.  theta(t) is conjugation by
+    B^c(t), c(t) = m - δn, after φ_t, so a factor at the prefix twist t
+    adds θ_t(w_f) = B^c(t) φ_t(w_f) B^-c(t) to the word.  The runs so far
+    are kept as the word without its closing B^-c(t): each factor joins
+    φ_t(w_f), then only the step B^(c(t·s) - c(t)) of the conjugator, and
+    the pass closes with B^-c(t).  Every piece is joined at its seam, so
+    the cost is linear in the runs written.  The twists' part
+    image(x)^m · image(y)^n is a product of two braid powers, written as
+    one more factor.
+
+    Before a run's factors are written, the runs they write are counted
+    from |k| (_factor), before any cancellation; a count past MAX_RUNS
+    raises ValueError before the run's first piece is built.
+    """
+    runs: list[Run] = []
+    t, written = K_IDENTITY, 0
     for g, k in a.word.runs:
-        out = out * (img_u if g == "u" else img_v) ** k
-    return out * img_x ** a.twist.m * img_y ** a.twist.n
+        f, per_parity = _factor(images[0 if g == "u" else 1], 1 if k > 0 else -1)
+        n, d = abs(k), t.n % 2
+        # an odd twist of f alternates the parity of the prefix twist
+        same = (n + 1) // 2 if f.twist.n % 2 else n
+        written += same * per_parity[d][0] + (n - same) * per_parity[1 - d][0]
+        if written > MAX_RUNS:
+            raise ValueError(
+                f"the image of {g}^{k} exceeds the budget of {MAX_RUNS} runs written"
+            )
+        for _ in range(n):
+            _phi(t, f.word, runs)
+            _join(runs, per_parity[t.n % 2][1])
+            t = t * f.twist
+    tail = images[2] ** a.twist.m * images[3] ** a.twist.n
+    _phi(t, tail.word, runs)
+    _join(runs, (BIG_B ** -_conj(t)).runs)
+    return BraidElt(_from_reduced(tuple(runs)), t * tail.twist)
 
 
 def _relation_failures(name: str, images: tuple[BraidElt, ...]) -> list[str]:

@@ -8,8 +8,9 @@ never both.
 
 Exit codes: 0 success, 1 verification failure or property-false result,
 2 usage or precondition error, including input over one of the budgets
-(words.MAX_RUNS, also for the image of a v-run under theta,
-braid.MAX_TWIST, braid.MAX_LSIGMA_LETTERS, kernel.MAX_DEPOSITS,
+(words.MAX_RUNS, also for the image of a v-run under theta and for the
+runs that lsigma and H write in apply_images, braid.MAX_TWIST,
+kernel.MAX_DEPOSITS,
 SearchBounds, witness.MAX_PAIRS, witness.MAX_WITNESS_PARAM,
 certificate.MAX_SWEEP_ENTRIES), which the library raises as ValueError
 before it builds anything large.

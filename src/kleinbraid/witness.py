@@ -24,10 +24,11 @@ within a bucket by exponent sums.  The abelianised relation is linear in
 those sums, so each choice of a's word and b's twist solves it for the one
 level of b's words that can pass.  A pair that passes is tested next in the
 finite quotient psi: F(u, v) → A5, u ↦ (0 1 2 3 4), v ↦ (0 1 2), at two
-lookups in one multiplication table.  Only a pair that passes there is
-checked as the exact word equation, which alone accepts a pair; psi is a
-homomorphism, so no solution fails in A5 (Holt, Eick & O'Brien, *Handbook
-of Computational Group Theory*, 2005).  psi of each short word is kept in
+lookups in one multiplication table.  Only a pair that passes there, and
+is no larger than the least pair found so far, is checked as the exact
+word equation, which alone accepts a pair; psi is a homomorphism, so no
+solution fails in A5 (Holt, Eick & O'Brien, *Handbook of Computational
+Group Theory*, 2005).  psi of each short word is kept in
 its bucket and evicted with it; the images under psi of the words twisted
 by theta are folds over their runs, made per search, with no word built.
 lsigma(a) is not computed per a-word: it is rho(w_a), cached beside the
@@ -99,12 +100,14 @@ MAX_COORD = 100
 # selftest suites and benchmark examines 17,689.
 MAX_PAIRS = 1_000_000
 # Budget of build_witness, on the representative's r1, r2 and s1 (its s2 is
-# 0 or 1).  The pair's words grow linearly in each, and checking them takes
-# quadratic time: type 4 with (r1, r2) = (200, 1) took 0.85 s and (300, 1)
-# 2.1 s, type 1 with i = 1 and s1 = 200 0.05 s (medians of three, same host).
-# Type 4 with s2 odd and r1, s1 both nonzero has words of about 4·|r1·s1|
-# letters, which the budget of lsigma refuses once the pair is built.
-MAX_WITNESS_PARAM = 200
+# 0 or 1).  The pair's words grow linearly in each, and so does checking
+# them.  At the budget the slowest branches took 0.85-1.08 s (type 4 with
+# r1 = 10,000 and r2 odd) and 0.62-0.92 s (type 1 with i = 1), every other
+# branch under 0.55 s (three runs each, Python 3.11 on a shared 2-CPU
+# host).  Type 4 with s2 odd and r1, s1 both nonzero has words of about
+# 4·|r1·s1| letters; lsigma refuses those whose image would write more than
+# MAX_RUNS runs once the pair is built, after 0.7 s at most.
+MAX_WITNESS_PARAM = 10_000
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,11 @@ _Buckets = dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[tuple[Word, 
 def _words_by_gmap(max_len: int) -> tuple[_Buckets, dict[Word, Word]]:
     """Short words bucketed by gmap, each bucket grouped by exponent sums,
     each word held with psi(w); and beside them the cache of rho(w), filled
-    as searches reach each w."""
+    as searches reach each w.
+
+    The cache pays although lsigma is linear: the benchmark's pass of 100
+    searches at word_len 6, coord 1 (seed 1) looks up rho 8,175 times for
+    316 distinct words."""
     buckets: dict[tuple[int, int], dict[tuple[int, int], list[tuple[Word, int]]]] = {}
     for w in _short_words(max_len):
         g = gmap(w)
@@ -394,13 +401,10 @@ def _candidate_b_twists(
     return [KleinElt(m2, n2)]
 
 
-def _total_size(pair: tuple[BraidElt, BraidElt]) -> tuple[int, str, str]:
-    """Letters plus twist coordinates of both braids, ties broken by text."""
-    a, b = pair
-    size = sum(
-        x.word.letter_length() + abs(x.twist.m) + abs(x.twist.n) for x in pair
-    )
-    return size, str(a), str(b)
+def _size(word: Word, twist: KleinElt) -> int:
+    """Letters plus twist coordinates of the braid (word; twist); a pair is
+    ordered by the sum of its braids' sizes, then by their texts."""
+    return word.letter_length() + abs(twist.m) + abs(twist.n)
 
 
 def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> SearchResult:
@@ -447,8 +451,11 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     factor once per a-bucket, and w_ls and its abelian image once per
     a-word, at one word product each.  examined counts every pair of the
     bounded space the scan decides, filtered or not.  The returned pair is
-    the deterministic minimum by total size, re-verified on the braid
-    engine by verify_pair.
+    the deterministic minimum by size, then text, re-verified on the braid
+    engine by verify_pair.  A pair's size is known from its words and
+    twists, so once a pair is found, a pair strictly larger skips the exact
+    check; a pair of equal size is still checked, since the key then
+    compares texts.
     """
     img10, img01 = cls.images()
     if abs(img10.m) > bounds.coord or abs(img10.n) > bounds.coord:
@@ -478,7 +485,9 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     # per b-bucket, its (w_b, psi(w_b), psi_{t_a}(w_b)) by the level of
     # their exponent sums
     b_levels: dict[tuple[int, int], dict[int, list[tuple[Word, int, int]]]] = {}
-    found: list[tuple[BraidElt, BraidElt]] = []
+    # ((size, texts), pair) of the least pair found so far; a pair of
+    # larger size cannot take its place, so it skips the exact check
+    best: tuple[tuple[int, str, str], tuple[BraidElt, BraidElt]] | None = None
     for a1, sides in plan.items():
         b_sides = []
         for t_b, b_key in sides:
@@ -513,11 +522,16 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
                     for w_b, p_b, q_b in b_entries:
                         if mul[row_a[q_b]][p_ls] != p_b:
                             continue
+                        size = _size(w_a, t_a) + _size(w_b, t_b)
+                        if best is not None and size > best[0][0]:
+                            continue
                         if tail is None:
                             tail = theta(t_ab, w_ls)
                         if w_a * theta(t_a, w_b) * tail == w_b:
-                            found.append((BraidElt(w_a, t_a), BraidElt(w_b, t_b)))
-    if not found:
+                            a, b = BraidElt(w_a, t_a), BraidElt(w_b, t_b)
+                            key = (size, str(a), str(b))
+                            if best is None or key < best[0]:
+                                best = key, (a, b)
+    if best is None:
         return SearchResult(None, examined, bounds)
-    a, b = min(found, key=_total_size)
-    return SearchResult(verify_pair(a, b, cls, source="searched"), examined, bounds)
+    return SearchResult(verify_pair(*best[1], cls, source="searched"), examined, bounds)

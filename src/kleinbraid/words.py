@@ -12,10 +12,12 @@ product cancels only at the seam, an inverse reverses, and a power w^n
 writes w = p c p^-1 with c cyclically reduced and returns p c^n p^-1, which
 needs no cancellation at all (Lyndon-Schupp, *Combinatorial Group Theory*,
 I.2).  They wrap their runs with the private ``_from_reduced``, which skips
-the reduction; no public constructor does.  parse_word builds each term
-reduced and joins it to the runs collected so far at the seam only, so it
-too wraps its result with ``_from_reduced``; so does ``braid.theta``, which
-joins the images of the runs of a word the same way.
+the reduction; no public constructor does.  Reduced runs are extended by
+one seam writer, ``_join``: it appends a reduced piece and cancels at the
+seam only.  ``Word(runs)`` reduces by joining one run at a time, a
+product is one join, parse_word joins each term it reads, and
+``braid.theta`` and ``braid.apply_images`` join the image of each run, so
+all but the first wrap their results with ``_from_reduced`` too.
 
 ``B`` abbreviates the fixed word u v u v^-1.  Input text may use it as
 shorthand (with an optional exponent); canonical output never emits it.
@@ -44,21 +46,29 @@ class WordParseError(ValueError):
 def _reduce(runs: Iterable[Run]) -> tuple[Run, ...]:
     out: list[Run] = []
     for gen, exp in runs:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            if merged == 0:
-                out.pop()
-            else:
-                out[-1] = (gen, merged)
-        else:
-            out.append((gen, exp))
+        if exp:
+            _join(out, ((gen, exp),))
     return tuple(out)
 
 
 def _inv_runs(runs: tuple[Run, ...]) -> tuple[Run, ...]:
     return tuple([(g, -e) for g, e in reversed(runs)])
+
+
+def _join(runs: list[Run], piece: tuple[Run, ...]) -> None:
+    """Append the reduced piece to the reduced runs, keeping them reduced.
+
+    Both are reduced, so they cancel at the seam only: the cost is the
+    runs cancelled plus the runs appended."""
+    j = 0
+    while j < len(piece) and runs and runs[-1][0] == piece[j][0]:
+        e = runs[-1][1] + piece[j][1]
+        j += 1
+        if e:
+            runs[-1] = (runs[-1][0], e)
+            break
+        runs.pop()
+    runs.extend(piece[j:])
 
 
 @dataclass(frozen=True)
@@ -71,19 +81,13 @@ class Word:
         object.__setattr__(self, "runs", _reduce(self.runs))
 
     def __mul__(self, other: "Word") -> "Word":
-        a, b = self.runs, other.runs
-        if not b:
+        if not other.runs:
             return self
-        if not a:
+        if not self.runs:
             return other
-        i, j = len(a), 0
-        while i and j < len(b) and a[i - 1][0] == b[j][0]:
-            e = a[i - 1][1] + b[j][1]
-            if e:
-                return _from_reduced(a[: i - 1] + ((b[j][0], e),) + b[j + 1 :])
-            i -= 1
-            j += 1
-        return _from_reduced(a[:i] + b[j:])
+        runs = list(self.runs)
+        _join(runs, other.runs)
+        return _from_reduced(tuple(runs))
 
     def inv(self) -> "Word":
         return _from_reduced(_inv_runs(self.runs))
@@ -183,19 +187,8 @@ def parse_word(text: str) -> Word:
                     f"word expands to more than the budget of {MAX_RUNS} runs", pos
                 )
             term = (BIG_B ** exp).runs
-        elif sym != "1" and exp:
-            term = ((sym, exp),)
         else:
-            term = ()
-        # runs and term are both reduced, so they cancel only at the seam
-        j = 0
-        while j < len(term) and runs and runs[-1][0] == term[j][0]:
-            e = runs[-1][1] + term[j][1]
-            j += 1
-            if e:
-                runs[-1] = (runs[-1][0], e)
-                break
-            runs.pop()
-        runs.extend(term[j:])
+            term = ((sym, exp),) if sym != "1" and exp else ()
+        _join(runs, term)
         pos = m.end()
     return _from_reduced(tuple(runs))

@@ -2,15 +2,18 @@ import re
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from kleinbraid import braid
 from kleinbraid.braid import (
     B_IDENTITY,
+    H_IMAGES,
+    H_INV_IMAGES,
     LSIGMA_IMAGES,
-    MAX_LSIGMA_LETTERS,
     MAX_TWIST,
     SIGMA_SQ,
     BraidElt,
+    apply_images,
     bmul,
     decompose,
     forced_word_exponents,
@@ -25,9 +28,9 @@ from kleinbraid.braid import (
 )
 from kleinbraid.cli import main
 from kleinbraid.kleinpi import K_IDENTITY, KleinElt, eps
-from kleinbraid.words import BIG_B, ONE, U, V, Word, parse_word
+from kleinbraid.words import BIG_B, MAX_RUNS, ONE, U, V, Word, parse_word
 
-from common import PROFILE, braids, twists, words
+from common import PROFILE, braids, runs, twists, words
 
 
 def test_theta_examples():
@@ -238,18 +241,111 @@ def _no_products(monkeypatch):
     monkeypatch.setattr(BraidElt, "__mul__", no_product)
 
 
-def test_lsigma_letter_budget(monkeypatch):
-    # B^500 has 2000 letters and (u v^2)^667 2001; the words' twists are free
-    at_budget = BraidElt(BIG_B ** 500, KleinElt(7, 3))
-    assert at_budget.word.letter_length() == MAX_LSIGMA_LETTERS
-    assert lsigma(at_budget).twist == KleinElt(7, 3)
+def _no_pieces(monkeypatch):
     _no_products(monkeypatch)
-    for w in ((U * V ** 2) ** 667, BIG_B ** 500 * U, U ** 3000, (U ** 1000 * V ** 2) ** 60):
-        with pytest.raises(ValueError, match=f"budget of {MAX_LSIGMA_LETTERS} letters"):
+
+    def no_piece(t, w, runs):
+        raise AssertionError("a piece of the image was built")
+
+    monkeypatch.setattr(braid, "_phi", no_piece)
+
+
+def product_of_powers(images, a):
+    """The reference for apply_images: one braid product per run of a's
+    word, each copying the image so far, then image(x)^m · image(y)^n."""
+    img_u, img_v, img_x, img_y = images
+    out = B_IDENTITY
+    for g, k in a.word.runs:
+        out = out * (img_u if g == "u" else img_v) ** k
+    return out * img_x ** a.twist.m * img_y ** a.twist.n
+
+
+IMAGE_SETS = {"lsigma": LSIGMA_IMAGES, "H": H_IMAGES, "H^-1": H_INV_IMAGES}
+wide_twists = st.builds(KleinElt, st.integers(-50, 50), st.integers(-50, 50))
+
+
+@PROFILE
+@given(st.sampled_from(sorted(IMAGE_SETS)), runs, wide_twists)
+def test_apply_images_matches_the_product_of_powers(name, rs, t):
+    a = BraidElt(Word(tuple(rs)), t)
+    assert apply_images(IMAGE_SETS[name], a) == product_of_powers(IMAGE_SETS[name], a)
+
+
+def _tree_product(factors):
+    """The braid product of the factors, multiplied pairwise level by level
+    so that no product copies more than half of the result."""
+    while len(factors) > 1:
+        factors = [bmul(*factors[i : i + 2]) if i + 1 < len(factors) else factors[i]
+                   for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+def _lsigma_run(g, k):
+    # the closed forms of lsigma on runs (module docstring of braid)
+    if g == "u":
+        return BraidElt((BIG_B * U.inv()) ** k * BIG_B ** -k, KleinElt(k, 0))
+    return BraidElt((U * V) ** -k * (U * BIG_B) ** (k % 2), KleinElt(0, k))
+
+
+def test_lsigma_of_a_long_word_is_the_product_over_its_runs():
+    # (u v^2)^2000 has 6000 letters and 4000 runs; lsigma writes it in one
+    # pass, where product_of_powers copies the image so far once per run
+    w = (U * V ** 2) ** 2000
+    want = _tree_product([_lsigma_run(g, k) for g, k in w.runs])
+    assert lsigma(BraidElt(w)) == want
+    assert lsigma(BraidElt(w, KleinElt(3, 1))) == want * lsigma(BraidElt(ONE, KleinElt(3, 1)))
+
+
+def test_factor_counts_bound_the_runs_written(monkeypatch):
+    # each factor (w_f; s) at the prefix twist t joins φ_t(w_f) and the
+    # step B^(c(t·s) - c(t)); _factor counts those runs, before any
+    # cancellation, from the parity of t alone
+    joined = []
+    join = braid._join
+
+    def counting_join(runs, piece):
+        joined.append(len(piece))
+        join(runs, piece)
+
+    monkeypatch.setattr(braid, "_join", counting_join)
+    for images in IMAGE_SETS.values():
+        for image in images[:2]:
+            for sign in (1, -1):
+                f, per_parity = braid._factor(image, sign)
+                assert f == (image if sign > 0 else image.inv())
+                for t in (KleinElt(m, n) for m in range(-3, 4) for n in range(-2, 3)):
+                    count, step = per_parity[t.n % 2]
+                    joined.clear()
+                    out = []
+                    braid._phi(t, f.word, out)
+                    braid._join(out, step)
+                    assert sum(joined) <= count
+                    assert Word(step) == BIG_B ** (braid._conj(t * f.twist) - braid._conj(t))
+
+
+def test_lsigma_run_budget(monkeypatch):
+    # long words and large exponents are written
+    for w in ((U * V ** 2) ** 667, BIG_B ** 500 * U, U ** 3000, (U ** 1000 * V ** 2) ** 6):
+        assert lsigma(BraidElt(w)) == _tree_product([_lsigma_run(g, k) for g, k in w.runs])
+    # a u-factor of lsigma writes 17 runs: 5 u-runs and 4 v-runs of
+    # B u^-1 B^-1 under φ, then the step B, and the prefix twist stays even.
+    # The budget counts them before cancellation, so lsigma(u^11), a word
+    # of 49 runs, is refused at a budget of 170 runs.
+    assert len(lsigma(BraidElt(U ** 11)).word.runs) == 49
+    monkeypatch.setattr(braid, "MAX_RUNS", 170)
+    assert lsigma(BraidElt(U ** 10)) == _lsigma_run("u", 10)
+    # v-factors alternate the parity of the prefix twist: 12 runs at even
+    # n and 15 at odd n, so v^3 writes 39 runs and v^-3 42
+    monkeypatch.setattr(braid, "MAX_RUNS", 39)
+    assert lsigma(BraidElt(V ** 3)) == _lsigma_run("v", 3)
+    # the count is cumulative over the runs of the word
+    with pytest.raises(ValueError, match=r"image of v\^3 exceeds the budget of 39 runs written"):
+        lsigma(BraidElt(U * V ** 3))
+    # and a run is refused before its first piece is built
+    _no_pieces(monkeypatch)
+    for w in (U ** 11, V ** -3, V ** 10**6):
+        with pytest.raises(ValueError, match=r"budget of 39 runs written"):
             lsigma(BraidElt(w))
-    monkeypatch.setattr(braid, "MAX_LSIGMA_LETTERS", 3)
-    with pytest.raises(ValueError, match="word of 4 letters"):
-        rho(BIG_B)
 
 
 def test_lsigma_twist_budget(monkeypatch):
@@ -262,10 +358,12 @@ def test_lsigma_twist_budget(monkeypatch):
 
 
 def test_cli_rejects_lsigma_over_budget(capsys, monkeypatch):
-    _no_products(monkeypatch)
-    assert main(["braid-eval", "lsigma(B^100000;0,0)"]) == 2
+    # lsigma of v^1000000 would write about 13,500,000 runs; it is refused
+    # from the count before any piece is built
+    _no_pieces(monkeypatch)
+    assert main(["braid-eval", "lsigma(v^1000000;0,0)"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"budget of {MAX_LSIGMA_LETTERS} letters" in err
+    assert out == "" and f"budget of {MAX_RUNS} runs written" in err
 
 
 def test_rho_examples():

@@ -54,7 +54,7 @@ from kleinbraid.witness import (
     search_witness,
     verify_pair,
 )
-from kleinbraid.words import ONE, U, V, Word, parse_word
+from kleinbraid.words import MAX_RUNS, ONE, U, V, Word, parse_word
 
 from common import PROFILE, twists, words
 
@@ -525,10 +525,10 @@ OVER_WITNESS_BUDGET = [
 
 
 def test_witness_budget_rejects_before_the_pair(monkeypatch):
-    # at the budget the cheap branches still build and verify their pair
+    # at the budget the branches still build and verify their pair
     at_budget = [
         HomClass(1, i=1, s1=-MAX_WITNESS_PARAM, s2=1),
-        HomClass(4, r1=0, r2=199, s1=0, s2=0),
+        HomClass(4, r1=0, r2=MAX_WITNESS_PARAM - 1, s1=0, s2=0),
     ]
     for cls in at_budget:
         assert build_witness(cls).cls == cls
@@ -549,12 +549,15 @@ def test_witness_budget_is_inclusive(monkeypatch):
 
 
 def test_lsigma_budget_refuses_large_products_of_r1_and_s1():
-    # within MAX_WITNESS_PARAM, but a's word has about 4·r1·s1 letters
-    with pytest.raises(ValueError, match="lsigma of a word of"):
+    # within MAX_WITNESS_PARAM, but a's word has about 4·r1·s1 letters, and
+    # its image under lsigma would write far more than MAX_RUNS runs
+    with pytest.raises(ValueError, match=rf"exceeds the budget of {MAX_RUNS} runs written"):
         build_witness(HomClass(4, r1=MAX_WITNESS_PARAM, r2=0, s1=MAX_WITNESS_PARAM, s2=1))
+    # a smaller product of the two is written
+    assert build_witness(HomClass(4, r1=200, r2=0, s1=20, s2=1)).source == "constructed"
 
 
-@pytest.mark.parametrize("args", [["--type", "4", "--r1", "3000", "--r2", "1"],
+@pytest.mark.parametrize("args", [["--type", "4", "--r1", "30000", "--r2", "1"],
                                   ["--type", "1", "--i", "1", "--s1", "100000", "--s2", "1"]])
 def test_cli_rejects_witness_over_budget(capsys, monkeypatch, args):
     _no_pair(monkeypatch)
