@@ -236,22 +236,40 @@ def apply_images(images: tuple[BraidElt, ...], a: BraidElt) -> BraidElt:
     image(x)^m · image(y)^n is a product of two braid powers, written as
     one more factor.
 
+    A factor with the trivial twist leaves t, and so the conjugator, as
+    it is, so its run is written as the one word power φ_t(w_f)^|k|,
+    linear in the runs of that power (H and H^-1 send u and v to such
+    factors).
+
     Before a run's factors are written, the runs they write are counted
-    from |k| (_factor), before any cancellation; a count past MAX_RUNS
-    raises ValueError before the run's first piece is built.
+    from |k| (_factor), before any cancellation, and a run written as a
+    power of a single run counts as one; a count past MAX_RUNS raises
+    ValueError before the run's first piece is built (for a power, before
+    the power is built; its one factor φ_t(w_f) is built to count it).
     """
     runs: list[Run] = []
     t, written = K_IDENTITY, 0
     for g, k in a.word.runs:
         f, per_parity = _factor(images[0 if g == "u" else 1], 1 if k > 0 else -1)
         n, d = abs(k), t.n % 2
-        # an odd twist of f alternates the parity of the prefix twist
-        same = (n + 1) // 2 if f.twist.n % 2 else n
-        written += same * per_parity[d][0] + (n - same) * per_parity[1 - d][0]
+        piece: list[Run] = []
+        trivial = f.twist == K_IDENTITY
+        if trivial:
+            # t and the conjugator stay put along the run: its factors are
+            # the one word power φ_t(w_f)^|k|, a single run if φ_t(w_f) is
+            _phi(t, f.word, piece)
+            written += 1 if len(piece) == 1 else n * per_parity[d][0]
+        else:
+            # an odd twist of f alternates the parity of the prefix twist
+            same = (n + 1) // 2 if f.twist.n % 2 else n
+            written += same * per_parity[d][0] + (n - same) * per_parity[1 - d][0]
         if written > MAX_RUNS:
             raise ValueError(
                 f"the image of {g}^{k} exceeds the budget of {MAX_RUNS} runs written"
             )
+        if trivial:
+            _join(runs, (_from_reduced(tuple(piece)) ** n).runs)
+            continue
         for _ in range(n):
             _phi(t, f.word, runs)
             _join(runs, per_parity[t.n % 2][1])

@@ -9,15 +9,24 @@ v-letter crossing coset (m, n) deposits the row
     σk · Σ_{i=1..|k|} e(n, σk·i - (1+σk)/2),        k = εn·m
 
 (a v^-1 letter first steps back to (m, n-1) and deposits the negated row
-evaluated there).  The roundtrip project(expand(k, l)) == e(k, l) pins the
-scan's correctness, and the scan is in turn the reference for the
-T/I/O/J/Q families below.
+evaluated there).  That row is one interval of l, [0, k) or [k, 0), of
+constant value, so the scan records it as the interval (_deposit), at a
+cost independent of |k|, and writes every row once at the end
+(_materialise): a row of one interval is its one segment, and a row of
+several is merged through its difference map, each constant segment
+written by one C-level dict.update.  A one-entry interval is deposited as
+its coefficient, with no row machinery.  The roundtrip
+project(expand(k, l)) == e(k, l) pins the scan's correctness, and the
+scan is in turn the reference for the T/I/O/J/Q families below, whose
+boxes _from_boxes writes through the same two functions.
 
 A KernelVector stores only nonzero coefficients.  _accumulate is the one
 merge that keeps that form (KernelVector(...), + and - run it, and so do
-the term tables of KernelOperator), project repeats its update inline,
-and the private _vector wraps dicts that are zero-free by construction
-(negation, scalar multiples, project's result).
+the term tables of KernelOperator and _materialise; _deposit adds a
+one-entry deposit by the same rule inline), and the private _vector wraps
+dicts that are zero-free by construction (negation, scalar multiples,
+_materialise's result).  str prints each constant run of consecutive l in
+a row by one join.
 
 theta_ab / rho_ab / c_ab apply the operators induced on the abelianisation:
 
@@ -49,7 +58,9 @@ with the family "unit" for a single basis vector e(args).  Since dk is even,
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, Iterable, Iterator, Tuple, TypeVar, Union
+from bisect import bisect_left
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Tuple, TypeVar, Union
 
 from .kleinpi import KleinElt, eps, sign_of
 from .words import BIG_B, ONE, U, V, Word, comm
@@ -114,12 +125,53 @@ class KernelVector:
         return bool(self._c)
 
     def __str__(self) -> str:
-        if not self._c:
+        # "(k,l):c" per entry in sorted order; a one-entry row is written as
+        # that, and each contiguous constant segment of a longer row by one
+        # join over the numerals of its l
+        c = self._c
+        if not c:
             return "0"
-        return " ".join(f"({k},{l}):{c}" for (k, l), c in sorted(self._c.items()))
+        keys = sorted(c)
+        n = len(keys)
+        numerals: Dict[Tuple[int, int], List[str]] = {}
+        out = []
+        start = 0
+        while start < n:
+            key = keys[start]
+            k = key[0]
+            end = start + 1
+            if end == n or keys[end][0] != k:
+                out.append(f"({k},{key[1]}):{c[key]}")
+                start = end
+                continue
+            end = bisect_left(keys, (k + 1,), end)
+            coefs = list(map(c.__getitem__, keys[start:end]))
+            size, lo, x = end - start, key[1], coefs[0]
+            if keys[end - 1][1] - lo == size - 1 and coefs.count(x) == size:
+                out.append(_segment(numerals, k, lo, size, x))
+            else:
+                # a row with gaps or mixed coefficients: split it at each
+                i = 0
+                while i < size:
+                    j, lo, x = i + 1, keys[start + i][1], coefs[i]
+                    while j < size and coefs[j] == x and keys[start + j][1] == lo + j - i:
+                        j += 1
+                    out.append(f"({k},{lo}):{x}" if j - i == 1 else _segment(numerals, k, lo, j - i, x))
+                    i = j
+            start = end
+        return " ".join(out)
 
     def __repr__(self) -> str:
         return f"KernelVector({self._c!r})"
+
+
+def _segment(numerals: Dict[Tuple[int, int], List[str]], k: int, lo: int, size: int, x: int) -> str:
+    # "(k,lo):x (k,lo+1):x ..." over size entries; the numerals of each
+    # range are made once per string, since rows often share their range
+    nums = numerals.get((lo, size))
+    if nums is None:
+        nums = numerals[lo, size] = list(map(str, range(lo, lo + size)))
+    return f"({k}," + f"):{x} ({k},".join(nums) + f"):{x}"
 
 
 def _vector(c: Dict[Basis, int]) -> KernelVector:
@@ -141,45 +193,99 @@ def expand(k: int, l: int) -> Word:
 # |e|·|m| coefficients, so one large exponent passes the parse budget but
 # not this one.  B^250000 deposits 250,000, and
 # `kleinbraid kernel-project "v^2 u^500000 v^-2 u^-500000"`, at the budget,
-# takes 1.7 s and prints 13.8 MB (Python 3.11, 2 CPUs).
+# takes 0.8-1.1 s and prints 13.8 MB (Python 3.11, 2 shared CPUs), about
+# 0.4 s of it filling the dict of 1,000,000 coefficients from two intervals.
 MAX_DEPOSITS = 1_000_000
+
+# Rows under construction: row k -> the intervals (lo, hi, c) deposited on
+# it, flat, each adding c·e(k, l) for lo <= l < hi.  One-entry deposits
+# are kept apart as coefficients, since they need no interval.
+_Rows = Dict[int, List[int]]
+
+
+def _deposit(rows: _Rows, points: Dict[Basis, int], row: int, lo: int, hi: int, c: int) -> None:
+    """Add c·e(row, l) for lo <= l < hi."""
+    if hi - lo == 1:
+        key = (row, lo)
+        new = points.get(key, 0) + c
+        if new:
+            points[key] = new
+        else:
+            points.pop(key, None)
+        return
+    spans = rows.get(row)
+    if spans is None:
+        rows[row] = [lo, hi, c]
+    else:
+        spans += (lo, hi, c)
+
+
+def _materialise(rows: _Rows, points: Dict[Basis, int]) -> KernelVector:
+    """The vector of the deposits, each constant segment of a row written by
+    one C-level dict.update.  A row of one interval is its one segment; a
+    row of more is merged by its difference map {l: change of the
+    coefficient at l}, read in sorted order.  A segment whose running sum
+    is 0 is not written, so the result is zero-free."""
+    acc: Dict[Basis, int] = {}
+    for row, spans in rows.items():
+        if len(spans) == 3:
+            lo, hi, c = spans
+            if c:
+                acc.update(zip(zip(repeat(row), range(lo, hi)), repeat(c)))
+            continue
+        marks: Dict[int, int] = {}
+        flat = iter(spans)
+        for lo, hi, c in zip(flat, flat, flat):
+            marks[lo] = marks.get(lo, 0) + c
+            marks[hi] = marks.get(hi, 0) - c
+        total = lo = 0
+        for l in sorted(marks):
+            if total:
+                acc.update(zip(zip(repeat(row), range(lo, l)), repeat(total)))
+            total += marks[l]
+            lo = l
+    if not acc:
+        return _vector(points)
+    return _vector(_accumulate(acc, points.items()))
 
 
 def project(w: Word) -> KernelVector:
     """Coordinates of a kernel word in the basis; rejects words not in ker gmap.
 
-    A v-run whose row would take the deposits past MAX_DEPOSITS raises
-    ValueError before it is written."""
-    acc: Dict[Basis, int] = {}
+    The coset scan costs O(1) per v-letter, however many coefficients the
+    letter deposits: its row is one interval of constant value, [0, k) or
+    [k, 0), recorded as it is (_deposit), and the rows are written out
+    once at the end (_materialise).  A v-run whose rows would
+    take the deposits, counted as |e·m| per v-run, past MAX_DEPOSITS raises
+    ValueError before it is recorded."""
+    rows: _Rows = {}
+    points: Dict[Basis, int] = {}
     m = n = deposits = 0
     for g, e in w.runs:
         if g == "u":
             m += -e if n & 1 else e
             continue
-        # a v deposits the row of the coset it leaves; a v^-1 steps back
-        # first and deposits the negated row of the coset it enters
-        step = 1 if e > 0 else -1
-        back = (step - 1) // 2
         if m:
             deposits += abs(e * m)
             if deposits > MAX_DEPOSITS:
                 raise ValueError(
                     f"project deposits more than the budget of {MAX_DEPOSITS} coefficients"
                 )
+            # a v deposits the row of the coset it leaves; a v^-1 steps back
+            # first and deposits the negated row of the coset it enters.  Row
+            # n gets k = εn·m entries: [0, k) of value step for k > 0, or
+            # [k, 0) of value -step; even and odd rows take the two signs of k
+            step = 1 if e > 0 else -1
+            back = (step - 1) // 2
+            even = (0, m, step) if m > 0 else (m, 0, -step)
+            odd = (-m, 0, -step) if m > 0 else (0, -m, step)
             for row in range(n + back, n + e + back, step):
-                k = -m if row & 1 else m
-                val = step if k > 0 else -step
-                for l in range(k) if k > 0 else range(-1, k - 1, -1):
-                    key = (row, l)
-                    new = acc.get(key, 0) + val
-                    if new:
-                        acc[key] = new
-                    else:
-                        del acc[key]
+                lo, hi, c = odd if row & 1 else even
+                _deposit(rows, points, row, lo, hi, c)
         n += e
     if m or n:
         raise ValueError(f"word is not in ker gmap: image ({m},{n}) != (0,0)")
-    return _vector(acc)
+    return _materialise(rows, points)
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +507,21 @@ BOXES = {
 
 
 def _from_boxes(boxes: Iterable[Box]) -> KernelVector:
-    """The vector Σ coef·e(k0 + dk·i, l0 + dl·j) over the boxes' points."""
-    return KernelVector(
-        [
-            ((k0 + dk * i, l0 + dl * j), coef)
-            for coef, k0, dk, l0, dl, nk, nl in boxes
-            for i in range(nk)
-            for j in range(nl)
-        ]
-    )
+    """The vector Σ coef·e(k0 + dk·i, l0 + dl·j) over the boxes' points,
+    written through the rows of project: with dl = ±1, each row of a box is
+    one interval."""
+    rows: _Rows = {}
+    points: Dict[Basis, int] = {}
+    for coef, k0, dk, l0, dl, nk, nl in boxes:
+        if dl == 1 or dl == -1:
+            lo = l0 if dl == 1 else l0 - nl + 1
+            spans = ((lo, lo + nl),) if nl > 0 else ()
+        else:
+            spans = tuple((l0 + dl * j, l0 + dl * j + 1) for j in range(nl))
+        for i in range(nk):
+            for lo, hi in spans:
+                _deposit(rows, points, k0 + dk * i, lo, hi, coef)
+    return _materialise(rows, points)
 
 
 def tilde_t(k: int, r: int) -> KernelVector:

@@ -271,6 +271,25 @@ def test_apply_images_matches_the_product_of_powers(name, rs, t):
     assert apply_images(IMAGE_SETS[name], a) == product_of_powers(IMAGE_SETS[name], a)
 
 
+def test_runs_of_trivial_twist_are_written_as_one_power():
+    # H and H^-1 send u and v to factors of trivial twist, so each run of a
+    # word is one word power φ_t(w_f)^|k|; a power of one run counts as one
+    # run written, so u^1000001 passes the budget of MAX_RUNS runs
+    cases = [
+        BraidElt(U ** (MAX_RUNS + 1), KleinElt(3, 1)),
+        BraidElt(V ** -5000 * U ** 7 * V ** 3001, KleinElt(-2, 3)),
+        BraidElt(U ** 4 * V ** 2 * U ** -9 * V ** -1, KleinElt(5, 0)),
+    ]
+    for images in (H_IMAGES, H_INV_IMAGES):
+        for a in cases:
+            assert apply_images(images, a) == product_of_powers(images, a)
+    # a factor of more runs still counts |k| times its runs: v ↦ v u^-1
+    # writes 3 runs at an even prefix twist
+    v_exp = MAX_RUNS // 3 + 1
+    with pytest.raises(ValueError, match=rf"image of v\^{v_exp} exceeds the budget of {MAX_RUNS}"):
+        apply_images(H_IMAGES, BraidElt(V ** v_exp))
+
+
 def _tree_product(factors):
     """The braid product of the factors, multiplied pairwise level by level
     so that no product copies more than half of the result."""

@@ -8,6 +8,7 @@ from kleinbraid.cli import main
 from kleinbraid.kernel import (
     BOXES,
     MAX_DEPOSITS,
+    ZERO,
     KernelVector,
     _from_boxes,
     boxes_t,
@@ -47,6 +48,33 @@ def test_vector_arithmetic():
     assert not KernelVector({(3, 3): 0})
     assert str(KernelVector()) == "0"
     assert str(KernelVector({(1, 2): -3, (0, 0): 1})) == "(0,0):1 (1,2):-3"
+    # one-entry rows, a gap, a change of coefficient and negative l
+    w = KernelVector({(0, -3): 2, (0, -2): 2, (0, 0): 2, (0, 1): -1, (1, -5): 4, (-2, 7): 1})
+    assert str(w) == "(-2,7):1 (0,-3):2 (0,-2):2 (0,0):2 (0,1):-1 (1,-5):4"
+
+
+def ref_str(coeffs):
+    # the per-entry format that KernelVector.__str__ writes run by run
+    return " ".join(f"({k},{l}):{c}" for (k, l), c in sorted(coeffs.items())) if coeffs else "0"
+
+
+# rows of segments (row, lo, length, coef), written in order, so that later
+# segments overwrite earlier ones and leave gaps and mixed coefficients
+segments = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-30, 30), st.integers(0, 12), st.integers(-3, 3)),
+    max_size=6,
+)
+
+
+@PROFILE
+@given(segments, st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-40, 40)), st.integers(-3, 3), max_size=6))
+def test_str_matches_the_per_entry_format(segs, singles):
+    coeffs = {}
+    for row, lo, size, c in segs:
+        coeffs.update({(row, l): c for l in range(lo, lo + size)})
+    coeffs.update(singles)
+    v = KernelVector(coeffs)
+    assert str(v) == ref_str({key: c for key, c in coeffs.items() if c})
 
 
 def test_expand_examples():
@@ -62,6 +90,12 @@ def test_project_examples():
     assert project(expand(2, -1)) == unit(2, -1)
     assert project(ONE) == KernelVector()
     assert project(word_i(1)) == -unit(1, 0)
+    # a row's two intervals, of opposite signs, leave their difference,
+    # and row 0 of the second word, [0, 3) both ways, leaves nothing
+    assert project(parse_word("u^3 v u^-1 v^-1 u^-4")) == -unit(0, 3)
+    x = parse_word("u^3 v u v^2 u^-1 v^-3 u^-3")
+    assert project(x) == ref_project(x)
+    assert {k for (k, _), _ in project(x).items()} == {1, 2}
 
 
 def test_project_rejects_nonkernel_words():
@@ -204,6 +238,56 @@ def test_boxes_materialise_to_projection():
             tilde_t(3, r)
 
 
+def ref_from_boxes(boxes):
+    # every point of every box, one coefficient at a time
+    return KernelVector(
+        [
+            ((k0 + dk * i, l0 + dl * j), coef)
+            for coef, k0, dk, l0, dl, nk, nl in boxes
+            for i in range(nk)
+            for j in range(nl)
+        ]
+    )
+
+
+family_args = {
+    "unit": st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+    "t": st.tuples(st.integers(-40, 40), st.integers(0, 1)),
+    "i": st.tuples(st.integers(-40, 40)),
+}
+family_calls = st.sampled_from(sorted(BOXES)).flatmap(
+    lambda f: st.tuples(st.just(f), family_args.get(f, st.tuples(st.integers(-40, 40), st.integers(-40, 40))))
+)
+boxes = st.lists(
+    st.tuples(
+        st.integers(-3, 3),
+        st.integers(-5, 5),
+        st.integers(-2, 2).map(lambda x: 2 * x),
+        st.integers(-9, 9),
+        st.integers(-2, 2),
+        st.integers(0, 4),
+        st.integers(0, 6),
+    ),
+    max_size=5,
+)
+
+
+@PROFILE
+@given(st.lists(family_calls, min_size=1, max_size=3), boxes)
+def test_boxes_write_the_rows_of_the_projection(calls, raw):
+    # boxes of several families at once share rows, like the constant's atoms
+    words = {"unit": expand, "t": word_t, "i": word_i, "o": word_o, "j": word_j, "q": word_q}
+    listed = [box for family, a in calls for box in BOXES[family](*a)]
+    want = ZERO
+    for family, a in calls:
+        want = want + project(words[family](*a))
+    assert _from_boxes(listed) == ref_from_boxes(listed) == want
+    # any boxes, with dl = 0 or |dl| = 2 among them, and zero coefficients
+    got = _from_boxes(raw)
+    assert got == ref_from_boxes(raw)
+    assert all(c != 0 for _, c in got.items())
+
+
 def test_q_identity():
     assert q_identity_check(1, 0)
     assert q_identity_check(-2, 1)
@@ -274,6 +358,43 @@ def test_project_matches_letter_walker(w, k, l):
     # a basis word in front adds its unit vector and nothing else
     x = expand(k, l) * w
     assert project(x) == ref_project(x) == project(w) + unit(k, l)
+
+
+@st.composite
+def overlapping_kernel_words(draw):
+    """Kernel words whose v-runs cross the same rows twice, with opposite
+    signs: an excursion runs v^e at a drawn m, maybe a nested excursion,
+    then v^-e back at a drawn m' or at m again.  The two intervals of each
+    row it crosses overlap and cancel in part, or wholly when m' = m and
+    the nested excursion keeps the two runs apart."""
+    runs = []
+    m = n = 0
+
+    def move(target, e):
+        nonlocal m, n
+        runs.extend([("u", eps(n) * (target - m)), ("v", e)])
+        m, n = target, n + e
+
+    def excursion(depth):
+        up, down, e = draw(st.tuples(st.integers(-20, 20), st.integers(-20, 20), v_exponents))
+        move(up, e)
+        if depth and draw(st.booleans()):
+            excursion(depth - 1)
+        move(up if draw(st.booleans()) else down, -e)
+
+    for _ in range(draw(st.integers(1, 3))):
+        excursion(2)
+    runs.append(("u", -eps(n) * m))
+    return Word(tuple(runs))
+
+
+@PROFILE
+@given(overlapping_kernel_words())
+def test_project_of_overlapping_rows(w):
+    assert gmap(w) == K_IDENTITY
+    vec = project(w)
+    assert vec == ref_project(w)
+    assert all(c != 0 for _, c in vec.items())
 
 
 # ---------------------------------------------------------------------------
