@@ -1,32 +1,32 @@
 """The abelianised kernel of gmap as a sparse integer module.
 
 ker(gmap) is free on the conjugates  basis(k, l) = v^k u^l B u^-l v^-k,
-and its abelianisation is the direct sum ⊕ Z·e(k,l).  project() rewrites a
-kernel word into those coordinates by an abelianised coset scan over the
-transversal {v^n u^(εn·m)}: u-letters only move between cosets, while each
-v-letter crossing coset (m, n) deposits the row
+and its abelianisation is the direct sum ⊕ Z·e(k,l).
+
+A KernelVector is held as rows of segments: row k maps to a sorted tuple
+of disjoint segments (lo, hi, c), each meaning c·e(k, l) for lo <= l < hi.
+No segment is zero and two segments that touch have different
+coefficients, so the form is canonical and equality is structural.  The
+one constructor, _vector, sets it up from deposited segments, which may
+overlap, be empty or carry 0: a row of one deposit is taken as it is, and
+a row of several is read through its difference map {l: change of the
+coefficient at l}, a segment ending only where the running sum changes.
+KernelVector(...), project, _from_boxes, +, -, scalar multiples and
+KernelOperator all deposit segments and call it; str writes each segment
+by one join.
+
+project() rewrites a kernel word into those coordinates by an abelianised
+coset scan over the transversal {v^n u^(εn·m)}: u-letters only move
+between cosets, while each v-letter crossing coset (m, n) deposits the row
 
     σk · Σ_{i=1..|k|} e(n, σk·i - (1+σk)/2),        k = εn·m
 
 (a v^-1 letter first steps back to (m, n-1) and deposits the negated row
-evaluated there).  That row is one interval of l, [0, k) or [k, 0), of
-constant value, so the scan records it as the interval (_deposit), at a
-cost independent of |k|, and writes every row once at the end
-(_materialise): a row of one interval is its one segment, and a row of
-several is merged through its difference map, each constant segment
-written by one C-level dict.update.  A one-entry interval is deposited as
-its coefficient, with no row machinery.  The roundtrip
-project(expand(k, l)) == e(k, l) pins the scan's correctness, and the
-scan is in turn the reference for the T/I/O/J/Q families below, whose
-boxes _from_boxes writes through the same two functions.
-
-A KernelVector stores only nonzero coefficients.  _accumulate is the one
-merge that keeps that form (KernelVector(...), + and - run it, and so do
-the term tables of KernelOperator and _materialise; _deposit adds a
-one-entry deposit by the same rule inline), and the private _vector wraps
-dicts that are zero-free by construction (negation, scalar multiples,
-_materialise's result).  str prints each constant run of consecutive l in
-a row by one join.
+evaluated there).  That row is one segment of l, [0, k) or [k, 0), of
+constant value, so the scan costs O(1) per v-letter however many
+coefficients it deposits.  The roundtrip project(expand(k, l)) == e(k, l)
+pins the scan's correctness, and the scan is in turn the reference for
+the T/I/O/J/Q families below.
 
 theta_ab / rho_ab / c_ab apply the operators induced on the abelianisation:
 
@@ -39,6 +39,7 @@ terms e(k, l) ↦ ±e(±k + p, ±l + q) whose signs and offsets depend only on
 the parity of k.  KernelOperator holds one as a merged, zero-free table
 of such terms per parity; distinct affine maps with ±1 slopes agree on at
 most a line, so equality of the tables is operator equality for all (k, l).
+A term maps a segment to a segment, reversed when its l-slope is -1.
 
 The projections of the T/I/O/J/Q families are written once, as
 progression boxes: boxes_* lists each support as boxes
@@ -58,16 +59,20 @@ with the family "unit" for a single basis vector e(args).  Since dk is even,
 from __future__ import annotations
 
 from collections.abc import Mapping
-from bisect import bisect_left
-from itertools import repeat
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Tuple, TypeVar, Union
 
 from .kleinpi import KleinElt, eps, sign_of
 from .words import BIG_B, ONE, U, V, Word, comm
 
 Basis = Tuple[int, int]
+Segment = Tuple[int, int, int]  # (lo, hi, c): c·e(k, l) for lo <= l < hi
 _Items = Union[Mapping[Basis, int], Iterable[Tuple[Basis, int]], None]
 _Key = TypeVar("_Key")
+# deposits: row k -> the segments deposited on it, in any order
+_Rows = Dict[int, List[Segment]]
+_LO = itemgetter(0)
 
 
 def _accumulate(acc: Dict[_Key, int], items: Iterable[Tuple[_Key, int]]) -> Dict[_Key, int]:
@@ -82,103 +87,120 @@ def _accumulate(acc: Dict[_Key, int], items: Iterable[Tuple[_Key, int]]) -> Dict
 
 
 class KernelVector:
-    """Finitely supported integer vector over the basis pairs (k, l).
+    """Finitely supported integer vector over the basis pairs (k, l), held
+    as canonical rows of segments (see the module docstring), in
+    increasing k."""
 
-    Zero coefficients are never stored, so equality of vectors is equality
-    of the underlying dicts.
-    """
-
-    __slots__ = ("_c",)
+    __slots__ = ("_rows",)
 
     def __init__(self, coeffs: _Items = None) -> None:
-        items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
-        self._c = _accumulate({}, items) if coeffs else {}
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs or ()
+        rows: _Rows = {}
+        for (k, l), c in items:
+            rows.setdefault(k, []).append((l, l + 1, c))
+        self._rows = _vector(rows)._rows
 
     @staticmethod
     def unit(k: int, l: int) -> "KernelVector":
-        return KernelVector({(k, l): 1})
+        return _vector({k: [(l, l + 1, 1)]})
 
     def __getitem__(self, key: Basis) -> int:
-        return self._c.get(key, 0)
+        k, l = key
+        segs = self._rows.get(k, ())
+        i = bisect_right(segs, l, key=_LO) - 1
+        return segs[i][2] if i >= 0 and l < segs[i][1] else 0
 
     def items(self) -> Iterator[Tuple[Basis, int]]:
-        return iter(self._c.items())
+        """The nonzero coefficients ((k, l), c), in increasing (k, l)."""
+        for k, segs in self._rows.items():
+            for lo, hi, c in segs:
+                for l in range(lo, hi):
+                    yield (k, l), c
 
     def __add__(self, other: "KernelVector") -> "KernelVector":
-        return _vector(_accumulate(dict(self._c), other._c.items()))
+        return _combine((1, self), (1, other))
 
     def __sub__(self, other: "KernelVector") -> "KernelVector":
-        return self + (-other)
+        return _combine((1, self), (-1, other))
 
     def __neg__(self) -> "KernelVector":
-        return _vector({k: -v for k, v in self._c.items()})
+        return _combine((-1, self))
 
     def __rmul__(self, scalar: int) -> "KernelVector":
-        if not scalar:
-            return _vector({})
-        return _vector({k: scalar * v for k, v in self._c.items()})
+        return _combine((scalar, self))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, KernelVector) and self._c == other._c
+        return isinstance(other, KernelVector) and self._rows == other._rows
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._rows)
 
     def __str__(self) -> str:
-        # "(k,l):c" per entry in sorted order; a one-entry row is written as
-        # that, and each contiguous constant segment of a longer row by one
-        # join over the numerals of its l
-        c = self._c
-        if not c:
+        # "(k,l):c" per entry in increasing (k, l), a segment at a time
+        if not self._rows:
             return "0"
-        keys = sorted(c)
-        n = len(keys)
         numerals: Dict[Tuple[int, int], List[str]] = {}
-        out = []
-        start = 0
-        while start < n:
-            key = keys[start]
-            k = key[0]
-            end = start + 1
-            if end == n or keys[end][0] != k:
-                out.append(f"({k},{key[1]}):{c[key]}")
-                start = end
-                continue
-            end = bisect_left(keys, (k + 1,), end)
-            coefs = list(map(c.__getitem__, keys[start:end]))
-            size, lo, x = end - start, key[1], coefs[0]
-            if keys[end - 1][1] - lo == size - 1 and coefs.count(x) == size:
-                out.append(_segment(numerals, k, lo, size, x))
-            else:
-                # a row with gaps or mixed coefficients: split it at each
-                i = 0
-                while i < size:
-                    j, lo, x = i + 1, keys[start + i][1], coefs[i]
-                    while j < size and coefs[j] == x and keys[start + j][1] == lo + j - i:
-                        j += 1
-                    out.append(f"({k},{lo}):{x}" if j - i == 1 else _segment(numerals, k, lo, j - i, x))
-                    i = j
-            start = end
-        return " ".join(out)
+        return " ".join(
+            _segment(numerals, k, lo, hi - lo, c)
+            for k, segs in self._rows.items()
+            for lo, hi, c in segs
+        )
 
     def __repr__(self) -> str:
-        return f"KernelVector({self._c!r})"
+        return f"KernelVector({dict(self.items())!r})"
 
 
 def _segment(numerals: Dict[Tuple[int, int], List[str]], k: int, lo: int, size: int, x: int) -> str:
     # "(k,lo):x (k,lo+1):x ..." over size entries; the numerals of each
     # range are made once per string, since rows often share their range
+    if size == 1:
+        return f"({k},{lo}):{x}"
     nums = numerals.get((lo, size))
     if nums is None:
         nums = numerals[lo, size] = list(map(str, range(lo, lo + size)))
     return f"({k}," + f"):{x} ({k},".join(nums) + f"):{x}"
 
 
-def _vector(c: Dict[Basis, int]) -> KernelVector:
-    # the operations' constructor: takes ownership of c, which must be zero-free
-    out = object.__new__(KernelVector)
-    out._c = c
-    return out
+def _vector(rows: _Rows) -> KernelVector:
+    """The vector of the deposited segments, in canonical form: a segment
+    ends only where a row's running sum changes, so none is zero and
+    touching segments differ."""
+    out: Dict[int, Tuple[Segment, ...]] = {}
+    for k, deposits in sorted(rows.items()):
+        if len(deposits) == 1:
+            lo, hi, c = seg = deposits[0]
+            if c and lo < hi:
+                out[k] = (seg,)
+            continue
+        marks: Dict[int, int] = {}
+        for lo, hi, c in deposits:
+            if c and lo < hi:
+                marks[lo] = marks.get(lo, 0) + c
+                marks[hi] = marks.get(hi, 0) - c
+        segs = []
+        total = start = 0
+        for l in sorted(marks):
+            change = marks[l]
+            if change:
+                if total:
+                    segs.append((start, l, total))
+                total += change
+                start = l
+        if segs:
+            out[k] = tuple(segs)
+    vec = object.__new__(KernelVector)
+    vec._rows = out
+    return vec
+
+
+def _combine(*terms: Tuple[int, KernelVector]) -> KernelVector:
+    """Σ scalar·vector over the (scalar, vector) terms."""
+    rows: _Rows = {}
+    for s, vec in terms:
+        for k, segs in vec._rows.items():
+            scaled = segs if s == 1 else [(lo, hi, s * c) for lo, hi, c in segs]
+            rows.setdefault(k, []).extend(scaled)
+    return _vector(rows)
 
 
 ZERO = KernelVector()
@@ -189,77 +211,25 @@ def expand(k: int, l: int) -> Word:
     return V ** k * U ** l * BIG_B * U ** (-l) * V ** (-k)
 
 
-# Budget of project, in deposits: a v-run v^e at coset (m, n) deposits
-# |e|·|m| coefficients, so one large exponent passes the parse budget but
-# not this one.  B^250000 deposits 250,000, and
+# Budget of project, in deposited coefficients: a v-run v^e at coset
+# (m, n) deposits |e|·|m| of them, so one large exponent passes the parse
+# budget but not this one.  The scan itself costs O(1) per v-letter, so the
+# budget bounds what a projection prints: B^250000 deposits 250,000, and
 # `kleinbraid kernel-project "v^2 u^500000 v^-2 u^-500000"`, at the budget,
-# takes 0.8-1.1 s and prints 13.8 MB (Python 3.11, 2 shared CPUs), about
-# 0.4 s of it filling the dict of 1,000,000 coefficients from two intervals.
+# builds its two segments in microseconds and spends about 0.25 s of its
+# 0.5 s printing 13.8 MB (Python 3.11, 2 shared CPUs).
 MAX_DEPOSITS = 1_000_000
-
-# Rows under construction: row k -> the intervals (lo, hi, c) deposited on
-# it, flat, each adding c·e(k, l) for lo <= l < hi.  One-entry deposits
-# are kept apart as coefficients, since they need no interval.
-_Rows = Dict[int, List[int]]
-
-
-def _deposit(rows: _Rows, points: Dict[Basis, int], row: int, lo: int, hi: int, c: int) -> None:
-    """Add c·e(row, l) for lo <= l < hi."""
-    if hi - lo == 1:
-        key = (row, lo)
-        new = points.get(key, 0) + c
-        if new:
-            points[key] = new
-        else:
-            points.pop(key, None)
-        return
-    spans = rows.get(row)
-    if spans is None:
-        rows[row] = [lo, hi, c]
-    else:
-        spans += (lo, hi, c)
-
-
-def _materialise(rows: _Rows, points: Dict[Basis, int]) -> KernelVector:
-    """The vector of the deposits, each constant segment of a row written by
-    one C-level dict.update.  A row of one interval is its one segment; a
-    row of more is merged by its difference map {l: change of the
-    coefficient at l}, read in sorted order.  A segment whose running sum
-    is 0 is not written, so the result is zero-free."""
-    acc: Dict[Basis, int] = {}
-    for row, spans in rows.items():
-        if len(spans) == 3:
-            lo, hi, c = spans
-            if c:
-                acc.update(zip(zip(repeat(row), range(lo, hi)), repeat(c)))
-            continue
-        marks: Dict[int, int] = {}
-        flat = iter(spans)
-        for lo, hi, c in zip(flat, flat, flat):
-            marks[lo] = marks.get(lo, 0) + c
-            marks[hi] = marks.get(hi, 0) - c
-        total = lo = 0
-        for l in sorted(marks):
-            if total:
-                acc.update(zip(zip(repeat(row), range(lo, l)), repeat(total)))
-            total += marks[l]
-            lo = l
-    if not acc:
-        return _vector(points)
-    return _vector(_accumulate(acc, points.items()))
 
 
 def project(w: Word) -> KernelVector:
     """Coordinates of a kernel word in the basis; rejects words not in ker gmap.
 
     The coset scan costs O(1) per v-letter, however many coefficients the
-    letter deposits: its row is one interval of constant value, [0, k) or
-    [k, 0), recorded as it is (_deposit), and the rows are written out
-    once at the end (_materialise).  A v-run whose rows would
-    take the deposits, counted as |e·m| per v-run, past MAX_DEPOSITS raises
-    ValueError before it is recorded."""
+    letter deposits: its row is one segment of constant value, [0, k) or
+    [k, 0), deposited as it is, and _vector merges the rows at the end.
+    A v-run whose rows would take the deposits, counted as |e·m| per v-run,
+    past MAX_DEPOSITS raises ValueError before it is recorded."""
     rows: _Rows = {}
-    points: Dict[Basis, int] = {}
     m = n = deposits = 0
     for g, e in w.runs:
         if g == "u":
@@ -280,12 +250,11 @@ def project(w: Word) -> KernelVector:
             even = (0, m, step) if m > 0 else (m, 0, -step)
             odd = (-m, 0, -step) if m > 0 else (0, -m, step)
             for row in range(n + back, n + e + back, step):
-                lo, hi, c = odd if row & 1 else even
-                _deposit(rows, points, row, lo, hi, c)
+                rows.setdefault(row, []).append(odd if row & 1 else even)
         n += e
     if m or n:
         raise ValueError(f"word is not in ker gmap: image ({m},{n}) != (0,0)")
-    return _materialise(rows, points)
+    return _vector(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +282,17 @@ class KernelOperator:
         self.terms = (_accumulate({}, _keyed(even)), _accumulate({}, _keyed(odd)))
 
     def __call__(self, vec: KernelVector) -> KernelVector:
-        return KernelVector(
-            [
-                ((a * k + p, b * l + q), c * x)
-                for (k, l), x in vec.items()
-                for (a, p, b, q), c in self.terms[k % 2].items()
-            ]
-        )
+        # a term moves a segment of row k to row a·k + p, shifted by q and
+        # reversed when b = -1
+        rows: _Rows = {}
+        for k, segs in vec._rows.items():
+            for (a, p, b, q), c in self.terms[k % 2].items():
+                moved = rows.setdefault(a * k + p, [])
+                if b == 1:
+                    moved.extend([(lo + q, hi + q, c * x) for lo, hi, x in segs])
+                else:
+                    moved.extend([(q + 1 - hi, q + 1 - lo, c * x) for lo, hi, x in segs])
+        return _vector(rows)
 
     def __add__(self, other: "KernelOperator") -> "KernelOperator":
         (even, odd), (even2, odd2) = self.terms, other.terms
@@ -508,20 +481,18 @@ BOXES = {
 
 def _from_boxes(boxes: Iterable[Box]) -> KernelVector:
     """The vector Σ coef·e(k0 + dk·i, l0 + dl·j) over the boxes' points,
-    written through the rows of project: with dl = ±1, each row of a box is
-    one interval."""
+    deposited as rows like project's: with dl = ±1, each row of a box is
+    one segment."""
     rows: _Rows = {}
-    points: Dict[Basis, int] = {}
     for coef, k0, dk, l0, dl, nk, nl in boxes:
         if dl == 1 or dl == -1:
             lo = l0 if dl == 1 else l0 - nl + 1
-            spans = ((lo, lo + nl),) if nl > 0 else ()
+            spans = [(lo, lo + nl, coef)]
         else:
-            spans = tuple((l0 + dl * j, l0 + dl * j + 1) for j in range(nl))
+            spans = [(l0 + dl * j, l0 + dl * j + 1, coef) for j in range(nl)]
         for i in range(nk):
-            for lo, hi in spans:
-                _deposit(rows, points, k0 + dk * i, lo, hi, coef)
-    return _materialise(rows, points)
+            rows.setdefault(k0 + dk * i, []).extend(spans)
+    return _vector(rows)
 
 
 def tilde_t(k: int, r: int) -> KernelVector:

@@ -8,17 +8,21 @@ from kleinbraid.cli import main
 from kleinbraid.kernel import (
     BOXES,
     MAX_DEPOSITS,
+    RHO,
     ZERO,
     KernelVector,
+    _accumulate,
     _from_boxes,
     boxes_t,
     c_ab,
     c_agreement,
+    c_operator,
     expand,
     project,
     q_identity_check,
     rho_ab,
     theta_ab,
+    theta_operator,
     tilde_i,
     tilde_j,
     tilde_o,
@@ -398,26 +402,95 @@ def test_project_of_overlapping_rows(w):
 
 
 # ---------------------------------------------------------------------------
-# every result of the vector operations is zero-free
+# every result of the vector operations is in canonical form
 
 coeffs = st.integers(-3, 3)
 vectors = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), coeffs, max_size=8)
+# sums and compositions of the induced operators, with terms of both l-slopes
+operators = st.builds(
+    lambda p, q, m, n: RHO @ c_operator(p, q) + theta_operator(m, n), coeffs, coeffs, coeffs, coeffs
+)
 
 
-def assert_zero_free(v):
-    assert all(c != 0 for _, c in v.items())
+def model(items):
+    # a plain dict of the nonzero coefficients
+    return _accumulate({}, items)
+
+
+def model_apply(op, entries):
+    return model(
+        ((a * k + p, b * l + q), c * x)
+        for (k, l), x in entries.items()
+        for (a, p, b, q), c in op.terms[k % 2].items()
+    )
+
+
+def assert_canonical(v, expected):
+    # rows in increasing k; per row, sorted disjoint nonzero segments, and
+    # two segments that touch carry different coefficients
+    rows = v._rows
+    assert list(rows) == sorted(rows)
+    for segs in rows.values():
+        assert type(segs) is tuple and segs
+        assert all(lo < hi and c for lo, hi, c in segs)
+        for (_, hi, c), (lo, _, c2) in zip(segs, segs[1:]):
+            assert hi < lo or (hi == lo and c != c2)
+    assert list(v.items()) == sorted(expected.items())
+    # every key, its neighbours (gaps, before a row's first segment and past
+    # its last) and a row that is absent
+    probes = {(k, l + d) for k, l in expected for d in (-1, 0, 1)} | {(9, 0)}
+    assert all(v[key] == expected.get(key, 0) for key in probes)
+    assert eval(repr(v)) == v
 
 
 @PROFILE
-@given(vectors, vectors, st.lists(st.tuples(st.tuples(coeffs, coeffs), coeffs)), coeffs)
-def test_vector_results_stay_zero_free(a, b, pairs, scalar):
+@given(vectors, vectors, st.lists(st.tuples(st.tuples(coeffs, coeffs), coeffs)), coeffs, operators)
+def test_vector_results_stay_zero_free(a, b, pairs, scalar, op):
     x, y = KernelVector(a), KernelVector(b)
-    results = [x, y, KernelVector(pairs), x + y, x - y, y - x, x - x, -x, scalar * x, 0 * x]
-    for v in results:
-        assert_zero_free(v)
+    ma, mb = model(a.items()), model(b.items())
+    neg_b = {key: -c for key, c in mb.items()}
+    results = [
+        (x, ma),
+        (y, mb),
+        (KernelVector(pairs), model(pairs)),
+        (x + y, model([*ma.items(), *mb.items()])),
+        (x - y, model([*ma.items(), *neg_b.items()])),
+        (y - x, model([*mb.items(), *((key, -c) for key, c in ma.items())])),
+        (x - x, {}),
+        (-y, neg_b),
+        (scalar * x, model((key, scalar * c) for key, c in ma.items())),
+        (0 * x, {}),
+        (op(x), model_apply(op, ma)),
+    ]
+    for v, expected in results:
+        assert_canonical(v, expected)
     assert x - x == 0 * x == KernelVector()
     assert x + y - y == x
     assert -(-x) == x
+
+
+def test_vector_is_the_one_constructor(monkeypatch):
+    x = unit(0, 1)
+
+    def refuse(rows):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(kernel, "_vector", refuse)
+    builds = [
+        KernelVector,
+        lambda: KernelVector({(0, 0): 1}),
+        lambda: unit(0, 0),
+        lambda: project(word_o(1, 2)),
+        lambda: _from_boxes(boxes_t(3, 1)),
+        lambda: x + x,
+        lambda: x - x,
+        lambda: -x,
+        lambda: 2 * x,
+        lambda: RHO(x),
+    ]
+    for build in builds:
+        with pytest.raises(AssertionError, match="built"):
+            build()
 
 
 def test_project_deposit_budget(monkeypatch):
