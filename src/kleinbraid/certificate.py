@@ -59,10 +59,10 @@ from .kernel import (
     BOXES,
     ID,
     RHO,
-    ZERO,
     Atom,
     KernelOperator,
     KernelVector,
+    _combine,
     _from_boxes,
     _operator,
     c_ab,
@@ -165,19 +165,13 @@ def _pullback_once(cache: dict, f: Functional, op: KernelOperator) -> Functional
 
     The pullback reads an entry (a, p, b, q): c of op only through
     p mod pk and q mod pl, so the key is f's (table, mod) and op's tables
-    with both offsets reduced.  Entries that meet after the reduction add
-    their coefficients: e(k, l) ↦ e(k, l) + e(k + 2, l) pulls back to
-    twice what e(k, l) ↦ e(k, l) does at pk = 2.  A key is order-sensitive,
+    as entries (a, p mod pk, b, q mod pl, c).  A key is order-sensitive,
     so two orders of one table only cost a second pullback."""
     pk, pl = f.period
-    reduced = []
-    for terms in op.terms:
-        merged: dict = {}
-        for (a, p, b, q), c in terms.items():
-            entry = (a, p % pk, b, q % pl)
-            merged[entry] = merged.get(entry, 0) + c
-        reduced.append(tuple(merged.items()))
-    key = (f.table, f.mod, *reduced)
+    key = (f.table, f.mod) + tuple(
+        tuple((a, p % pk, b, q % pl, c) for (a, p, b, q), c in terms.items())
+        for terms in op.terms
+    )
     pulled = cache.get(key)
     if pulled is None:
         pulled = cache[key] = f.pullback(op)
@@ -223,11 +217,14 @@ class MasterEquation:
     @property
     def constant(self) -> KernelVector:
         """C(m, n) as a vector: each atom's boxes materialised, then moved
-        by the operator c_ab, not by the box move that on_atoms makes."""
-        total = ZERO
-        for coef, p, q, family, args in self.atoms:
-            total = total + coef * c_ab(p, q, _from_boxes(BOXES[family](*args)))
-        return total
+        by the operator c_ab, not by the box move that on_atoms makes, and
+        the atoms summed in one _combine."""
+        return _combine(
+            *(
+                (coef, c_ab(p, q, _from_boxes(BOXES[family](*args))))
+                for coef, p, q, family, args in self.atoms
+            )
+        )
 
 
 def derived_exponents(p: MasterParams) -> Tuple[int, int, int, int, int]:

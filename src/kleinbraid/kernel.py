@@ -63,6 +63,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Tuple, TypeVar, Union
 
+from .braid import gmap
 from .kleinpi import KleinElt, eps, sign_of
 from .words import BIG_B, ONE, U, V, Word, comm
 
@@ -222,13 +223,18 @@ MAX_DEPOSITS = 1_000_000
 
 
 def project(w: Word) -> KernelVector:
-    """Coordinates of a kernel word in the basis; rejects words not in ker gmap.
+    """Coordinates of a kernel word in the basis.
 
-    The coset scan costs O(1) per v-letter, however many coefficients the
-    letter deposits: its row is one segment of constant value, [0, k) or
-    [k, 0), deposited as it is, and _vector merges the rows at the end.
-    A v-run whose rows would take the deposits, counted as |e·m| per v-run,
-    past MAX_DEPOSITS raises ValueError before it is recorded."""
+    A word not in ker gmap raises ValueError before the scan, from one pass
+    over its runs.  The coset scan costs O(1) per v-letter, however many
+    coefficients the letter deposits: its row is one segment of constant
+    value, [0, k) or [k, 0), deposited as it is, and _vector merges the
+    rows at the end.  A v-run whose rows would take the deposits, counted
+    as |e·m| per v-run, past MAX_DEPOSITS raises ValueError before it is
+    recorded."""
+    image = gmap(w)
+    if image.m or image.n:
+        raise ValueError(f"word is not in ker gmap: image ({image.m},{image.n}) != (0,0)")
     rows: _Rows = {}
     m = n = deposits = 0
     for g, e in w.runs:
@@ -252,8 +258,6 @@ def project(w: Word) -> KernelVector:
             for row in range(n + back, n + e + back, step):
                 rows.setdefault(row, []).append(odd if row & 1 else even)
         n += e
-    if m or n:
-        raise ValueError(f"word is not in ker gmap: image ({m},{n}) != (0,0)")
     return _vector(rows)
 
 

@@ -256,22 +256,23 @@ def _bucket_sizes(max_len: int) -> dict[tuple[int, int], int]:
     return sizes
 
 
-_Buckets = dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[tuple[Word, int], ...]], ...]]
+_Buckets = dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[tuple[Word, int, int], ...]], ...]]
 
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _words_by_gmap(max_len: int) -> tuple[_Buckets, dict[Word, Word]]:
     """Short words bucketed by gmap, each bucket grouped by exponent sums,
-    each word held with psi(w); and beside them the cache of rho(w), filled
-    as searches reach each w.
+    each word held with psi(w) and its letter length; and beside them the
+    cache of rho(w), filled as searches reach each w.
 
     The cache pays although lsigma is linear: the benchmark's pass of 100
     searches at word_len 6, coord 1 (seed 1) looks up rho 8,175 times for
     316 distinct words."""
-    buckets: dict[tuple[int, int], dict[tuple[int, int], list[tuple[Word, int]]]] = {}
+    buckets: dict[tuple[int, int], dict[tuple[int, int], list[tuple[Word, int, int]]]] = {}
     for w in _short_words(max_len):
         g = gmap(w)
-        buckets.setdefault((g.m, g.n), {}).setdefault(w.exponent_sums(), []).append((w, _psi(w)))
+        entry = (w, _psi(w), w.letter_length())
+        buckets.setdefault((g.m, g.n), {}).setdefault(w.exponent_sums(), []).append(entry)
     grouped = {
         key: tuple((sums, tuple(ws)) for sums, ws in groups.items())
         for key, groups in buckets.items()
@@ -401,12 +402,6 @@ def _candidate_b_twists(
     return [KleinElt(m2, n2)]
 
 
-def _size(word: Word, twist: KleinElt) -> int:
-    """Letters plus twist coordinates of the braid (word; twist); a pair is
-    ordered by the sum of its braids' sizes, then by their texts."""
-    return word.letter_length() + abs(twist.m) + abs(twist.n)
-
-
 def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> SearchResult:
     """Scan all pairs within bounds for a verified witness.
 
@@ -452,8 +447,10 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     a-word, at one word product each.  examined counts every pair of the
     bounded space the scan decides, filtered or not.  The returned pair is
     the deterministic minimum by size, then text, re-verified on the braid
-    engine by verify_pair.  A pair's size is known from its words and
-    twists, so once a pair is found, a pair strictly larger skips the exact
+    engine by verify_pair; a pair's size is the letters of its two words
+    plus the coordinates |m| + |n| of its two twists.  The letter length is
+    held beside each word in the buckets, so a pair's size is known before
+    its check: once a pair is found, a pair strictly larger skips the exact
     check; a pair of equal size is still checked, since the key then
     compares texts.
     """
@@ -482,9 +479,10 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     w_l = lsigma(BraidElt(ONE, t_a)).word
     images_a = _psi_images(t_a)
     twist_a = (0, 0, t_a.m, t_a.n)
-    # per b-bucket, its (w_b, psi(w_b), psi_{t_a}(w_b)) by the level of
-    # their exponent sums
-    b_levels: dict[tuple[int, int], dict[int, list[tuple[Word, int, int]]]] = {}
+    twist_size_a = abs(t_a.m) + abs(t_a.n)
+    # per b-bucket, its (w_b, psi(w_b), psi_{t_a}(w_b), letters of w_b) by
+    # the level of their exponent sums
+    b_levels: dict[tuple[int, int], dict[int, list[tuple[Word, int, int, int]]]] = {}
     # ((size, texts), pair) of the least pair found so far; a pair of
     # larger size cannot take its place, so it skips the exact check
     best: tuple[tuple[int, str, str], tuple[BraidElt, BraidElt]] | None = None
@@ -497,32 +495,36 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
                 for (pu, pv), entries in buckets[b_key]:
                     level = _ab_mul(twist_a, (pu, pv, 0, 0))[0] - pu
                     levels.setdefault(level, []).extend(
-                        (w, p, _fold(images_a, w)) for w, p in entries
+                        (w, p, _fold(images_a, w), letters) for w, p, letters in entries
                     )
             t_ab = t_a * t_b
-            b_sides.append((t_b, (0, 0, t_b.m, t_b.n), t_ab, _psi_images(t_ab), levels))
+            twist_size_b = abs(t_b.m) + abs(t_b.n)
+            b_sides.append(
+                (t_b, (0, 0, t_b.m, t_b.n), twist_size_b, t_ab, _psi_images(t_ab), levels)
+            )
         g_a = KleinElt(a1, a2)
         factor = theta(g_a, w_l)
         for (pu_a, pv_a), a_entries in buckets[a1, a2]:
             a_ab = (pu_a, pv_a, t_a.m, t_a.n)
-            for w_a, p_a in a_entries:
+            for w_a, p_a, letters_a in a_entries:
                 r = rhos.get(w_a)
                 if r is None:
                     r = rhos[w_a] = rho(w_a)
                 w_ls = r * factor
                 ls_ab = _ab_image(w_ls, g_a * t_a)
                 row_a = mul[p_a]
-                for t_b, b_zero, t_ab, images_ab, levels in b_sides:
+                size_a = letters_a + twist_size_a
+                for t_b, b_zero, twist_size_b, t_ab, images_ab, levels in b_sides:
                     lhs = _ab_mul(_ab_mul(a_ab, b_zero), ls_ab)
                     b_entries = levels.get(-lhs[0]) if lhs[1:] == b_zero[1:] else None
                     if b_entries is None:
                         continue
                     p_ls = _fold(images_ab, w_ls)
                     tail = None
-                    for w_b, p_b, q_b in b_entries:
+                    for w_b, p_b, q_b, letters_b in b_entries:
                         if mul[row_a[q_b]][p_ls] != p_b:
                             continue
-                        size = _size(w_a, t_a) + _size(w_b, t_b)
+                        size = size_a + twist_size_b + letters_b
                         if best is not None and size > best[0][0]:
                             continue
                         if tail is None:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kleinbraid import cli, suites
+from kleinbraid import cli, kernel, suites
 from kleinbraid.classifier import HomClass, decide
 from kleinbraid.cli import main
 
@@ -194,11 +194,11 @@ def test_kernel_project_rejects_nonkernel(capsys):
 
 
 def test_kernel_project_checks_gmap_before_projecting(capsys, monkeypatch):
-    # the walk would deposit 2000 rows of 2000 coordinates before failing
-    def fail(word):
-        raise AssertionError("project ran on a word outside ker gmap")
+    # the scan would deposit 2000 rows of 2000 coordinates before failing
+    def no_vector(rows):
+        raise AssertionError("the projection was built")
 
-    monkeypatch.setattr(cli, "project", fail)
+    monkeypatch.setattr(kernel, "_vector", no_vector)
     code, out, err = run(capsys, "kernel-project", "u^2000 v^2000")
     assert code == 2 and out == ""
     assert "not in ker gmap" in err

@@ -211,18 +211,31 @@ def test_pullback_through_reflections_of_l():
 
 
 def test_pullback_composes():
-    # (f∘A)∘B == f∘(A∘B): pulling back twice reads the same values
+    # (f∘A)∘B == f∘(A∘B): pulling back twice gives the same table
     f = xi_congruence(2, 1, 0)
     a, b = c_operator(3, -1) + RHO, theta_operator(2, 1) @ c_operator(-1, 2) - ID
-    twice, once = f.pullback(a).pullback(b), f.pullback(a @ b)
-    for k in range(-16, 17):
-        for l in range(-3, 4):
-            assert twice.value(k, l) == once.value(k, l)
+    assert f.pullback(a).pullback(b) == f.pullback(a @ b)
 
 
-def test_pullback_once_merges_terms_that_meet_after_reduction():
-    # at period (2, 1), e(k, l) ↦ e(k, l) + e(k + 2, l) reduces to one
-    # entry of coefficient 2, not to the one-term identity
+def test_pullback_equality_sees_past_the_window():
+    # a functional that is 1 only at k = 8 (mod 16) agrees with its pullback
+    # through c(2, 0) on every e(k, l) with |k|, |l| <= 4, but not at k = 6
+    spike = Functional(tuple((int(k == 8),) for k in range(16)), 2)
+    shift = c_operator(2, 0)
+    window = range(-4, 5)
+    assert all(
+        spike(shift(KernelVector.unit(k, l))) == spike(KernelVector.unit(k, l))
+        for k in window
+        for l in window
+    )
+    assert spike.pullback(shift) != spike
+    assert spike.pullback(shift).value(6, 0) != spike.value(6, 0)
+
+
+def test_pullback_once_keys_on_reduced_entries():
+    # at period (2, 1), e(k, l) ↦ e(k, l) + e(k + 2, l) pulls back to twice
+    # what the identity does, so its two entries, which reduce alike, key
+    # apart from the identity's one
     one = KernelOperator([(1, 1, 0, 1, 0)], [(1, 1, 0, 1, 0)])
     two = KernelOperator([(1, 1, 0, 1, 0), (1, 1, 2, 1, 0)], [(1, 1, 0, 1, 0), (1, 1, 2, 1, 0)])
     for f in (xi_parity(0), xi_count(0)):

@@ -502,6 +502,14 @@ def test_project_deposit_budget(monkeypatch):
             project(w)
 
 
+@pytest.mark.parametrize("text", ["u^2000 v^2000", "u^3 v^400000 u^-3"])
+def test_project_checks_membership_before_the_budget(text):
+    # each scan would deposit more than MAX_DEPOSITS coefficients, but the
+    # word is not in ker gmap, and that is what project reports
+    with pytest.raises(ValueError, match="not in ker gmap"):
+        project(parse_word(text))
+
+
 def test_cli_rejects_deposits_over_budget(capsys, monkeypatch):
     # one exponent would deposit 2,000,000 coefficients from four parsed runs
     def no_vector(coeffs):
