@@ -10,6 +10,7 @@ from kleinbraid import (
     MasterParams,
     build_master,
     check_certificate,
+    derived_exponents,
     equation_even_even,
     xi_count,
 )
@@ -17,7 +18,7 @@ from kleinbraid import (
 print("== the obstruction equation ==")
 params = MasterParams(r1=1, r2=2, s1=0, s2=0, i=0, j=0, m=1, n=0)
 eq = build_master(params)
-a1, a2, b1, b2, g = eq.derived
+a1, a2, b1, b2, g = derived_exponents(params)
 print(f"derived exponents at (m,n)=(1,0): a1={a1} a2={a2} b1={b1} b2={b2} g={g}")
 print(f"constant part: {eq.constant}")
 e = KernelVector.unit(0, 0)
@@ -27,10 +28,11 @@ print(f"Ay moves it to {eq.ay(e)}")
 print()
 print("== a scalar collapse ==")
 print("applying the counting functional to the even-even constant always")
-print("yields -2*r2*s1, so r2*s1 != 0 rules out any solution:")
+print("yields -2*r2*s1, so r2*s1 != 0 rules out any solution; it is read")
+print("off the constant's atoms, without building the vector:")
 for (r1, r2, s1) in [(1, 2, 1), (0, -3, 2), (2, 1, -1)]:
-    _, _, c = equation_even_even(r1, r2, s1, 0, m=1, n=1)
-    print(f"   r1={r1} r2={r2} s1={s1}:  functional value {xi_count(1)(c)}")
+    atoms = equation_even_even(r1, r2, s1, 0, m=1, n=1).atoms
+    print(f"   r1={r1} r2={r2} s1={s1}:  functional value {xi_count(1).on_atoms(atoms)}")
 
 print()
 print("== bounded certificates per family ==")

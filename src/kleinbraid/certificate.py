@@ -17,9 +17,11 @@ build_master assembles the general equation from the class parameters
 (r1, r2, s1, s2, i, j) and the quantified pair (m, n).  It writes the term
 tables of Ax and Ay directly from the derived exponents, two terms per
 parity, with no operator algebra; the compositions of c, theta, rho and id
-that define them are the tests' reference.  The three per-family builders
-below re-transcribe the specialised equations independently, composed
-from the induced operators or, for mu/nu, displayed, and their exact
+that define them are the tests' reference.  The three per-family
+transcriptions below return the specialised equations as MasterEquation
+too, written independently: their operators composed from the induced
+operators or, for mu/nu, displayed, and their constants as atoms
+transcribed term for term from the specialised constants.  Their exact
 equality with build_master is part of the test surface.
 
 Every functional is periodic in (k, l), so a Functional is a table of its
@@ -29,14 +31,15 @@ parity of k and move k and l by whole periods.  The certificate sweep
 reads the linear part off the whole pulled-back tables of Ax and Ay, so
 it covers every (k, l).
 
-build_master writes the constant as data: a tuple of atoms (coef, p, q,
-family, args), each standing for coef·c(p, q)(tilde_family(args)).
-MasterEquation.constant materialises them as a vector for the
-cross-checks, and the sweep applies the functional to the atoms
-themselves (Functional.on_atoms): each family's support is a few
-arithmetic-progression boxes, and summing a periodic table over a box
-needs only the residue counts of its two progressions over one period,
-so f(C(m, n)) costs the same however large the family arguments are.
+A MasterEquation holds its constant as data: a tuple of atoms (coef, p,
+q, family, args), each standing for coef·c(p, q)(tilde_family(args)).
+MasterEquation.constant, the one place the constant becomes a vector,
+materialises them for the cross-checks, and the sweep applies the
+functional to the atoms themselves (Functional.on_atoms): each family's
+support is a few arithmetic-progression boxes, and summing a periodic
+table over a box needs only the residue counts of its two progressions
+over one period, so f(C(m, n)) costs the same however large the family
+arguments are.
 
 The sweep does at each (m, n) only the work that changes there: it builds
 the master equation and applies the functional to the atoms, where most
@@ -68,11 +71,6 @@ from .kernel import (
     c_ab,
     c_operator,
     theta_operator,
-    tilde_i,
-    tilde_j,
-    tilde_o,
-    tilde_q,
-    tilde_t,
 )
 from .kleinpi import delta, eps
 
@@ -212,7 +210,6 @@ class MasterEquation:
     ax: KernelOperator
     ay: KernelOperator
     atoms: Tuple[Atom, ...]  # the constant, as (coef, p, q, family, args)
-    derived: Tuple[int, int, int, int, int]  # (a1, a2, b1, b2, g)
 
     @property
     def constant(self) -> KernelVector:
@@ -292,59 +289,58 @@ def build_master(p: MasterParams) -> MasterEquation:
         (delta(i) - delta(n + i) + t * m, 0, 0, "unit", (a2, lam)),
         (r - delta(i), 0, 0, "unit", (a2 - b2, a1 - b1)),
     )
-    return MasterEquation(ax, ay, tuple(a for a in atoms if a[0]), (a1, a2, b1, b2, g))
+    return MasterEquation(ax, ay, tuple(a for a in atoms if a[0]))
 
 
 # ---------------------------------------------------------------------------
 # per-family equations, transcribed independently of build_master
 
 
-def equation_first_odd(s: int, z: int, w: int, m: int, n: int):
+def equation_first_odd(s: int, z: int, w: int, m: int, n: int) -> MasterEquation:
     """Equation for classes (1,0) ↦ (0, 2s+1), (0,1) ↦ (0, (2z+1)w).
 
     Covers type 1 at the even representative (w = 0) and type 2 (w = 1).
-    Returns (ax, ay, constant); cross-checked against build_master with
-    i = 1, j = w, s1 = s, s2 = z·w.
+    The constant is transcribed as atoms; cross-checked against
+    build_master with i = 1, j = w, s1 = s, s2 = z·w.
     """
     shift = 2 * n - (2 * z + 1) * w - 4 * s - 2
     lam = 2 * m * eps(w) * delta(n + w)
     ax = c_operator(shift, lam) + theta_operator(m, delta(n + 1)) @ RHO
     ay = c_operator(-4 * s - 2, 2 * m) @ theta_operator(0, 1) - ID
-    constant = (
-        c_ab(-4 * s - 2, 0, tilde_t(2 * m, delta(n + 1)))
-        + c_ab(
-            shift,
-            0,
-            tilde_o(2 * s + 1, lam)
-            - delta(w + 1) * tilde_o(z * w - n, 2 * m)
-            + delta(w) * tilde_q(-2 * m, z * w - n),
-        )
-        + c_ab(-4 * s - 3, -2 * m, tilde_i(2 * n - (2 * z + 1) * w))
-        + c_ab(0, delta(n), tilde_j(-2 * s - 1, 1 - 2 * m))
-        + tilde_o(-2 * s - 1, delta(n))
-        + (delta(n) - m) * (KernelVector.unit(0, 0) + KernelVector.unit(-4 * s - 2, 2 * m))
-        - KernelVector.unit(shift, lam)
+    atoms = (
+        (1, -4 * s - 2, 0, "t", (2 * m, delta(n + 1))),
+        (1, shift, 0, "o", (2 * s + 1, lam)),
+        (-delta(w + 1), shift, 0, "o", (z * w - n, 2 * m)),
+        (delta(w), shift, 0, "q", (-2 * m, z * w - n)),
+        (1, -4 * s - 3, -2 * m, "i", (2 * n - (2 * z + 1) * w,)),
+        (1, 0, delta(n), "j", (-2 * s - 1, 1 - 2 * m)),
+        (1, 0, 0, "o", (-2 * s - 1, delta(n))),
+        (delta(n) - m, 0, 0, "unit", (0, 0)),
+        (delta(n) - m, 0, 0, "unit", (-4 * s - 2, 2 * m)),
+        (-1, 0, 0, "unit", (shift, lam)),
     )
-    return ax, ay, constant
+    return MasterEquation(ax, ay, atoms)
 
 
-def equation_even_odd(s: int, z: int, m: int, n: int):
+def equation_even_odd(s: int, z: int, m: int, n: int) -> MasterEquation:
     """Equation for classes (1,0) ↦ (0, 2s), (0,1) ↦ (0, 2z+1) (type 3).
 
-    Cross-checked against build_master with i = 0, j = 1, s1 = s, s2 = z.
+    The constant is transcribed as atoms; cross-checked against
+    build_master with i = 0, j = 1, s1 = s, s2 = z.
     """
     ax = (
         c_operator(2 * n - 2 * z - 4 * s - 1, -2 * delta(n) * m)
         + theta_operator(m, delta(n)) @ RHO
     )
     ay = c_operator(-4 * s, 0) - ID
-    constant = (
-        c_ab(2 * n - 2 * z - 4 * s - 1, 0, tilde_o(2 * s, -2 * delta(n) * m))
-        + c_ab(0, delta(n + 1), tilde_j(-2 * s, 1 - 2 * m))
-        + tilde_o(-2 * s, delta(n + 1))
-        + (m - delta(n)) * (KernelVector.unit(-4 * s, 0) - KernelVector.unit(0, 0))
+    atoms = (
+        (1, 2 * n - 2 * z - 4 * s - 1, 0, "o", (2 * s, -2 * delta(n) * m)),
+        (1, 0, delta(n + 1), "j", (-2 * s, 1 - 2 * m)),
+        (1, 0, 0, "o", (-2 * s, delta(n + 1))),
+        (m - delta(n), 0, 0, "unit", (-4 * s, 0)),
+        (delta(n) - m, 0, 0, "unit", (0, 0)),
     )
-    return ax, ay, constant
+    return MasterEquation(ax, ay, atoms)
 
 
 def mu_nu_operators(r1: int, r2: int, s: int, z: int, m: int, n: int):
@@ -373,28 +369,26 @@ def mu_nu_operators(r1: int, r2: int, s: int, z: int, m: int, n: int):
     return mu, nu
 
 
-def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int):
+def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int) -> MasterEquation:
     """Equation for classes (1,0) ↦ (r1, 2s), (0,1) ↦ (r2, 2z) (type 4).
 
-    Cross-checked against build_master with i = j = 0, s1 = s, s2 = z.
+    The constant is transcribed as atoms; cross-checked against
+    build_master with i = j = 0, s1 = s, s2 = z.
     """
     ax, ay = mu_nu_operators(r1, r2, s, z, m, n)
     lam = 2 * delta(n + 1) * (m - r1) + eps(n + 1) * r2
-    constant = (
-        c_ab(-4 * s, 0, tilde_t(-2 * delta(n + 1) * r1, delta(n)))
-        + c_ab(
-            2 * n - 2 * z - 4 * s,
-            0,
-            tilde_o(2 * s, lam) - tilde_o(z - n, -2 * delta(n + 1) * r1),
-        )
-        + c_ab(-4 * s, -2 * delta(n + 1) * r1, tilde_j(n - z, -2 * r1))
-        + c_ab(0, delta(n + 1), tilde_j(-2 * s, 2 * eps(n) * r1 - 2 * m + 1))
-        + tilde_o(-2 * s, delta(n + 1))
-        + (eps(n) * r1 - m + delta(n)) * KernelVector.unit(0, 0)
-        + (m - delta(n)) * KernelVector.unit(-4 * s, -2 * delta(n + 1) * r1)
-        + r1 * KernelVector.unit(2 * n - 2 * z - 4 * s, lam)
+    atoms = (
+        (1, -4 * s, 0, "t", (-2 * delta(n + 1) * r1, delta(n))),
+        (1, 2 * n - 2 * z - 4 * s, 0, "o", (2 * s, lam)),
+        (-1, 2 * n - 2 * z - 4 * s, 0, "o", (z - n, -2 * delta(n + 1) * r1)),
+        (1, -4 * s, -2 * delta(n + 1) * r1, "j", (n - z, -2 * r1)),
+        (1, 0, delta(n + 1), "j", (-2 * s, 2 * eps(n) * r1 - 2 * m + 1)),
+        (1, 0, 0, "o", (-2 * s, delta(n + 1))),
+        (eps(n) * r1 - m + delta(n), 0, 0, "unit", (0, 0)),
+        (m - delta(n), 0, 0, "unit", (-4 * s, -2 * delta(n + 1) * r1)),
+        (r1, 0, 0, "unit", (2 * n - 2 * z - 4 * s, lam)),
     )
-    return ax, ay, constant
+    return MasterEquation(ax, ay, atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,6 @@ def _combine(*terms: Tuple[int, KernelVector]) -> KernelVector:
     return _vector(rows)
 
 
-ZERO = KernelVector()
-
-
 def expand(k: int, l: int) -> Word:
     """The basis word v^k u^l B u^-l v^-k, reduced."""
     return V ** k * U ** l * BIG_B * U ** (-l) * V ** (-k)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from kleinbraid import certificate
+from kleinbraid import certificate, suites
 from kleinbraid.certificate import (
     MAX_SWEEP_ENTRIES,
     CertificateReport,
@@ -96,18 +96,18 @@ def test_specializations_match_build_master(family):
     for params in cases[family]:
         if family == "first_odd":
             s, z, w, m, n = params
-            ax, ay, c = equation_first_odd(s, z, w, m, n)
+            fam = equation_first_odd(s, z, w, m, n)
             eq = build_master(MasterParams(0, 0, s, z * w, 1, w, m, n))
         elif family == "even_odd":
             s, z, m, n = params
-            ax, ay, c = equation_even_odd(s, z, m, n)
+            fam = equation_even_odd(s, z, m, n)
             eq = build_master(MasterParams(0, 0, s, z, 0, 1, m, n))
         else:
             r1, r2, s, z, m, n = params
-            ax, ay, c = equation_even_even(r1, r2, s, z, m, n)
+            fam = equation_even_even(r1, r2, s, z, m, n)
             eq = build_master(MasterParams(r1, r2, s, z, 0, 0, m, n))
-        assert ax == eq.ax and ay == eq.ay
-        assert c == eq.constant
+        assert fam.ax == eq.ax and fam.ay == eq.ay
+        assert fam.constant == eq.constant
 
 
 def test_specialization_suite_sees_one_moved_offset(monkeypatch):
@@ -126,6 +126,23 @@ def test_specialization_suite_sees_one_moved_offset(monkeypatch):
     assert [check.ok for check in suite_specialization()] == [False, False, False]
 
 
+# e(0, 0) as one more atom of a constant
+EXTRA_UNIT = (1, 0, 0, "unit", (0, 0))
+
+
+def test_specialization_suite_sees_one_added_atom(monkeypatch):
+    # the suite also compares the constants: one more unit atom in
+    # build_master's constant must fail every family's check
+    original = certificate.build_master
+
+    def added(params):
+        eq = original(params)
+        return replace(eq, atoms=eq.atoms + (EXTRA_UNIT,))
+
+    monkeypatch.setattr(certificate, "build_master", added)
+    assert [check.ok for check in suite_specialization()] == [False, False, False]
+
+
 def test_master_operators_equal_compositions():
     # build_master writes Ax and Ay as term tables; the compositions of the
     # induced operators are the reference, compared as whole tables
@@ -133,8 +150,9 @@ def test_master_operators_equal_compositions():
     for r1, r2, s1, s2, i, j, m, n in itertools.product(
         (-2, 0, 1, 3), (-1, 0, 2), (-1, 0, 2), (0, 1), (0, 1), (0, 1), (-2, 0, 1), (-3, 0, 1, 2)
     ):
-        eq = build_master(MasterParams(r1, r2, s1, s2, i, j, m, n))
-        a1, a2, b1, b2, g = eq.derived
+        params = MasterParams(r1, r2, s1, s2, i, j, m, n)
+        eq = build_master(params)
+        a1, a2, b1, b2, g = derived_exponents(params)
         ax = c_operator(a2 - b2, a1 - b1) + theta_operator(g, delta(n + i)) @ RHO
         ay = (
             c_operator(a2, a1 * eps(n + i))
@@ -223,15 +241,36 @@ def test_xi_count_examples():
     assert xi(KernelVector({(0, 0): 3, (2, 5): -1})) == 2
 
 
-def test_xi_count_collapse():
+def _assert_xi_count_collapses(equation):
     for r1 in (0, 2):
         for r2 in range(-2, 3):
             for s in range(-2, 3):
                 for z in (0, 1):
                     for m in (-3, 0, 2):
                         for n in (-2, 1):
-                            _, _, c = equation_even_even(r1, r2, s, z, m, n)
-                            assert xi_count(n)(c) == -2 * r2 * s
+                            atoms = equation(r1, r2, s, z, m, n).atoms
+                            assert xi_count(n).on_atoms(atoms) == -2 * r2 * s
+
+
+def test_xi_count_collapse():
+    _assert_xi_count_collapses(equation_even_even)
+
+
+def test_xi_count_collapse_sees_one_added_atom(monkeypatch):
+    # e(0, 0) adds δn to xi_count(n) of the constant, so the test's
+    # assertion and the suite's check must both fail at odd n
+    def added(*args):
+        eq = equation_even_even(*args)
+        return replace(eq, atoms=eq.atoms + (EXTRA_UNIT,))
+
+    with pytest.raises(AssertionError):
+        _assert_xi_count_collapses(added)
+    # no classes to certify: only the functional identities run
+    monkeypatch.setattr(suites, "_grid_classes", lambda span: [])
+    monkeypatch.setattr(certificate, "equation_even_even", added)
+    checks = {check.name: check.ok for check in suites.suite_certificate_grid()}
+    assert not checks["xi-count collapses the even-even constant to -2*r2*s"]
+    assert sum(checks.values()) == len(checks) - 1
 
 
 def test_xi_column():

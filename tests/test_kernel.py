@@ -9,7 +9,6 @@ from kleinbraid.kernel import (
     BOXES,
     MAX_DEPOSITS,
     RHO,
-    ZERO,
     KernelVector,
     _accumulate,
     _from_boxes,
@@ -282,7 +281,7 @@ def test_boxes_write_the_rows_of_the_projection(calls, raw):
     # boxes of several families at once share rows, like the constant's atoms
     words = {"unit": expand, "t": word_t, "i": word_i, "o": word_o, "j": word_j, "q": word_q}
     listed = [box for family, a in calls for box in BOXES[family](*a)]
-    want = ZERO
+    want = KernelVector()
     for family, a in calls:
         want = want + project(words[family](*a))
     assert _from_boxes(listed) == ref_from_boxes(listed) == want

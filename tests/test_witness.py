@@ -24,7 +24,6 @@ from kleinbraid.braid import (
     gmap,
     lsigma,
     p1,
-    rho,
     theta,
 )
 from kleinbraid.classifier import HomClass, decide
