@@ -42,25 +42,21 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-class _CliError(Exception):
-    """A usage error found by a command itself; main() exits EXIT_USAGE."""
-
-
 _CLASS_PARAMS = ("i", "s1", "s2", "r1", "r2")
 
 
 def _class_from_args(args) -> HomClass:
     if args.img10 is not None or args.img01 is not None:
         if args.img10 is None or args.img01 is None:
-            raise _CliError("--img10 and --img01 must be given together")
+            raise ValueError("--img10 and --img01 must be given together")
         given = [f"--{name}" for name in ("type",) + _CLASS_PARAMS
                  if getattr(args, name) is not None]
         if given:
-            raise _CliError(f"{', '.join(given)} cannot be given with --img10/--img01")
+            raise ValueError(f"{', '.join(given)} cannot be given with --img10/--img01")
         h = HomDescriptor(parse_klein(args.img10), parse_klein(args.img01))
         return normalize(h)
     if args.type is None:
-        raise _CliError("give either --img10/--img01 or --type with parameters")
+        raise ValueError("give either --img10/--img01 or --type with parameters")
     # an option left out means 0
     params = {name: getattr(args, name) or 0 for name in _CLASS_PARAMS}
     return HomClass(args.type, **params)
@@ -124,7 +120,7 @@ def _cmd_witness(args) -> int:
     cls = _class_from_args(args)
     verdict = decide(cls)
     if verdict.bu:
-        raise _CliError(
+        raise ValueError(
             f"{cls.describe()} has the Borsuk-Ulam property; no witness exists"
         )
     if args.search:
@@ -179,113 +175,80 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if report.success else EXIT_FAIL
 
 
-_LITERAL = re.compile(r"\(\s*[^();]*;\s*-?\d+\s*,\s*-?\d+\s*\)")
-_IDENT = re.compile(r"[a-z]+")
+# one token: a (word;m,n) literal, an operator name, a parenthesis or a
+# comma; any other character but whitespace is the group "bad"
+_TOKEN = re.compile(
+    r"(?P<literal>\(\s*[^();]*;\s*-?\d+\s*,\s*-?\d+\s*\))|(?P<ident>[a-z]+)|[(),]|(?P<bad>\S)"
+)
+# operator name -> (number of arguments, function)
+_OPERATORS = {"inv": (1, BraidElt.inv), "lsigma": (1, lsigma), "mul": (2, BraidElt.__mul__)}
 
 
-def _tokenize_expr(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _LITERAL.match(text, pos)
-        if m:
-            tokens.append(("literal", m.group(0), pos))
-            pos = m.end()
-            continue
-        m = _IDENT.match(text, pos)
-        if m:
-            tokens.append(("ident", m.group(0), pos))
-            pos = m.end()
-            continue
-        if ch in "(),":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        raise _CliError(f"braid-eval: unexpected character {ch!r} at position {pos}")
-    return tokens
+def _expr(tokens, i, stop=(")", ",")):
+    """expr := atom atom ...  (their product)
+
+    Reads from tokens[i] up to a token in stop, or to the end when stop is
+    empty (the whole input); returns the value and the next index."""
+    out = None
+    while i < len(tokens) and tokens[i][0] not in stop:
+        atom, i = _atom(tokens, i)
+        out = atom if out is None else out * atom
+    if out is None:
+        raise ValueError("braid-eval: empty expression")
+    if stop and i == len(tokens):
+        raise ValueError("braid-eval: unexpected end of expression")
+    return out, i
 
 
-class _ExprParser:
-    """expr := atom+ (product); atom := literal | ident args | '(' expr ')'."""
+def _atom(tokens, i):
+    """atom := literal | '(' expr ')' | op '(' expr {',' expr} ')' | op atom
 
-    def __init__(self, tokens: list[tuple[str, str, int]]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise _CliError("braid-eval: unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse_expr(self, stop=(")", ",")) -> BraidElt:
-        out = None
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] in stop:
-                break
-            atom = self.parse_atom()
-            out = atom if out is None else out * atom
-        if out is None:
-            raise _CliError("braid-eval: empty expression")
-        return out
-
-    def parse_atom(self) -> BraidElt:
-        kind, text, pos = self.next()
-        if kind == "literal":
-            try:
-                return parse_braid(text)
-            except (ValueError, WordParseError) as exc:
-                raise _CliError(f"braid-eval: {exc} (at position {pos})")
-        if kind == "(":
-            inner = self.parse_expr()
-            if self.next()[0] != ")":
-                raise _CliError(f"braid-eval: expected ')' (opened at position {pos})")
-            return inner
-        if kind == "ident":
-            args = []
-            tok = self.peek()
-            if tok is not None and tok[0] == "(":
-                self.next()
-                args.append(self.parse_expr())
-                while self.peek() is not None and self.peek()[0] == ",":
-                    self.next()
-                    args.append(self.parse_expr())
-                if self.next()[0] != ")":
-                    raise _CliError("braid-eval: expected ')' after arguments")
-            else:
-                args.append(self.parse_atom())
-            if text == "inv":
-                if len(args) != 1:
-                    raise _CliError("braid-eval: inv takes one argument")
-                return args[0].inv()
-            if text == "lsigma":
-                if len(args) != 1:
-                    raise _CliError("braid-eval: lsigma takes one argument")
-                return lsigma(args[0])
-            if text == "mul":
-                if len(args) != 2:
-                    raise _CliError("braid-eval: mul takes two arguments")
-                return args[0] * args[1]
-            raise _CliError(f"braid-eval: unknown operator {text!r} at position {pos}")
-        raise _CliError(f"braid-eval: unexpected token {text!r} at position {pos}")
+    op is a name in _OPERATORS, applied once its arguments are read;
+    returns the value and the next index."""
+    if i == len(tokens):
+        raise ValueError("braid-eval: unexpected end of expression")
+    kind, text, pos = tokens[i]
+    if kind == "literal":
+        try:
+            return parse_braid(text), i + 1
+        except ValueError as exc:
+            raise ValueError(f"braid-eval: {exc} (at position {pos})")
+    if kind == "(":
+        inner, i = _expr(tokens, i + 1)
+        if tokens[i][0] != ")":
+            raise ValueError(f"braid-eval: expected ')' (opened at position {pos})")
+        return inner, i + 1
+    if kind != "ident":
+        raise ValueError(f"braid-eval: unexpected token {text!r} at position {pos}")
+    args, i = [], i + 1
+    if i < len(tokens) and tokens[i][0] == "(":
+        while tokens[i][0] != ")":  # "(" and then each ","
+            arg, i = _expr(tokens, i + 1)
+            args.append(arg)
+        i += 1
+    else:
+        arg, i = _atom(tokens, i)
+        args.append(arg)
+    if text not in _OPERATORS:
+        raise ValueError(f"braid-eval: unknown operator {text!r} at position {pos}")
+    arity, apply = _OPERATORS[text]
+    if len(args) != arity:
+        count = "one argument" if arity == 1 else "two arguments"
+        raise ValueError(f"braid-eval: {text} takes {count}")
+    return apply(*args), i
 
 
 def _cmd_braid_eval(args) -> int:
-    tokens = _tokenize_expr(args.expression)
-    parser = _ExprParser(tokens)
+    tokens = []
+    for m in _TOKEN.finditer(args.expression):
+        kind, text, pos = m.lastgroup or m.group(), m.group(), m.start()
+        if kind == "bad":
+            raise ValueError(f"braid-eval: unexpected character {text!r} at position {pos}")
+        tokens.append((kind, text, pos))
     try:
-        result = parser.parse_expr(stop=())
+        result, _ = _expr(tokens, 0, stop=())
     except RecursionError:
-        raise _CliError("braid-eval: expression nested too deeply")
+        raise ValueError("braid-eval: expression nested too deeply")
     print(result)
     return EXIT_OK
 
@@ -294,7 +257,7 @@ def _cmd_kernel_project(args) -> int:
     try:
         w = parse_word(args.word)
     except WordParseError as exc:
-        raise _CliError(f"kernel-project: {exc}")
+        raise ValueError(f"kernel-project: {exc}")
     print(project(w))
     return EXIT_OK
 
@@ -369,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (_CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

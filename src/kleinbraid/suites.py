@@ -397,6 +397,7 @@ def suite_certificate_grid() -> list[SuiteCheck]:
     _check(out, "xi-row is 1 exactly where k = n mod 4|s|, over three periods", fails)
 
     fails = []
+    xi_count = {n: cert.xi_count(n) for n in range(-4, 5)}
     for r1 in (0, 1, 2):
         for r2 in range(-2, 3):
             for s in range(-2, 3):
@@ -404,7 +405,7 @@ def suite_certificate_grid() -> list[SuiteCheck]:
                     for m in range(-4, 5):
                         for n in range(-4, 5):
                             atoms = cert.equation_even_even(r1, r2, s, z, m, n).atoms
-                            if cert.xi_count(n).on_atoms(atoms) != -2 * r2 * s:
+                            if xi_count[n].on_atoms(atoms) != -2 * r2 * s:
                                 fails.append((r1, r2, s, z, m, n))
     _check(out, "xi-count collapses the even-even constant to -2*r2*s", fails)
     return out

@@ -178,6 +178,146 @@ def test_braid_eval_rejects_deep_nesting(capsys, expression):
     assert "Traceback" not in err
 
 
+# braid-eval byte for byte: every grammar form, the long-words job shapes
+# of the benchmark, every error message and the order in which the errors
+# of one expression are found
+_BRAID_EVAL_VALUES = {  # id: (expression, stdout line); exit 0, stderr empty
+    "literal": ("(u;1,0)", "(u ; 1, 0)"),
+    "juxtaposition": ("(u;1,0) (v;0,1)", "(u^2 v u^-1 v u^-1 v^-1 u^-1 ; 1, 1)"),
+    "juxtaposition-unspaced": (
+        "(u;1,0)(v;0,1)(B;0,0)",
+        "(u^2 v u^-1 v u^-1 v^-1 u^-1 v u^-1 v^-1 u^-1 ; 1, 1)",
+    ),
+    "parentheses": ("((u;1,0) (v;0,1))", "(u^2 v u^-1 v u^-1 v^-1 u^-1 ; 1, 1)"),
+    "parentheses-then-atom": ("((u;1,0)) (v;0,0)", "(u^2 v u^-1 v u^-1 v^-1 u^-1 ; 1, 0)"),
+    "op-atom": ("lsigma (B;0,0)", "(u v u v^-1 ; 0, 0)"),
+    "op-literal-unspaced": ("lsigma(B;0,0)", "(u v u v^-1 ; 0, 0)"),
+    "op-args": ("mul((u;1,0), inv((u;1,0)))", "(1 ; 0, 0)"),
+    "op-op-atom": ("inv inv (u v;1,1)", "(u v ; 1, 1)"),
+    "op-args-product": ("inv((u;1,0) (v;0,1))", "(v u^-1 v^-1 u^-1 v^-1 u ; 1, -1)"),
+    "op-spaced-args": (
+        "lsigma ((u;1,0) (v;0,1))",
+        "(u v u^2 v^-1 u^3 v^-1 u^-1 v u^-1 v^-1 u^-1 ; 2, 2)",
+    ),
+    "op-args-of-products": (
+        "mul((u;1,0) (v;0,1), lsigma (B;0,0))",
+        "(u^2 v u^-1 v u^-1 v^-1 u^-1 v u^-1 v^-1 u^-1 ; 1, 1)",
+    ),
+    "op-atom-binds-tighter": ("inv (u;1,0) (v;0,1)", "(v u^-1 v^-1 u^-2 v u^3 v u v^-1 ; -1, 1)"),
+    "identity-word": ("lsigma (1;0,0)", "(1 ; 0, 0)"),
+    "whitespace": ("  \t(u ; 1 , 0 )\n", "(u ; 1, 0)"),
+    "op-args-spaced": ("mul ( (u;1,0) , (v;0,1) )", "(u^2 v u^-1 v u^-1 v^-1 u^-1 ; 1, 1)"),
+    "ablsiga-word": (
+        "mul(mul((u^5 v^-2 B; 2, 1), (v^3 u^-1; 1, 2)), lsigma((u^5 v^-2 B; 2, 1)))",
+        "(u^5 v^-2 u v u v^-1 u v u v^-1 u v u^-2 v u^-2 v u^-2 v u^-1 v^-1 u^-1 v u^4 v u^10 v "
+        "u v^-1 u v u v^-1 u v u v^-1 ; -6, 2)",
+    ),
+    "ablsiga-twist": (
+        "mul(mul((u^2 v; -7, 1), (v^-1 u B; 1, 1)), lsigma((u^2 v; -7, 1)))",
+        "(u^2 v^2 u^-1 v^-1 u^-1 v u^-1 v^-1 u^-1 v u^-1 v^-1 u^-1 v u^-1 v^-1 u^-1 v u^-1 v^-1 "
+        "u^-1 v u^-1 v^-1 u^-1 v u^-1 v^-1 u^-1 v u^-1 v^-1 u^-16 v^-1 u^-2 v u v^-1 u^-13 v^-1 "
+        "u v u v^-1 u v u v^-1 u v u v^-1 u v u v^-1 u v u v^-1 u v u v^-1 ; 1, 4)",
+    ),
+    "x-inv-x": ("(u v^-1 B; -3, 1) inv((u v^-1 B; -3, 1))", "(1 ; 0, 0)"),
+    "twisted-product": (
+        "(u^4 v; 4, 1) inv((B^4; 4, 0))",
+        "(u^4 v u v u v^-1 u v u v^-1 u v u v^-1 u v u v^-1 ; 8, 1)",
+    ),
+    "nested-parentheses": ("(" * 50 + "(u;1,0)" + ")" * 50, "(u ; 1, 0)"),
+    "nested-inv-prefixes": ("inv " * 50 + "(u;1,0)", "(u ; 1, 0)"),
+}
+
+_BRAID_EVAL_ERRORS = {  # id: (expression, message); exit 2, stdout empty
+    "bad-character": ("lsigma $", "braid-eval: unexpected character '$' at position 7"),
+    "bad-character-between-atoms": (
+        "(u;1,0) + (v;0,0)",
+        "braid-eval: unexpected character '+' at position 8",
+    ),
+    "bad-character-before-arity": (
+        "mul((u;1,0)) $",
+        "braid-eval: unexpected character '$' at position 13",
+    ),
+    "bad-character-non-ascii": ("(u;1,0) é", "braid-eval: unexpected character 'é' at position 8"),
+    "unexpected-close": (")", "braid-eval: unexpected token ')' at position 0"),
+    "unexpected-close-after-atom": ("(u;1,0) )", "braid-eval: unexpected token ')' at position 8"),
+    "unexpected-comma": ("(u;1,0) , (v;0,0)", "braid-eval: unexpected token ',' at position 8"),
+    "unexpected-close-as-argument": ("inv )", "braid-eval: unexpected token ')' at position 4"),
+    "unexpected-leading-comma": (", (u;1,0)", "braid-eval: unexpected token ',' at position 0"),
+    "arity-before-unexpected-token": ("mul((u;1,0)) )", "braid-eval: mul takes two arguments"),
+    "unknown-operator": ("foo (u;1,0)", "braid-eval: unknown operator 'foo' at position 0"),
+    "unknown-operator-args": (
+        "sigma((u;1,0), (v;0,0))",
+        "braid-eval: unknown operator 'sigma' at position 0",
+    ),
+    "literal-error-before-unknown-operator": (
+        "foo (x;0,0)",
+        "braid-eval: expected 'u', 'v', 'B' or '1', found 'x' (at position 0) (at position 4)",
+    ),
+    "inv-arity": ("inv((u;1,0), (v;0,0))", "braid-eval: inv takes one argument"),
+    "lsigma-arity": ("lsigma((u;1,0), (v;0,0))", "braid-eval: lsigma takes one argument"),
+    "mul-arity-one": ("mul((u;1,0))", "braid-eval: mul takes two arguments"),
+    "mul-arity-atom": ("mul (u;1,0)", "braid-eval: mul takes two arguments"),
+    "mul-arity-three": ("mul((u;1,0), (v;0,0), (B;0,0))", "braid-eval: mul takes two arguments"),
+    "empty": ("", "braid-eval: empty expression"),
+    "empty-blank": ("   ", "braid-eval: empty expression"),
+    "empty-parentheses": ("()", "braid-eval: empty expression"),
+    "empty-args": ("inv()", "braid-eval: empty expression"),
+    "empty-last-arg": ("mul((u;1,0),)", "braid-eval: empty expression"),
+    "empty-first-arg": ("mul(,(u;1,0))", "braid-eval: empty expression"),
+    "literal-error": (
+        "(u;1,0) (x;0,0)",
+        "braid-eval: expected 'u', 'v', 'B' or '1', found 'x' (at position 0) (at position 8)",
+    ),
+    "literal-error-at-start": (
+        "(u^;0,0)",
+        "braid-eval: expected 'u', 'v', 'B' or '1', found '^' (at position 1) (at position 0)",
+    ),
+    "literal-error-character": (
+        "(u;1,0) (u$;0,0)",
+        "braid-eval: expected 'u', 'v', 'B' or '1', found '$' (at position 1) (at position 8)",
+    ),
+    "literal-error-before-unexpected-token": (
+        "(x;0,0) )",
+        "braid-eval: expected 'u', 'v', 'B' or '1', found 'x' (at position 0) (at position 0)",
+    ),
+    "expected-close": ("((u;1,0), (v;0,0))", "braid-eval: expected ')' (opened at position 0)"),
+    "end-in-parentheses": ("((u;1,0)", "braid-eval: unexpected end of expression"),
+    "end-in-args": ("inv((u;1,0)", "braid-eval: unexpected end of expression"),
+    "end-in-second-arg": ("mul((u;1,0), (v;0,0)", "braid-eval: unexpected end of expression"),
+    "end-after-op": ("inv", "braid-eval: unexpected end of expression"),
+    "end-after-ops": ("lsigma inv", "braid-eval: unexpected end of expression"),
+    "end-before-unknown-operator": ("foo((u;1,0)", "braid-eval: unexpected end of expression"),
+    "end-after-product": ("((u;1,0) (v;0,0)", "braid-eval: unexpected end of expression"),
+    "twist-budget": (
+        "(u;3000000,1)(v;0,0)",
+        "twist m = 3000000 exceeds the budget |m| <= 250000 of theta",
+    ),
+    "lsigma-budget": (
+        "lsigma(v^1000000;0,0)",
+        "the image of v^1000000 exceeds the budget of 1000000 runs written",
+    ),
+    "deep-parentheses": (
+        "(" * 5000 + "(u;1,0)" + ")" * 5000,
+        "braid-eval: expression nested too deeply",
+    ),
+    "deep-inv-prefixes": ("inv " * 3000 + "(u;1,0)", "braid-eval: expression nested too deeply"),
+}
+
+
+@pytest.mark.parametrize(
+    "expression, value", list(_BRAID_EVAL_VALUES.values()), ids=list(_BRAID_EVAL_VALUES)
+)
+def test_braid_eval_values(capsys, expression, value):
+    assert run(capsys, "braid-eval", expression) == (0, value + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "expression, message", list(_BRAID_EVAL_ERRORS.values()), ids=list(_BRAID_EVAL_ERRORS)
+)
+def test_braid_eval_errors(capsys, expression, message):
+    assert run(capsys, "braid-eval", expression) == (2, "", f"error: {message}\n")
+
+
 def test_kernel_project(capsys):
     code, out, _ = run(capsys, "kernel-project", "B")
     assert code == 0
@@ -256,7 +396,7 @@ def test_cli_output_roundtrips(capsys):
 _REUSE_SEQUENCE = [
     (["classify", "--type", "4", "--r1", "0", "--r2", "0", "--s1", "2", "--s2", "0"], 0),
     (["classify", "--type", "9"], 2),  # argparse usage error
-    (["classify", "--img10", "(0,3)"], 2),  # _CliError
+    (["classify", "--img10", "(0,3)"], 2),  # usage error found by the command
     (["classify", "--type", "4", "--r1", "0", "--r2", "0", "--s1", "2", "--s2", "0", "--json"], 0),
     (["kernel-project", "v B v^-1 B^-1"], 0),
     (["braid-eval", "lsigma (B;0,0)"], 0),

@@ -110,7 +110,8 @@ def functional_cases():
 
 def reference_sweep(cls, window, mn):
     """check_certificate as a per-basis sweep: every window point's image
-    under Ax and Ay is built as a vector and the functional applied to it."""
+    under Ax and Ay is built as a vector and the functional applied to it.
+    Its own verdict must be the one its report reads off the failures."""
     family, params_at, functional_at = certificate._family(cls, decide(cls))
     failures = []
     linear_ok = constant_ok = True
@@ -130,7 +131,9 @@ def reference_sweep(cls, window, mn):
             if f(eq.constant) == 0:
                 constant_ok = False
                 failures.append((m, n, "C", 0, 0))
-    return CertificateReport(family, (window, mn), linear_ok, constant_ok, tuple(sorted(failures)))
+    report = CertificateReport(family, (window, mn), tuple(sorted(failures)))
+    assert (report.linear_killed, report.constant_nonzero_for_all) == (linear_ok, constant_ok)
+    return report
 
 
 # ---------------------------------------------------------------------------
