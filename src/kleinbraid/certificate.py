@@ -14,15 +14,18 @@ verification finite, so reports always carry it; the coordinate window
 they also carry only bounds which failures of the linear part are listed.
 
 build_master assembles the general equation from the class parameters
-(r1, r2, s1, s2, i, j) and the quantified pair (m, n).  It writes the term
-tables of Ax and Ay directly from the derived exponents, two terms per
-parity, with no operator algebra; the compositions of c, theta, rho and id
-that define them are the tests' reference.  The three per-family
-transcriptions below return the specialised equations as MasterEquation
-too, written independently: their operators composed from the induced
-operators or, for mu/nu, displayed, and their constants as atoms
-transcribed term for term from the specialised constants.  Their exact
-equality with build_master is part of the test surface.
+(r1, r2, s1, s2, i, j) and the quantified pair (m, n), as the operators
+of master_operators and the atoms of master_atoms.  master_operators
+writes the term tables of Ax and Ay directly from the derived exponents,
+two terms per parity, with no operator algebra; the compositions of c,
+theta, rho and id that define them are the tests' reference.  The three
+per-family transcriptions below return the specialised equations as
+MasterEquation too, written independently: their operators composed from
+the induced operators or, for mu/nu, displayed, and their constants as
+atoms transcribed term for term from the specialised constants
+(even_even_atoms for the type-4 one, which the xi-count check reads
+alone).  Their exact equality with build_master is part of the test
+surface.
 
 Every functional is periodic in (k, l), so a Functional is a table of its
 values on one period box.  Pulling it back through a term table gives
@@ -41,18 +44,25 @@ table over a box needs only the residue counts of its two progressions
 over one period, so f(C(m, n)) costs the same however large the family
 arguments are.
 
-The sweep does at each (m, n) only the work that changes there: it builds
-the master equation and applies the functional to the atoms, where most
-boxes stay in one residue class in both directions and read one table
-entry.  A functional is built once per distinct argument of a sweep, and
-a pulled-back table once per residue key, shared by the points that have
-that key: the key is the functional's table and the operator's term
-tables with their offsets reduced mod the period, which is all a pullback
-reads of them.
+The sweep decides the linear part once per residue class of (m, n) and
+evaluates only the constant at each point.  Once the parity of n is fixed,
+every offset of Ax and Ay is affine in (m, n) with integer coefficients
+and every sign slot is fixed, so for a functional of period (pk, pl) the
+pulled-back tables at (m, n), (m + L, n) and (m, n + L) are equal, with
+L = lcm(2, pk, pl); each family's functional argument is reduced modulo a
+divisor of L, so the points of one class also share their functional.
+The linear failures are kept per (functional, m mod L, n mod L), and a
+point whose class is already kept builds only the atoms and applies the
+functional to them, where most boxes stay in one residue class in both
+directions and read one table entry.  A functional is built once per
+distinct argument of a sweep, and a pulled-back table once per residue
+key, shared by the classes that have that key: the key is the functional
+and the operator's term tables with their offsets reduced mod the
+period, which is all a pullback reads of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Iterable, List, Tuple
 
@@ -80,10 +90,18 @@ class Functional:
     """Linear functional on kernel vectors, periodic in (k, l): its value
     on e(k, l) is table[k % pk][l % pl] for the period box (pk, pl) =
     (len(table), len(table[0])).  mod == 0 means Z-valued, mod == 2 means
-    Z/2-valued."""
+    Z/2-valued.  Its hash is taken once, when it is built, since the
+    sweep keys its caches on it at every (m, n) point."""
 
     table: Tuple[Tuple[int, ...], ...]
     mod: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.table, self.mod)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def period(self) -> Tuple[int, int]:
@@ -162,11 +180,11 @@ def _pullback_once(cache: dict, f: Functional, op: KernelOperator) -> Functional
     """f.pullback(op), computed once per residue key and kept in cache.
 
     The pullback reads an entry (a, p, b, q): c of op only through
-    p mod pk and q mod pl, so the key is f's (table, mod) and op's tables
-    as entries (a, p mod pk, b, q mod pl, c).  A key is order-sensitive,
+    p mod pk and q mod pl, so the key is f and op's tables as entries
+    (a, p mod pk, b, q mod pl, c).  A key is order-sensitive,
     so two orders of one table only cost a second pullback."""
     pk, pl = f.period
-    key = (f.table, f.mod) + tuple(
+    key = (f,) + tuple(
         tuple((a, p % pk, b, q % pl, c) for (a, p, b, q), c in terms.items())
         for terms in op.terms
     )
@@ -240,18 +258,21 @@ def derived_exponents(p: MasterParams) -> Tuple[int, int, int, int, int]:
 _IDENTITY = (1, 0, 1, 0)  # the key of ID's one term at each parity
 
 
-def build_master(p: MasterParams) -> MasterEquation:
-    """The general two-unknown obstruction equation at (m, n).
+def master_operators(p: MasterParams) -> Tuple[KernelOperator, KernelOperator]:
+    """The linear operators (Ax, Ay) of the obstruction equation at (m, n).
 
-    With e = ε(n+i), t = εi and r = δ(i+1)δ(j+1)r1, the operators are
+    With e = ε(n+i), t = εi and r = δ(i+1)δ(j+1)r1, they are
 
         Ax = c(a2 - b2, a1 - b1) + theta(g, δ(n+i))∘rho
         Ay = c(a2, a1·e)∘theta(r, δi) - id
 
     and their term tables are written directly: Ax has one c-term and one
     theta∘rho-term per parity, which never share a key, and Ay one
-    c∘theta-term per parity less the identity."""
-    r1, s1, s2, i, j, m, n = p.r1, p.s1, p.s2, p.i, p.j, p.m, p.n
+    c∘theta-term per parity less the identity.  Once the parity of n is
+    fixed, every offset is affine in (m, n) with integer coefficients and
+    every sign slot is fixed, which is what the certificate sweep's cache
+    rests on."""
+    r1, i, j, n = p.r1, p.i, p.j, p.n
     a1, a2, b1, b2, g = derived_exponents(p)
     e, t = eps(n + i), eps(i)
     r = delta(i + 1) * delta(j + 1) * r1
@@ -269,7 +290,17 @@ def build_master(p: MasterParams) -> MasterEquation:
             for key in ((1, a2, t, lam), (1, a2, t, -2 * r - lam))
         )
     )
+    return ax, ay
 
+
+def master_atoms(p: MasterParams) -> Tuple[Atom, ...]:
+    """The constant C(m, n) of the obstruction equation, as its nonzero
+    atoms (coef, p, q, family, args)."""
+    r1, s1, s2, i, j, m, n = p.r1, p.s1, p.s2, p.i, p.j, p.m, p.n
+    a1, a2, b1, b2, g = derived_exponents(p)
+    e, t = eps(n + i), eps(i)
+    r = delta(i + 1) * delta(j + 1) * r1
+    lam = a1 * e
     atoms = (
         (1, a2, 0, "t", (lam, delta(n + i))),
         (1, a2 - b2, 0, "o", (2 * s1 + i, a1 - b1)),
@@ -289,7 +320,13 @@ def build_master(p: MasterParams) -> MasterEquation:
         (delta(i) - delta(n + i) + t * m, 0, 0, "unit", (a2, lam)),
         (r - delta(i), 0, 0, "unit", (a2 - b2, a1 - b1)),
     )
-    return MasterEquation(ax, ay, tuple(a for a in atoms if a[0]))
+    return tuple(a for a in atoms if a[0])
+
+
+def build_master(p: MasterParams) -> MasterEquation:
+    """The general two-unknown obstruction equation at (m, n): the
+    operators of master_operators and the atoms of master_atoms."""
+    return MasterEquation(*master_operators(p), master_atoms(p))
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +406,11 @@ def mu_nu_operators(r1: int, r2: int, s: int, z: int, m: int, n: int):
     return mu, nu
 
 
-def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int) -> MasterEquation:
-    """Equation for classes (1,0) ↦ (r1, 2s), (0,1) ↦ (r2, 2z) (type 4).
-
-    The constant is transcribed as atoms; cross-checked against
-    build_master with i = j = 0, s1 = s, s2 = z.
-    """
-    ax, ay = mu_nu_operators(r1, r2, s, z, m, n)
+def even_even_atoms(r1: int, r2: int, s: int, z: int, m: int, n: int) -> Tuple[Atom, ...]:
+    """The constant of the type-4 equation, as atoms transcribed term for
+    term from the specialised constant."""
     lam = 2 * delta(n + 1) * (m - r1) + eps(n + 1) * r2
-    atoms = (
+    return (
         (1, -4 * s, 0, "t", (-2 * delta(n + 1) * r1, delta(n))),
         (1, 2 * n - 2 * z - 4 * s, 0, "o", (2 * s, lam)),
         (-1, 2 * n - 2 * z - 4 * s, 0, "o", (z - n, -2 * delta(n + 1) * r1)),
@@ -388,7 +421,15 @@ def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int) -> Mast
         (m - delta(n), 0, 0, "unit", (-4 * s, -2 * delta(n + 1) * r1)),
         (r1, 0, 0, "unit", (2 * n - 2 * z - 4 * s, lam)),
     )
-    return MasterEquation(ax, ay, atoms)
+
+
+def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int) -> MasterEquation:
+    """Equation for classes (1,0) ↦ (r1, 2s), (0,1) ↦ (r2, 2z) (type 4):
+    the operators of mu_nu_operators and the atoms of even_even_atoms.
+    Cross-checked against build_master with i = j = 0, s1 = s, s2 = z.
+    """
+    args = (r1, r2, s, z, m, n)
+    return MasterEquation(*mu_nu_operators(*args), even_even_atoms(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +492,19 @@ def xi_row(s: int, n: int) -> Functional:
 # ---------------------------------------------------------------------------
 # certificate driver
 
-# Budget of check_certificate, in pulled-back table entries.  Each (m, n)
-# point pulls back two tables of lcm(2, pk)·pl entries, 1 to 1.5 µs an
-# entry, unless an earlier point had its residue key, and spends about
-# 0.03 ms on the rest (0.026 ms a point over mn = 40 at period (2, 1)),
-# counted as 40 entries.  At period (2, 2) mn = 40 took 0.33 s and mn = 45,
-# the most the budget admits there, 0.43 s; at mn = 4, type 3 with
-# s1 = 612 (period (2448, 1), just within the budget) took 0.33 s (medians
-# of three, Python 3.11 on a shared 2-CPU host).  _tabulate refuses a table
-# over half the budget, since a sweep pulls back at least two tables at
-# least as large.
+# Budget of check_certificate, in pulled-back table entries.  The count is
+# a bound: it takes every (m, n) point to pull back two tables of
+# lcm(2, pk)·pl entries, 1 to 1.5 µs an entry, as it does when each point
+# is a residue class of its own (L = lcm(2, pk, pl) > 2·mn), plus about
+# 0.03 ms for the constant, counted as 40 entries.  A point whose residue
+# class of (m, n) mod L an earlier point had pulls back nothing, and a
+# class whose residue key of the term tables an earlier class had reuses
+# its tables.  At period (2, 2), mn = 40 took 0.20 s and mn = 45, the most
+# the budget admits there, 0.24 s; at mn = 4, type 3 with s1 = 612 (period
+# (2448, 1), just within the budget, no class holding two points) took
+# 0.21 s (medians of five, Python 3.11 on a shared 2-CPU host).  _tabulate
+# refuses a table over half the budget, since a sweep pulls back at least
+# two tables at least as large.
 MAX_SWEEP_ENTRIES = 400_000
 
 
@@ -553,12 +597,15 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
 
     For every (m, n) with |m|, |n| <= mn, the family's functional must
     kill both linear operators on every basis vector e(k, l) and take a
-    nonzero value on the constant part.  Each (m, n) builds its master
-    equation and evaluates the constant; the functional is built once per
-    distinct argument (_family), and its pullbacks through Ax and Ay once
-    per residue key (_pullback_once), each reused at every point that
-    shares it.  A pulled-back table holds f∘A on every (k, l), so the
-    linear part is decided for all (k, l) from the whole table.  The
+    nonzero value on the constant part.  Each (m, n) builds the atoms of
+    its constant and evaluates them.  The linear part is decided once per
+    functional and residue class of (m, n) mod L = lcm(2, pk, pl): its
+    failures are listed once and copied with each point's (m, n); the
+    module docstring says why a class decides it for all its points.  The
+    functional is built once per distinct argument (_family), and its
+    pullbacks through Ax and Ay once per residue key (_pullback_once).  A
+    pulled-back table holds f∘A on every (k, l), so the linear part is
+    decided for all (k, l) from the whole table.  The
     coordinate window only bounds which failures are listed: the nonzero
     entries with |k|, |l| <= window, or, when none falls inside it, the
     nonzero entries of the table's period box.  The constant is evaluated
@@ -585,19 +632,38 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     failures: list[Tuple[int, int, str, int, int]] = []
     coords = range(-window, window + 1)
     pulled_by_key: dict = {}
+    linear_by_class: dict = {}
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
-            eq = build_master(params_at(m, n))
+            params = params_at(m, n)
             f = functional_at(m, n)
-            for name, op in (("Ax", eq.ax), ("Ay", eq.ay)):
-                pulled = _pullback_once(pulled_by_key, f, op)
-                if not any(map(any, pulled.table)):
-                    continue
-                bad = [(k, l) for k in coords for l in coords if pulled.value(k, l)]
-                if not bad:
-                    pk, pl = pulled.period
-                    bad = [(k, l) for k in range(pk) for l in range(pl) if pulled.table[k][l]]
-                failures.extend((m, n, name, k, l) for k, l in bad)
-            if f.on_atoms(eq.atoms) == 0:
+            if f.on_atoms(master_atoms(params)) == 0:
                 failures.append((m, n, "C", 0, 0))
+            period = lcm(2, *f.period)
+            key = (f, m % period, n % period)
+            linear = linear_by_class.get(key)
+            if linear is None:
+                linear = linear_by_class[key] = _linear_failures(
+                    pulled_by_key, f, master_operators(params), coords
+                )
+            failures.extend((m, n, name, k, l) for name, k, l in linear)
     return CertificateReport(family, (window, mn), tuple(sorted(failures)))
+
+
+def _linear_failures(
+    cache: dict, f: Functional, ops: Tuple[KernelOperator, KernelOperator], coords: range
+) -> List[Tuple[str, int, int]]:
+    """(name, k, l) for each nonzero entry of f∘Ax and f∘Ay that a report
+    lists: those with k, l in coords, or, when none falls there, those of
+    the pulled-back table's period box."""
+    failures = []
+    for name, op in zip(("Ax", "Ay"), ops):
+        pulled = _pullback_once(cache, f, op)
+        if not any(map(any, pulled.table)):
+            continue
+        bad = [(k, l) for k in coords for l in coords if pulled.value(k, l)]
+        if not bad:
+            pk, pl = pulled.period
+            bad = [(k, l) for k in range(pk) for l in range(pl) if pulled.table[k][l]]
+        failures.extend((name, k, l) for k, l in bad)
+    return failures

@@ -404,7 +404,7 @@ def suite_certificate_grid() -> list[SuiteCheck]:
                 for z in (0, 1):
                     for m in range(-4, 5):
                         for n in range(-4, 5):
-                            atoms = cert.equation_even_even(r1, r2, s, z, m, n).atoms
+                            atoms = cert.even_even_atoms(r1, r2, s, z, m, n)
                             if xi_count[n].on_atoms(atoms) != -2 * r2 * s:
                                 fails.append((r1, r2, s, z, m, n))
     _check(out, "xi-count collapses the even-even constant to -2*r2*s", fails)

@@ -2,6 +2,8 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kleinbraid import certificate, suites
 from kleinbraid.certificate import (
@@ -16,6 +18,7 @@ from kleinbraid.certificate import (
     equation_even_even,
     equation_even_odd,
     equation_first_odd,
+    even_even_atoms,
     mu_nu_operators,
     xi_column,
     xi_congruence,
@@ -37,6 +40,8 @@ from kleinbraid.kernel import (
 )
 from kleinbraid.kleinpi import delta, eps
 from kleinbraid.suites import _grid_classes, suite_specialization
+
+from common import PROFILE
 
 
 def unit(k, l):
@@ -167,6 +172,74 @@ def test_master_operators_equal_compositions():
     assert cancelled == {0, 1}
 
 
+def _reduced_tables(op, period):
+    """op's term tables with every offset reduced mod period and the terms
+    that then share a key merged, zero sums left out: all that a pullback
+    of a functional whose period divides period reads of op."""
+    tables = []
+    for terms in op.terms:
+        merged = {}
+        for (a, p, b, q), c in terms.items():
+            key = (a, p % period, b, q % period)
+            merged[key] = merged.get(key, 0) + c
+        tables.append({key: c for key, c in merged.items() if c})
+    return tables
+
+
+def _periodic(params, period):
+    """Whether build_master's Ax and Ay, reduced mod period, agree at
+    (m, n), (m + period, n) and (m, n + period)."""
+
+    def reduced(m, n):
+        eq = certificate.build_master(replace(params, m=m, n=n))
+        return [_reduced_tables(op, period) for op in (eq.ax, eq.ay)]
+
+    m, n = params.m, params.n
+    return reduced(m, n) == reduced(m + period, n) == reduced(m, n + period)
+
+
+class_params = st.builds(
+    MasterParams,
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+)
+# lcm(2, pk, pl) over the functionals' periods: (2, 1), (4|s|, 1), (2, 2|r1|)
+sweep_periods = st.sampled_from((2, 4, 6, 8, 12))
+
+
+@PROFILE
+@given(class_params, sweep_periods)
+def test_operator_tables_are_periodic_in_m_and_n(params, period):
+    # what check_certificate's per-class cache rests on: with the parity of
+    # n fixed, every offset is an integer affine function of (m, n)
+    assert _periodic(params, period)
+
+
+def test_periodicity_check_sees_a_quadratic_offset(monkeypatch):
+    # an integer polynomial in m stays periodic mod an even period, so the
+    # moved offset is m(m + 1)/2, which moves by m·L + L(L + 1)/2 ≡ L/2
+    # (mod L) from m to m + L
+    original = certificate.build_master
+
+    def moved(params):
+        eq = original(params)
+        even, odd = ([(c, *key) for key, c in table.items()] for table in eq.ax.terms)
+        c, a, p, b, q = even[0]
+        even[0] = (c, a, p + params.m * (params.m + 1) // 2, b, q)
+        return replace(eq, ax=KernelOperator(even, odd))
+
+    monkeypatch.setattr(certificate, "build_master", moved)
+    for period in (2, 4, 6, 8, 12):
+        for params in (MasterParams(1, 2, 0, 0, 0, 0, 0, 0), MasterParams(0, 1, -1, 1, 1, 1, 3, -2)):
+            assert not _periodic(params, period)
+
+
 def test_mu_nu_displayed_vs_compositional():
     for r1 in (0, 1, 2):
         for r2 in (-2, 0, 2):
@@ -241,33 +314,32 @@ def test_xi_count_examples():
     assert xi(KernelVector({(0, 0): 3, (2, 5): -1})) == 2
 
 
-def _assert_xi_count_collapses(equation):
+def _assert_xi_count_collapses(atoms_at):
     for r1 in (0, 2):
         for r2 in range(-2, 3):
             for s in range(-2, 3):
                 for z in (0, 1):
                     for m in (-3, 0, 2):
                         for n in (-2, 1):
-                            atoms = equation(r1, r2, s, z, m, n).atoms
+                            atoms = atoms_at(r1, r2, s, z, m, n)
                             assert xi_count(n).on_atoms(atoms) == -2 * r2 * s
 
 
 def test_xi_count_collapse():
-    _assert_xi_count_collapses(equation_even_even)
+    _assert_xi_count_collapses(even_even_atoms)
 
 
 def test_xi_count_collapse_sees_one_added_atom(monkeypatch):
     # e(0, 0) adds δn to xi_count(n) of the constant, so the test's
     # assertion and the suite's check must both fail at odd n
     def added(*args):
-        eq = equation_even_even(*args)
-        return replace(eq, atoms=eq.atoms + (EXTRA_UNIT,))
+        return even_even_atoms(*args) + (EXTRA_UNIT,)
 
     with pytest.raises(AssertionError):
         _assert_xi_count_collapses(added)
     # no classes to certify: only the functional identities run
     monkeypatch.setattr(suites, "_grid_classes", lambda span: [])
-    monkeypatch.setattr(certificate, "equation_even_even", added)
+    monkeypatch.setattr(certificate, "even_even_atoms", added)
     checks = {check.name: check.ok for check in suites.suite_certificate_grid()}
     assert not checks["xi-count collapses the even-even constant to -2*r2*s"]
     assert sum(checks.values()) == len(checks) - 1
@@ -458,7 +530,8 @@ def _no_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(certificate, "build_master", no_sweep)
+    for name in ("master_atoms", "master_operators", "build_master"):
+        monkeypatch.setattr(certificate, name, no_sweep)
     monkeypatch.setattr(Functional, "pullback", no_sweep)
 
 

@@ -1,14 +1,16 @@
 """Periodic functionals and the certificate sweep over pulled-back tables.
 
 The references below are the closure formulas the xi_* builders used
-before they became tables, and the per-basis sweep check_certificate ran
-before it read pulled-back tables: it builds op(e(k, l)) for every
-window point and applies the functional to the materialised constant.
-The tables must agree with the formulas on boxes several periods wide,
-pulling back must agree with applying the functional after the operator,
-the functional on the constant's atoms must agree with the functional on
-the projections of the family words moved by c_ab, and the two sweeps must
-return equal reports, failures included.
+before they became tables, the per-basis sweep check_certificate ran
+before it read pulled-back tables, which builds op(e(k, l)) for every
+window point and applies the functional to the materialised constant,
+and the per-point sweep it ran before it kept the linear part per
+residue class of (m, n).  The tables must agree with the formulas on
+boxes several periods wide, pulling back must agree with applying the
+functional after the operator, the functional on the constant's atoms
+must agree with the functional on the projections of the family words
+moved by c_ab, and each reference sweep must return the report of
+check_certificate, failures included.
 """
 
 import itertools
@@ -134,6 +136,33 @@ def reference_sweep(cls, window, mn):
     report = CertificateReport(family, (window, mn), tuple(sorted(failures)))
     assert (report.linear_killed, report.constant_nonzero_for_all) == (linear_ok, constant_ok)
     return report
+
+
+def per_point_sweep(cls, window, mn):
+    """check_certificate as it ran before it kept the linear part per
+    residue class of (m, n): every point builds its master equation and
+    lists the nonzero entries of the functional pulled back through its
+    Ax and Ay, each pullback still made once per residue key."""
+    family, params_at, functional_at = certificate._family(cls, decide(cls))
+    failures = []
+    coords = range(-window, window + 1)
+    pulled_by_key = {}
+    for m in range(-mn, mn + 1):
+        for n in range(-mn, mn + 1):
+            eq = build_master(params_at(m, n))
+            f = functional_at(m, n)
+            for name, op in (("Ax", eq.ax), ("Ay", eq.ay)):
+                pulled = _pullback_once(pulled_by_key, f, op)
+                if not any(map(any, pulled.table)):
+                    continue
+                bad = [(k, l) for k in coords for l in coords if pulled.value(k, l)]
+                if not bad:
+                    pk, pl = pulled.period
+                    bad = [(k, l) for k in range(pk) for l in range(pl) if pulled.table[k][l]]
+                failures.extend((m, n, name, k, l) for k, l in bad)
+            if f.on_atoms(eq.atoms) == 0:
+                failures.append((m, n, "C", 0, 0))
+    return CertificateReport(family, (window, mn), tuple(sorted(failures)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +396,16 @@ def test_sweep_matches_reference_on_grid():
     assert checked == 1331
 
 
+def test_sweep_matches_per_point_sweep_on_grid():
+    checked = 0
+    for cls in _grid_classes(3):
+        if not decide(cls).bu:
+            continue
+        assert check_certificate(cls) == per_point_sweep(cls, 6, 4), cls
+        checked += 1
+    assert checked == 1331
+
+
 WRONG = [
     # (class, wrong functional at (m, n))
     (HomClass(2, i=0, s1=0, s2=0), lambda m, n: xi_parity(0)),
@@ -378,8 +417,7 @@ WRONG = [
 ]
 
 
-@pytest.mark.parametrize("cls, wrong", WRONG)
-def test_failures_match_reference(monkeypatch, cls, wrong):
+def _with_wrong_functional(monkeypatch, wrong):
     original = certificate._family
 
     def family(c, verdict):
@@ -387,7 +425,35 @@ def test_failures_match_reference(monkeypatch, cls, wrong):
         return label, params_at, wrong
 
     monkeypatch.setattr(certificate, "_family", family)
+
+
+@pytest.mark.parametrize("cls, wrong", WRONG)
+def test_failures_match_reference(monkeypatch, cls, wrong):
+    _with_wrong_functional(monkeypatch, wrong)
     report = check_certificate(cls, window=6, mn=2)
     assert report == reference_sweep(cls, 6, 2)
     assert not report.linear_killed
     assert any(kind in ("Ax", "Ay") for _, _, kind, _, _ in report.witnesses_of_failure)
+
+
+@pytest.mark.parametrize("cls, wrong", WRONG)
+def test_failures_reused_across_residue_classes(monkeypatch, cls, wrong):
+    # at mn = 2L + 1 every residue class of (m, n) mod L = lcm(2, pk, pl)
+    # holds several points, so the linear failures listed at one point are
+    # listed again at the others; the wrong functionals are built afresh at
+    # each point, so the sweep must match them by their tables
+    period = lcm(2, *wrong(0, 0).period)
+    mn = 2 * period + 1
+    _with_wrong_functional(monkeypatch, wrong)
+    classes = []
+    original = certificate.master_operators
+
+    def counted(params):
+        classes.append((params.m % period, params.n % period))
+        return original(params)
+
+    monkeypatch.setattr(certificate, "master_operators", counted)
+    report = check_certificate(cls, window=6, mn=mn)
+    assert sorted(classes) == sorted(itertools.product(range(period), repeat=2))
+    assert report == per_point_sweep(cls, 6, mn)
+    assert not report.linear_killed
