@@ -15,16 +15,21 @@ they also carry only bounds which failures of the linear part are listed.
 
 build_master assembles the general equation from the class parameters
 (r1, r2, s1, s2, i, j) and the quantified pair (m, n), as the operators
-of master_operators and the atoms of master_atoms.  master_operators
-writes the term tables of Ax and Ay directly from the derived exponents,
-two terms per parity, with no operator algebra; the compositions of c,
-theta, rho and id that define them are the tests' reference.  The three
-per-family transcriptions below return the specialised equations as
-MasterEquation too, written independently: their operators composed from
-the induced operators or, for mu/nu, displayed, and their constants as
-atoms transcribed term for term from the specialised constants
-(even_even_atoms for the type-4 one, which the xi-count check reads
-alone).  Their exact equality with build_master is part of the test
+of master_operators and the atoms of master_atoms.  Once the parity of n
+is fixed, every δ and ε in it is a constant, so master_forms writes the
+whole equation once per parity as integer affine forms c + cm·m + cn·n:
+the derived exponents, the offsets of the term tables of Ax and Ay (two
+terms per parity of k, signs and slopes fixed), and every field of every
+atom of the constant.  derived_exponents, master_operators and
+master_atoms evaluate those forms; the per-point transcription they
+replaced, and the compositions of c, theta, rho and id that define Ax and
+Ay, are the tests' reference.  Each atom field reads at most one of m and
+n.  The three per-family transcriptions below return the specialised
+equations as MasterEquation too, written independently: their operators
+composed from the induced operators or, for mu/nu, displayed, and their
+constants as atoms transcribed term for term from the specialised
+constants (even_even_atoms for the type-4 one, which the xi-count check
+reads alone).  Their exact equality with build_master is part of the test
 surface.
 
 Every functional is periodic in (k, l), so a Functional is a table of its
@@ -44,27 +49,33 @@ table over a box needs only the residue counts of its two progressions
 over one period, so f(C(m, n)) costs the same however large the family
 arguments are.
 
-The sweep decides the linear part once per residue class of (m, n) and
-evaluates only the constant at each point.  Once the parity of n is fixed,
-every offset of Ax and Ay is affine in (m, n) with integer coefficients
-and every sign slot is fixed, so for a functional of period (pk, pl) the
-pulled-back tables at (m, n), (m + L, n) and (m, n + L) are equal, with
-L = lcm(2, pk, pl); each family's functional argument is reduced modulo a
-divisor of L, so the points of one class also share their functional.
-The linear failures are kept per (functional, m mod L, n mod L), and a
-point whose class is already kept builds only the atoms and applies the
-functional to them, where most boxes stay in one residue class in both
-directions and read one table entry.  A functional is built once per
-distinct argument of a sweep, and a pulled-back table once per residue
-key, shared by the classes that have that key: the key is the functional
-and the operator's term tables with their offsets reduced mod the
-period, which is all a pullback reads of them.
+The sweep builds the forms of both parities once, and evaluates only
+what changes from point to point.  The linear part is decided once per
+residue class of (m, n): with the parity of n fixed, every offset of Ax
+and Ay is an affine form and every sign slot is fixed, so for a
+functional of period (pk, pl) the pulled-back tables at (m, n),
+(m + L, n) and (m, n + L) are equal, with L = lcm(2, pk, pl); each
+family's functional argument is reduced modulo a divisor of L, so the
+points of one class also share their functional.  The linear failures
+are kept per (functional, m mod L, n mod L).  A functional is built once
+per distinct argument of a sweep, and a pulled-back table once per
+residue key, shared by the classes that have that key: the key is the
+functional and the operator's term tables with their offsets reduced mod
+the period, which is all a pullback reads of them.
+
+The constant is evaluated in groups of atoms: those whose forms read
+neither variable, m only, n only, or both.  f(C(m, n)) is the sum of f
+over the groups, and a group's value depends only on the functional, the
+parity of n and the variables it reads, so it is computed once per such
+value for the length of the sweep: the atoms that read neither once per
+functional and parity, those that read m or n once per functional and
+value of that variable, and only those that read both at every point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Tuple
 
 from .braid import check_h
 from .classifier import HomClass, Verdict, decide
@@ -242,91 +253,162 @@ class MasterEquation:
         )
 
 
+Form = Tuple[int, int, int]  # (c, cm, cn), standing for c + cm·m + cn·n
+TermForm = Tuple[int, int, Form, int, Form]  # (coef, a, p, b, q), offsets as forms
+AtomForm = Tuple[Form, Form, Form, str, Tuple[Form, ...]]  # (coef, p, q, family, args)
+
+
+class MasterForms(NamedTuple):
+    """The obstruction equation of one class for every n of one parity,
+    each integer in it an affine form in (m, n): the derived exponents
+    (a1, a2, b1, b2, g), the term tables of Ax and Ay as terms per parity
+    of k, and the atoms of the constant, zero coefficients included."""
+
+    derived: Tuple[Form, ...]
+    ax: Tuple[Tuple[TermForm, ...], Tuple[TermForm, ...]]
+    ay: Tuple[Tuple[TermForm, ...], Tuple[TermForm, ...]]
+    atoms: Tuple[AtomForm, ...]
+
+
+_ZERO: Form = (0, 0, 0)
+_ONE: Form = (1, 0, 0)
+
+
+def master_forms(r1: int, r2: int, s1: int, s2: int, i: int, j: int, parity: int) -> MasterForms:
+    """The obstruction equation for n ≡ parity (mod 2), as affine forms.
+
+    Every δ and ε of n is fixed by the parity, so each exponent, offset
+    and atom field is c + cm·m + cn·n with integer coefficients, written
+    here as its triple.  With e = ε(n+i), t = εi and r = δ(i+1)δ(j+1)r1,
+
+        a1 = -2(δ(n+1)·r + δi·εn·m)       a2 = -4s1 - 2i
+        b1 = δ(i+1)δ(j+1)εn·r2 + 2δ(j+n+1)ε(j+1)·m
+        b2 = 2s2 - 2n + j                  g = r + t·m + e·a1
+
+    and λ = e·a1.  The operators are
+
+        Ax = c(a2 - b2, a1 - b1) + theta(g, δ(n+i))∘rho
+        Ay = c(a2, λ)∘theta(r, δi) - id
+
+    written as their terms: one c-term and one theta∘rho-term per parity
+    of k for Ax, one c∘theta-term and the identity's -1 for Ay.  This is
+    the one transcription of the equation's δ and ε; derived_exponents,
+    master_operators and master_atoms evaluate it."""
+    dn = parity
+    d_ni = (dn + i) % 2  # δ(n+i)
+    en = 1 - 2 * dn  # εn
+    e = 1 - 2 * d_ni  # ε(n+i)
+    t = 1 - 2 * i  # εi
+    u = (1 - i) * (1 - j)  # δ(i+1)δ(j+1)
+    r = u * r1
+    a1, a1m = -2 * (1 - dn) * r, -2 * i * en
+    a2 = -4 * s1 - 2 * i
+    b1, b1m = u * en * r2, 2 * ((j + dn + 1) % 2) * (2 * j - 1)
+    b2 = 2 * s2 + j  # the constant of b2, whose n-coefficient is -2
+    g, gm = r + e * a1, t + e * a1m
+    lam_c, lam_m = e * a1, e * a1m
+    lam = (lam_c, lam_m, 0)
+    shift = (a2 - b2, 0, 2)  # a2 - b2
+    diff = (a1 - b1, a1m - b1m, 0)  # a1 - b1
+    s2_less_n = (s2, 0, -1)
+    d_ni1 = 1 - d_ni  # δ(n+i+1), which is δ(n+i-1)
+    return MasterForms(
+        derived=((a1, a1m, 0), (a2, 0, 0), (b1, b1m, 0), (b2, 0, -2), (g, gm, 0)),
+        ax=(
+            ((1, 1, shift, 1, diff), (e, -1, _ZERO, -e, _ZERO)),
+            ((1, 1, shift, 1, (b1 - a1, b1m - a1m, 0)), (-e, -1, _ZERO, e, (-2 * g, -2 * gm, 0))),
+        ),
+        ay=(
+            ((t, 1, (a2, 0, 0), t, lam), (-1, 1, _ZERO, 1, _ZERO)),
+            ((t, 1, (a2, 0, 0), t, (-2 * r - lam_c, -lam_m, 0)), (-1, 1, _ZERO, 1, _ZERO)),
+        ),
+        atoms=(
+            (_ONE, (a2, 0, 0), _ZERO, "t", (lam, (d_ni, 0, 0))),
+            (_ONE, shift, _ZERO, "o", ((2 * s1 + i, 0, 0), diff)),
+            (
+                (j - 1, 0, 0),
+                shift,
+                _ZERO,
+                "o",
+                (s2_less_n, (-2 * (1 - i) * (1 - dn) * r1, 2 * i, 0)),
+            ),
+            ((j, 0, 0), shift, _ZERO, "q", ((0, -2 * i, 0), s2_less_n)),
+            (_ONE, (a2, 0, 0), lam, "j", ((-(1 - i) * s2, 0, 1 - i), (-2 * r, 0, 0))),
+            (_ONE, (a2 - 1, 0, 0), (-lam_c, -lam_m, 0), "i", ((-i * b2, 0, 2 * i),)),
+            (_ONE, _ZERO, (d_ni1, 0, 0), "j", ((-2 * s1 - i, 0, 0), (1 - 2 * g, -2 * gm, 0))),
+            (_ONE, _ZERO, _ZERO, "o", ((-2 * s1 - i, 0, 0), (d_ni1, 0, 0))),
+            ((d_ni + i * e - g, -gm, 0), _ZERO, _ZERO, "unit", (_ZERO, _ZERO)),
+            ((i - d_ni, t, 0), _ZERO, _ZERO, "unit", ((a2, 0, 0), lam)),
+            ((r - i, 0, 0), _ZERO, _ZERO, "unit", (shift, diff)),
+        ),
+    )
+
+
+def _forms_of(p: MasterParams) -> MasterForms:
+    return master_forms(p.r1, p.r2, p.s1, p.s2, p.i, p.j, p.n % 2)
+
+
+def _atoms_at(atoms: Iterable[AtomForm], m: int, n: int) -> Tuple[Atom, ...]:
+    """The atoms at (m, n) of atom forms, those of coefficient 0 left out."""
+    out = []
+    for (c, cm, cn), (p, pm, pn), (q, qm, qn), family, args in atoms:
+        coef = c + cm * m + cn * n
+        if coef:
+            out.append(
+                (
+                    coef,
+                    p + pm * m + pn * n,
+                    q + qm * m + qn * n,
+                    family,
+                    tuple([a + am * m + an * n for a, am, an in args]),
+                )
+            )
+    return tuple(out)
+
+
+def _operators_at(forms: MasterForms, m: int, n: int) -> Tuple[KernelOperator, KernelOperator]:
+    """Ax and Ay at (m, n): each term's offsets evaluated, and the terms of
+    one parity of k merged, zero sums left out.  A term of Ay has the
+    identity's key only with coefficient t = 1, and then the two cancel."""
+    ops = []
+    for tables in (forms.ax, forms.ay):
+        merged = []
+        for terms in tables:
+            table: dict = {}
+            for c, a, (p, pm, pn), b, (q, qm, qn) in terms:
+                key = (a, p + pm * m + pn * n, b, q + qm * m + qn * n)
+                total = table.pop(key, 0) + c
+                if total:
+                    table[key] = total
+            merged.append(table)
+        ops.append(_operator(*merged))
+    return tuple(ops)
+
+
 def derived_exponents(p: MasterParams) -> Tuple[int, int, int, int, int]:
     """(a1, a2, b1, b2, g) as functions of the class data and (m, n)."""
-    r1, r2, s1, s2, i, j, m, n = (
-        p.r1, p.r2, p.s1, p.s2, p.i, p.j, p.m, p.n,
-    )
-    a1 = -2 * (delta(i + 1) * delta(j + 1) * delta(n + 1) * r1 + delta(i) * eps(n) * m)
-    a2 = -4 * s1 - 2 * i
-    b1 = delta(i + 1) * delta(j + 1) * eps(n) * r2 + 2 * delta(j + n + 1) * eps(j + 1) * m
-    b2 = 2 * s2 - 2 * n + j
-    g = delta(i + 1) * delta(j + 1) * r1 + eps(i) * m + eps(n + i) * a1
-    return a1, a2, b1, b2, g
-
-
-_IDENTITY = (1, 0, 1, 0)  # the key of ID's one term at each parity
+    m, n = p.m, p.n
+    return tuple(c + cm * m + cn * n for c, cm, cn in _forms_of(p).derived)
 
 
 def master_operators(p: MasterParams) -> Tuple[KernelOperator, KernelOperator]:
-    """The linear operators (Ax, Ay) of the obstruction equation at (m, n).
-
-    With e = ε(n+i), t = εi and r = δ(i+1)δ(j+1)r1, they are
-
-        Ax = c(a2 - b2, a1 - b1) + theta(g, δ(n+i))∘rho
-        Ay = c(a2, a1·e)∘theta(r, δi) - id
-
-    and their term tables are written directly: Ax has one c-term and one
-    theta∘rho-term per parity, which never share a key, and Ay one
-    c∘theta-term per parity less the identity.  Once the parity of n is
-    fixed, every offset is affine in (m, n) with integer coefficients and
-    every sign slot is fixed, which is what the certificate sweep's cache
-    rests on."""
-    r1, i, j, n = p.r1, p.i, p.j, p.n
-    a1, a2, b1, b2, g = derived_exponents(p)
-    e, t = eps(n + i), eps(i)
-    r = delta(i + 1) * delta(j + 1) * r1
-    lam = a1 * e
-
-    ax = _operator(
-        {(1, a2 - b2, 1, a1 - b1): 1, (-1, 0, -e, 0): e},
-        {(1, a2 - b2, 1, b1 - a1): 1, (-1, 0, e, -2 * g): -e},
-    )
-    # a term of Ay has the identity's key only with coefficient t = 1, and
-    # then the two cancel
-    ay = _operator(
-        *(
-            {} if key == _IDENTITY else {key: t, _IDENTITY: -1}
-            for key in ((1, a2, t, lam), (1, a2, t, -2 * r - lam))
-        )
-    )
-    return ax, ay
+    """The linear operators (Ax, Ay) of the obstruction equation at (m, n),
+    evaluated from master_forms."""
+    return _operators_at(_forms_of(p), p.m, p.n)
 
 
 def master_atoms(p: MasterParams) -> Tuple[Atom, ...]:
     """The constant C(m, n) of the obstruction equation, as its nonzero
-    atoms (coef, p, q, family, args)."""
-    r1, s1, s2, i, j, m, n = p.r1, p.s1, p.s2, p.i, p.j, p.m, p.n
-    a1, a2, b1, b2, g = derived_exponents(p)
-    e, t = eps(n + i), eps(i)
-    r = delta(i + 1) * delta(j + 1) * r1
-    lam = a1 * e
-    atoms = (
-        (1, a2, 0, "t", (lam, delta(n + i))),
-        (1, a2 - b2, 0, "o", (2 * s1 + i, a1 - b1)),
-        (
-            -delta(j + 1),
-            a2 - b2,
-            0,
-            "o",
-            (s2 - n, 2 * delta(i) * m - 2 * delta(i + 1) * delta(n + 1) * r1),
-        ),
-        (delta(j), a2 - b2, 0, "q", (-2 * delta(i) * m, s2 - n)),
-        (1, a2, lam, "j", (delta(i + 1) * (n - s2), -2 * r)),
-        (1, a2 - 1, -lam, "i", (-delta(i) * b2,)),
-        (1, 0, delta(n + i + 1), "j", (-2 * s1 - i, 1 - 2 * g)),
-        (1, 0, 0, "o", (-2 * s1 - i, delta(n + i - 1))),
-        (delta(n + i) + delta(i) * e - g, 0, 0, "unit", (0, 0)),
-        (delta(i) - delta(n + i) + t * m, 0, 0, "unit", (a2, lam)),
-        (r - delta(i), 0, 0, "unit", (a2 - b2, a1 - b1)),
-    )
-    return tuple(a for a in atoms if a[0])
+    atoms (coef, p, q, family, args), evaluated from master_forms."""
+    return _atoms_at(_forms_of(p).atoms, p.m, p.n)
 
 
 def build_master(p: MasterParams) -> MasterEquation:
     """The general two-unknown obstruction equation at (m, n): the
-    operators of master_operators and the atoms of master_atoms."""
-    return MasterEquation(*master_operators(p), master_atoms(p))
+    operators of master_operators and the atoms of master_atoms, both
+    evaluated from one build of the forms."""
+    forms = _forms_of(p)
+    return MasterEquation(*_operators_at(forms, p.m, p.n), _atoms_at(forms.atoms, p.m, p.n))
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +577,22 @@ def xi_row(s: int, n: int) -> Functional:
 # Budget of check_certificate, in pulled-back table entries.  The count is
 # a bound: it takes every (m, n) point to pull back two tables of
 # lcm(2, pk)·pl entries, 1 to 1.5 µs an entry, as it does when each point
-# is a residue class of its own (L = lcm(2, pk, pl) > 2·mn), plus about
-# 0.03 ms for the constant, counted as 40 entries.  A point whose residue
-# class of (m, n) mod L an earlier point had pulls back nothing, and a
-# class whose residue key of the term tables an earlier class had reuses
-# its tables.  At period (2, 2), mn = 40 took 0.20 s and mn = 45, the most
-# the budget admits there, 0.24 s; at mn = 4, type 3 with s1 = 612 (period
-# (2448, 1), just within the budget, no class holding two points) took
-# 0.21 s (medians of five, Python 3.11 on a shared 2-CPU host).  _tabulate
-# refuses a table over half the budget, since a sweep pulls back at least
-# two tables at least as large.
+# is a residue class of its own (L = lcm(2, pk, pl) > 2·mn), plus 40
+# entries for the constant, about 0.03 ms when each point evaluated all
+# its atoms.  Evaluated by groups of atoms, the constant costs less: only
+# the atoms that read both m and n are evaluated at every point.  A point
+# whose residue class of (m, n) mod L an earlier point had pulls back
+# nothing, and a class whose residue key of the term tables an earlier
+# class had reuses its tables.  At period (2, 2), mn = 40 took 0.07 s and
+# mn = 45, the most the budget admits there, 0.06 s; at mn = 4, type 3
+# with s1 = 612 (period (2448, 1), just within the budget, no class
+# holding two points) took 0.15 s (medians of five, Python 3.11 on a
+# shared 2-CPU host).  _tabulate refuses a table over half the budget,
+# since a sweep pulls back at least two tables at least as large.
 MAX_SWEEP_ENTRIES = 400_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateReport:
     """The verdict is read off the failures: a nonzero pulled-back table
     always lists at least one entry (in the window, or else in its period
@@ -597,21 +681,26 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
 
     For every (m, n) with |m|, |n| <= mn, the family's functional must
     kill both linear operators on every basis vector e(k, l) and take a
-    nonzero value on the constant part.  Each (m, n) builds the atoms of
-    its constant and evaluates them.  The linear part is decided once per
-    functional and residue class of (m, n) mod L = lcm(2, pk, pl): its
-    failures are listed once and copied with each point's (m, n); the
-    module docstring says why a class decides it for all its points.  The
-    functional is built once per distinct argument (_family), and its
-    pullbacks through Ax and Ay once per residue key (_pullback_once).  A
-    pulled-back table holds f∘A on every (k, l), so the linear part is
-    decided for all (k, l) from the whole table.  The
-    coordinate window only bounds which failures are listed: the nonzero
-    entries with |k|, |l| <= window, or, when none falls inside it, the
-    nonzero entries of the table's period box.  The constant is evaluated
-    from its atoms, so the sweep builds no vector.  A sweep over
-    MAX_SWEEP_ENTRIES, counted from mn and the functional's period, raises
-    ValueError before it starts.
+    nonzero value on the constant part.  The equation's forms are built
+    once per parity of n (master_forms), and no point builds a
+    MasterParams.  The linear part is decided once per functional and
+    residue class of (m, n) mod L = lcm(2, pk, pl), L computed once per
+    functional: its operators are evaluated and its failures listed once,
+    then copied with each point's (m, n); the module docstring says why a
+    class decides it for all its points.  The functional is built once per
+    distinct argument (_family), and its pullbacks through Ax and Ay once
+    per residue key (_pullback_once).  A pulled-back table holds f∘A on
+    every (k, l), so the linear part is decided for all (k, l) from the
+    whole table.  The coordinate window only bounds which failures are
+    listed: the nonzero entries with |k|, |l| <= window, or, when none
+    falls inside it, the nonzero entries of the table's period box.  The
+    constant is f applied to its atoms, summed over the groups of
+    _atom_groups; each group's value is kept per (functional, parity of
+    n, group, and the values of the variables the group reads), so the
+    sweep builds no vector and evaluates a group once per such key.  A
+    sweep over MAX_SWEEP_ENTRIES, counted from mn and the functional's
+    period, raises ValueError before any form, atom or pulled-back table
+    is built.
     """
     if window < 0 or mn < 0:
         raise ValueError(f"windows must be non-negative, got window={window}, mn={mn}")
@@ -629,25 +718,58 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
             f"certificate sweep of {entries} table entries (mn={mn}, period {pk}x{pl}) "
             f"exceeds the budget of {MAX_SWEEP_ENTRIES}"
         )
+    base = params_at(0, 0)
+    forms = [
+        master_forms(base.r1, base.r2, base.s1, base.s2, base.i, base.j, parity)
+        for parity in (0, 1)
+    ]
+    groups = [_atom_groups(parity_forms.atoms) for parity_forms in forms]
     failures: list[Tuple[int, int, str, int, int]] = []
     coords = range(-window, window + 1)
+    group_values: dict = {}
+    periods: dict = {}
     pulled_by_key: dict = {}
     linear_by_class: dict = {}
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
-            params = params_at(m, n)
             f = functional_at(m, n)
-            if f.on_atoms(master_atoms(params)) == 0:
+            parity = n & 1
+            total = 0
+            for reads, atoms in groups[parity]:
+                key = (f, parity, reads, m if reads & 1 else None, n if reads & 2 else None)
+                value = group_values.get(key)
+                if value is None:
+                    value = group_values[key] = f.on_atoms(_atoms_at(atoms, m, n))
+                total += value
+            if (total % f.mod if f.mod else total) == 0:
                 failures.append((m, n, "C", 0, 0))
-            period = lcm(2, *f.period)
+            period = periods.get(f)
+            if period is None:
+                period = periods[f] = lcm(2, *f.period)
             key = (f, m % period, n % period)
             linear = linear_by_class.get(key)
             if linear is None:
                 linear = linear_by_class[key] = _linear_failures(
-                    pulled_by_key, f, master_operators(params), coords
+                    pulled_by_key, f, _operators_at(forms[parity], m, n), coords
                 )
-            failures.extend((m, n, name, k, l) for name, k, l in linear)
+            if linear:
+                failures.extend((m, n, name, k, l) for name, k, l in linear)
     return CertificateReport(family, (window, mn), tuple(sorted(failures)))
+
+
+def _atom_groups(atoms: Iterable[AtomForm]) -> List[Tuple[int, List[AtomForm]]]:
+    """The atom forms grouped by the variables they read, as (reads,
+    forms) with bit 1 of reads for m and bit 2 for n, in increasing reads;
+    an atom whose coefficient is 0 for every (m, n) is left out."""
+    groups: dict = {}
+    for atom in atoms:
+        coef, p, q, _, args = atom
+        if coef == _ZERO:
+            continue
+        fields = (coef, p, q, *args)
+        reads = any(cm for _, cm, _ in fields) | 2 * any(cn for _, _, cn in fields)
+        groups.setdefault(reads, []).append(atom)
+    return sorted(groups.items())
 
 
 def _linear_failures(

@@ -41,7 +41,7 @@ def validate(h: HomDescriptor) -> bool:
     return h.img10 * h.img01 == h.img01 * h.img10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomClass:
     """A normalised representative; fields unused by a type must be zero."""
 
@@ -82,7 +82,7 @@ class HomClass:
         return f"type {self.kind} (i={self.i}, s1={self.s1}, s2={self.s2})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     bu: bool
     branch: str
@@ -142,7 +142,8 @@ def _decide_type4(r1: int, r2: int, s1: int, s2: int) -> tuple[bool, str]:
 def decide(c: HomClass) -> Verdict:
     """Borsuk-Ulam status of a normalised class."""
     z = c.s2 % 2
-    reduced = replace(c, s2=z)
+    # a class with s2 in {0, 1} is its own reduced class: no copy is kept
+    reduced = c if c.s2 == z else replace(c, s2=z)
     if c.kind == 1:
         return Verdict(z == 0, "(a)", reduced)
     if c.kind == 2:

@@ -191,10 +191,6 @@ def suite_tilde() -> list[SuiteCheck]:
     return out
 
 
-def _derived(r1, r2, s1, s2, i, j, m, n):
-    return cert.derived_exponents(cert.MasterParams(r1, r2, s1, s2, i, j, m, n))
-
-
 def _cpq(p: int, q: int, x: Word) -> Word:
     return (V ** p * U ** q).conj(x)
 
@@ -221,7 +217,8 @@ def suite_q_identity() -> list[SuiteCheck]:
                 for m in range(-3, 4):
                     for n in range(-3, 4):
                         for s2 in range(-3, 4):
-                            a1, a2, b1, b2, g = _derived(r1, 0, 0, s2, i, j, m, n)
+                            params = cert.MasterParams(r1, 0, 0, s2, i, j, m, n)
+                            a1, a2, b1, b2, g = cert.derived_exponents(params)
                             lhs = word_o(
                                 s2 - n,
                                 2 * delta(i) * m - 2 * delta(i + 1) * delta(n + 1) * r1,
@@ -242,7 +239,8 @@ def suite_q_identity() -> list[SuiteCheck]:
             for r1 in range(-3, 4):
                 for n in range(-3, 4):
                     for s2 in range(-3, 4):
-                        _, _, _, b2, _ = _derived(r1, 0, 0, s2, i, j, 0, n)
+                        params = cert.MasterParams(r1, 0, 0, s2, i, j, 0, n)
+                        _, _, _, b2, _ = cert.derived_exponents(params)
                         m1 = delta(i + 1) * delta(j + 1) * r1
                         lhs = word_j(delta(i + 1) * (n - s2), -2 * m1) * _cpq(
                             -1, 0, word_i(-delta(i) * b2)
@@ -258,7 +256,8 @@ def suite_q_identity() -> list[SuiteCheck]:
             for r1 in range(-3, 4):
                 for m in range(-3, 4):
                     for n in range(-3, 4):
-                        a1, _, _, _, _ = _derived(r1, 0, 0, 0, i, j, m, n)
+                        params = cert.MasterParams(r1, 0, 0, 0, i, j, m, n)
+                        a1, _, _, _, _ = cert.derived_exponents(params)
                         e = a1 * eps(n + i)
                         lhs = word_t(e, delta(n + i))
                         rhs = U ** e * (BIG_B ** eps(n + i) * U ** eps(n + i + 1)) ** a1
@@ -273,7 +272,8 @@ def suite_q_identity() -> list[SuiteCheck]:
                 for r1 in range(-3, 4):
                     for m in range(-3, 4):
                         for n in range(-3, 4):
-                            a1, a2, _, _, g = _derived(r1, 0, s1, 0, i, j, m, n)
+                            params = cert.MasterParams(r1, 0, s1, 0, i, j, m, n)
+                            a1, a2, _, _, g = cert.derived_exponents(params)
                             d = delta(n + i + 1)
                             lhs = word_o(a2 // 2, d) * _cpq(0, d, word_j(a2 // 2, -2 * g + 1))
                             rhs = V ** a2 * (

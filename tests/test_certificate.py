@@ -530,7 +530,7 @@ def _no_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("the sweep started")
 
-    for name in ("master_atoms", "master_operators", "build_master"):
+    for name in ("master_forms", "master_atoms", "master_operators", "build_master"):
         monkeypatch.setattr(certificate, name, no_sweep)
     monkeypatch.setattr(Functional, "pullback", no_sweep)
 

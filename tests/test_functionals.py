@@ -14,6 +14,7 @@ check_certificate, failures included.
 """
 
 import itertools
+import random
 from math import lcm
 
 import pytest
@@ -406,6 +407,28 @@ def test_sweep_matches_per_point_sweep_on_grid():
     assert checked == 1331
 
 
+def test_constant_evaluated_once_per_value_of_the_variables_it_reads(monkeypatch):
+    # xi_count(n mod 2) is one functional per parity of n, so each group of
+    # atoms is evaluated once per value of the variables it reads.  At even
+    # n (5 values) this type-4 class has atoms that read neither, m only
+    # (9 values), n only and both: 1 + 9 + 5 + 45 calls; at odd n (4
+    # values) none reads both: 1 + 9 + 4
+    cls = HomClass(4, r1=1, r2=-2, s1=3, s2=0)
+    assert decide(cls).branch == "(d)(i)"
+    calls = []
+    on_atoms = Functional.on_atoms
+
+    def counted(f, atoms):
+        calls.append(atoms)
+        return on_atoms(f, atoms)
+
+    monkeypatch.setattr(Functional, "on_atoms", counted)
+    report = check_certificate(cls, mn=4)
+    monkeypatch.undo()
+    assert len(calls) == 60 + 14 < 81
+    assert report.success and report == per_point_sweep(cls, 6, 4)
+
+
 WRONG = [
     # (class, wrong functional at (m, n))
     (HomClass(2, i=0, s1=0, s2=0), lambda m, n: xi_parity(0)),
@@ -436,6 +459,36 @@ def test_failures_match_reference(monkeypatch, cls, wrong):
     assert any(kind in ("Ax", "Ay") for _, _, kind, _, _ in report.witnesses_of_failure)
 
 
+# Z/3 tables without structure, one per n mod 3: f(C(m, n)) is 0 at about
+# a third of the points, so a group of constant atoms kept under a key
+# that misses what its value depends on lists a point that
+# per_point_sweep does not list, or the reverse
+_rng = random.Random(5)
+NOISE = [
+    Functional(tuple(tuple(_rng.randrange(3) for _ in range(3)) for _ in range(4)), 3)
+    for _ in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        HomClass(1, i=0, s1=1, s2=0),
+        HomClass(2, i=0, s1=-1, s2=1),
+        HomClass(3, i=0, s1=2, s2=1),
+        HomClass(4, r1=1, r2=-2, s1=3, s2=0),
+        HomClass(4, r1=2, r2=0, s1=0, s2=0),
+    ],
+    ids=lambda cls: cls.describe(),
+)
+def test_constant_matches_per_point_sweep_for_unstructured_functionals(monkeypatch, cls):
+    _with_wrong_functional(monkeypatch, lambda m, n: NOISE[n % 3])
+    report = check_certificate(cls, window=0, mn=4)
+    zero = {(m, n) for m, n, part, _, _ in report.witnesses_of_failure if part == "C"}
+    assert 0 < len(zero) < 81
+    assert report == per_point_sweep(cls, 0, 4)
+
+
 @pytest.mark.parametrize("cls, wrong", WRONG)
 def test_failures_reused_across_residue_classes(monkeypatch, cls, wrong):
     # at mn = 2L + 1 every residue class of (m, n) mod L = lcm(2, pk, pl)
@@ -446,13 +499,13 @@ def test_failures_reused_across_residue_classes(monkeypatch, cls, wrong):
     mn = 2 * period + 1
     _with_wrong_functional(monkeypatch, wrong)
     classes = []
-    original = certificate.master_operators
+    original = certificate._operators_at
 
-    def counted(params):
-        classes.append((params.m % period, params.n % period))
-        return original(params)
+    def counted(forms, m, n):
+        classes.append((m % period, n % period))
+        return original(forms, m, n)
 
-    monkeypatch.setattr(certificate, "master_operators", counted)
+    monkeypatch.setattr(certificate, "_operators_at", counted)
     report = check_certificate(cls, window=6, mn=mn)
     assert sorted(classes) == sorted(itertools.product(range(period), repeat=2))
     assert report == per_point_sweep(cls, 6, mn)
