@@ -50,30 +50,39 @@ over one period, so f(C(m, n)) costs the same however large the family
 arguments are.
 
 The sweep builds the forms of both parities once, and evaluates only
-what changes from point to point.  The linear part is decided once per
-residue class of (m, n): with the parity of n fixed, every offset of Ax
-and Ay is an affine form and every sign slot is fixed, so for a
-functional of period (pk, pl) the pulled-back tables at (m, n),
-(m + L, n) and (m, n + L) are equal, with L = lcm(2, pk, pl); each
-family's functional argument is reduced modulo a divisor of L, so the
-points of one class also share their functional.  The linear failures
-are kept per (functional, m mod L, n mod L).  A functional is built once
-per distinct argument of a sweep, and a pulled-back table once per
-residue key, shared by the classes that have that key: the key is the
-functional and the operator's term tables with their offsets reduced mod
-the period, which is all a pullback reads of them.
+what changes from point to point.  It keeps one plan per functional and
+parity of n, built the first time the sweep meets that pair.  With the
+parity fixed, every integer the evaluation reads is an affine form, and
+the evaluation reads most of them modulo something: an offset p modulo
+pk and an offset q modulo pl (in the term tables of Ax and Ay and in the
+atoms), an atom coefficient modulo f.mod when mod > 0, and the two
+arguments of a "unit" atom modulo lcm(2, pk) and pl.  A form whose m
+coefficient is c, read modulo M, repeats when m moves by M / gcd(c, M),
+so a piece of the equation repeats in m with the lcm of that over the
+fields that read m, and likewise in n: its periods are read off the
+coefficients, not found by probing.  The other box arguments set counts
+and signs and are read whole, so a variable read there is keyed by its
+full value.
 
-The constant is evaluated in groups of atoms: those whose forms read
-neither variable, m only, n only, or both.  f(C(m, n)) is the sum of f
-over the groups, and a group's value depends only on the functional, the
-parity of n and the variables it reads, so it is computed once per such
-value for the length of the sweep: the atoms that read neither once per
-functional and parity, those that read m or n once per functional and
-value of that variable, and only those that read both at every point.
+The plan keeps the linear failures per (m mod Pm, n mod Pn), the periods
+of the term tables: each offset reduced modulo the functional's period
+box is all that a pullback reads, so the points of one key share their
+pulled-back tables.  A pulled-back table is made once per residue key
+(the functional and the term tables with their offsets reduced), kept in
+a cache that every sweep shares and that holds at most MAX_SWEEP_ENTRIES
+table entries.  The constant is evaluated in groups of atoms, one per
+pair (Gm, Gn) of an atom's own periods, 1 for a variable it does not
+read and 0 for one it reads whole.  The coefficients cm and cn depend on
+(i, j, parity) alone, so the groups and every period are worked out once
+per (i, j, parity) and functional shape (pk, pl, mod), not once per
+sweep.  f(C(m, n)) is the sum of f over the groups, and the plan keeps
+each group's value per (m mod Gm, n mod Gn), a variable of period 0
+taken whole: a group is evaluated once per such key.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, List, NamedTuple, Tuple
 
@@ -187,7 +196,18 @@ def _residue_counts(start: int, step: int, count: int, period: int) -> List[Tupl
     return [((start + step * i) % period, full + (i < rest)) for i in range(min(count, cycle))]
 
 
-def _pullback_once(cache: dict, f: Functional, op: KernelOperator) -> Functional:
+class _PullbackCache(dict):
+    """Pulled-back tables by residue key, at most MAX_SWEEP_ENTRIES table
+    entries in all: a table that would pass that clears the cache first."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entries = 0
+
+
+def _pullback_once(cache: _PullbackCache, f: Functional, op: KernelOperator) -> Functional:
     """f.pullback(op), computed once per residue key and kept in cache.
 
     The pullback reads an entry (a, p, b, q): c of op only through
@@ -201,8 +221,18 @@ def _pullback_once(cache: dict, f: Functional, op: KernelOperator) -> Functional
     )
     pulled = cache.get(key)
     if pulled is None:
-        pulled = cache[key] = f.pullback(op)
+        pulled = f.pullback(op)
+        size = len(pulled.table) * len(pulled.table[0])
+        if cache.entries + size > MAX_SWEEP_ENTRIES:
+            cache.clear()
+            cache.entries = 0
+        cache[key] = pulled
+        cache.entries += size
     return pulled
+
+
+# the pulled-back tables of every sweep, shared across sweeps
+_PULLED = _PullbackCache()
 
 
 def _tabulate(
@@ -268,6 +298,14 @@ class MasterForms(NamedTuple):
     ax: Tuple[Tuple[TermForm, ...], Tuple[TermForm, ...]]
     ay: Tuple[Tuple[TermForm, ...], Tuple[TermForm, ...]]
     atoms: Tuple[AtomForm, ...]
+
+    def derived_at(self, m: int, n: int) -> Tuple[int, int, int, int, int]:
+        """(a1, a2, b1, b2, g) at (m, n)."""
+        return tuple([c + cm * m + cn * n for c, cm, cn in self.derived])
+
+    def equation_at(self, m: int, n: int) -> MasterEquation:
+        """The obstruction equation at (m, n): operators and nonzero atoms."""
+        return MasterEquation(*_operators_at(self, m, n), _atoms_at(self.atoms, m, n))
 
 
 _ZERO: Form = (0, 0, 0)
@@ -387,8 +425,7 @@ def _operators_at(forms: MasterForms, m: int, n: int) -> Tuple[KernelOperator, K
 
 def derived_exponents(p: MasterParams) -> Tuple[int, int, int, int, int]:
     """(a1, a2, b1, b2, g) as functions of the class data and (m, n)."""
-    m, n = p.m, p.n
-    return tuple(c + cm * m + cn * n for c, cm, cn in _forms_of(p).derived)
+    return _forms_of(p).derived_at(p.m, p.n)
 
 
 def master_operators(p: MasterParams) -> Tuple[KernelOperator, KernelOperator]:
@@ -407,8 +444,7 @@ def build_master(p: MasterParams) -> MasterEquation:
     """The general two-unknown obstruction equation at (m, n): the
     operators of master_operators and the atoms of master_atoms, both
     evaluated from one build of the forms."""
-    forms = _forms_of(p)
-    return MasterEquation(*_operators_at(forms, p.m, p.n), _atoms_at(forms.atoms, p.m, p.n))
+    return _forms_of(p).equation_at(p.m, p.n)
 
 
 # ---------------------------------------------------------------------------
@@ -577,18 +613,20 @@ def xi_row(s: int, n: int) -> Functional:
 # Budget of check_certificate, in pulled-back table entries.  The count is
 # a bound: it takes every (m, n) point to pull back two tables of
 # lcm(2, pk)·pl entries, 1 to 1.5 µs an entry, as it does when each point
-# is a residue class of its own (L = lcm(2, pk, pl) > 2·mn), plus 40
-# entries for the constant, about 0.03 ms when each point evaluated all
-# its atoms.  Evaluated by groups of atoms, the constant costs less: only
-# the atoms that read both m and n are evaluated at every point.  A point
-# whose residue class of (m, n) mod L an earlier point had pulls back
-# nothing, and a class whose residue key of the term tables an earlier
-# class had reuses its tables.  At period (2, 2), mn = 40 took 0.07 s and
-# mn = 45, the most the budget admits there, 0.06 s; at mn = 4, type 3
-# with s1 = 612 (period (2448, 1), just within the budget, no class
-# holding two points) took 0.15 s (medians of five, Python 3.11 on a
+# has a linear key (m mod Pm, n mod Pn) of its own, plus 40 entries for
+# the constant, about 0.03 ms when each point evaluated all its atoms.
+# Evaluated by groups of atoms of equal periods, the constant costs less:
+# a group is evaluated once per key of its own periods.  A point whose
+# linear key an earlier point of its plan had pulls back nothing, and a
+# residue key of the term tables that an earlier sweep had reuses its
+# tables.  At period (2, 2), mn = 40 took 0.020 s and mn = 45, the most
+# the budget admits there, 0.015 s; at mn = 4, type 3 with s1 = 612
+# (period (2448, 1), just within the budget, each value of n a key of its
+# own) took 0.14 s (medians of five fresh processes, Python 3.11 on a
 # shared 2-CPU host).  _tabulate refuses a table over half the budget,
-# since a sweep pulls back at least two tables at least as large.
+# since a sweep pulls back at least two tables at least as large.  The
+# cache of pulled-back tables that sweeps share holds at most this many
+# entries.
 MAX_SWEEP_ENTRIES = 400_000
 
 
@@ -683,24 +721,24 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     kill both linear operators on every basis vector e(k, l) and take a
     nonzero value on the constant part.  The equation's forms are built
     once per parity of n (master_forms), and no point builds a
-    MasterParams.  The linear part is decided once per functional and
-    residue class of (m, n) mod L = lcm(2, pk, pl), L computed once per
-    functional: its operators are evaluated and its failures listed once,
-    then copied with each point's (m, n); the module docstring says why a
-    class decides it for all its points.  The functional is built once per
-    distinct argument (_family), and its pullbacks through Ax and Ay once
-    per residue key (_pullback_once).  A pulled-back table holds f∘A on
-    every (k, l), so the linear part is decided for all (k, l) from the
-    whole table.  The coordinate window only bounds which failures are
-    listed: the nonzero entries with |k|, |l| <= window, or, when none
-    falls inside it, the nonzero entries of the table's period box.  The
-    constant is f applied to its atoms, summed over the groups of
-    _atom_groups; each group's value is kept per (functional, parity of
-    n, group, and the values of the variables the group reads), so the
-    sweep builds no vector and evaluates a group once per such key.  A
-    sweep over MAX_SWEEP_ENTRIES, counted from mn and the functional's
-    period, raises ValueError before any form, atom or pulled-back table
-    is built.
+    MasterParams.  The sweep keeps one plan per functional and parity of n
+    (_plan), whose periods are read off the forms' coefficients, as the
+    module docstring says.  The linear part is decided once per key
+    (m mod Pm, n mod Pn) of a plan: its operators are evaluated and its
+    failures listed once, then copied with each point's (m, n).  The
+    functional is built once per distinct argument (_family), and its
+    pullbacks through Ax and Ay once per residue key (_pullback_once, in a
+    cache every sweep shares).  A pulled-back table holds f∘A on every
+    (k, l), so the linear part is decided for all (k, l) from the whole
+    table.  The coordinate window only bounds which failures are listed:
+    the nonzero entries with |k|, |l| <= window, or, when none falls
+    inside it, the nonzero entries of the table's period box.  The
+    constant is f applied to its atoms, summed over the groups of _shape;
+    each group's value is kept per its own reduced (m, n), so the sweep
+    builds no vector and evaluates a group once per such key.  A sweep
+    over MAX_SWEEP_ENTRIES, counted from mn and the functional's period,
+    raises ValueError before any form, atom or pulled-back table is
+    built.
     """
     if window < 0 or mn < 0:
         raise ValueError(f"windows must be non-negative, got window={window}, mn={mn}")
@@ -719,68 +757,132 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
             f"exceeds the budget of {MAX_SWEEP_ENTRIES}"
         )
     base = params_at(0, 0)
-    forms = [
-        master_forms(base.r1, base.r2, base.s1, base.s2, base.i, base.j, parity)
-        for parity in (0, 1)
-    ]
-    groups = [_atom_groups(parity_forms.atoms) for parity_forms in forms]
+    i, j = base.i, base.j
+    forms = [master_forms(base.r1, base.r2, base.s1, base.s2, i, j, parity) for parity in (0, 1)]
     failures: list[Tuple[int, int, str, int, int]] = []
     coords = range(-window, window + 1)
-    group_values: dict = {}
-    periods: dict = {}
-    pulled_by_key: dict = {}
-    linear_by_class: dict = {}
+    plans: dict = {}
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
             f = functional_at(m, n)
             parity = n & 1
+            plan = plans.get((f, parity))
+            if plan is None:
+                plan = plans[f, parity] = _plan(f, forms[parity], i, j, parity)
+            pm, pn, linear_by_key, atom_groups = plan
             total = 0
-            for reads, atoms in groups[parity]:
-                key = (f, parity, reads, m if reads & 1 else None, n if reads & 2 else None)
-                value = group_values.get(key)
+            for atoms, gm, gn, values in atom_groups:
+                key = (m % gm if gm else m, n % gn if gn else n)
+                value = values.get(key)
                 if value is None:
-                    value = group_values[key] = f.on_atoms(_atoms_at(atoms, m, n))
+                    value = values[key] = f.on_atoms(_atoms_at(atoms, m, n))
                 total += value
             if (total % f.mod if f.mod else total) == 0:
                 failures.append((m, n, "C", 0, 0))
-            period = periods.get(f)
-            if period is None:
-                period = periods[f] = lcm(2, *f.period)
-            key = (f, m % period, n % period)
-            linear = linear_by_class.get(key)
+            key = (m % pm, n % pn)
+            linear = linear_by_key.get(key)
             if linear is None:
-                linear = linear_by_class[key] = _linear_failures(
-                    pulled_by_key, f, _operators_at(forms[parity], m, n), coords
+                linear = linear_by_key[key] = _linear_failures(
+                    f, _operators_at(forms[parity], m, n), coords
                 )
             if linear:
                 failures.extend((m, n, name, k, l) for name, k, l in linear)
-    return CertificateReport(family, (window, mn), tuple(sorted(failures)))
+    return _report(family, window, mn, tuple(sorted(failures)))
 
 
-def _atom_groups(atoms: Iterable[AtomForm]) -> List[Tuple[int, List[AtomForm]]]:
-    """The atom forms grouped by the variables they read, as (reads,
-    forms) with bit 1 of reads for m and bit 2 for n, in increasing reads;
-    an atom whose coefficient is 0 for every (m, n) is left out."""
+# A report is frozen, so sweeps share one report per value, and reports
+# one (window, mn) tuple per value, while they are cached: a caller that
+# keeps many reports keeps one of each, not a copy per sweep.
+@lru_cache(maxsize=64)
+def _windows(window: int, mn: int) -> Tuple[int, int]:
+    return window, mn
+
+
+@lru_cache(maxsize=256)
+def _report(family: str, window: int, mn: int, failures: tuple) -> CertificateReport:
+    return CertificateReport(family, _windows(window, mn), failures)
+
+
+def _periods(fields: Iterable[Tuple[Form, int]]) -> Tuple[int, int]:
+    """(Pm, Pn) of fields (form, M), each form read modulo M, M = 0 for a
+    form read whole: what they read repeats when m moves by Pm or n by Pn.
+    A form with m coefficient c repeats when m moves by M / gcd(c, M), and
+    Pm is the lcm of those; it is 0, for no period, when a form read whole
+    reads m.  Likewise for n."""
+    pm = pn = 1
+    for (_, cm, cn), modulus in fields:
+        if cm:
+            pm = lcm(pm, modulus // gcd(cm, modulus))
+        if cn:
+            pn = lcm(pn, modulus // gcd(cn, modulus))
+    return pm, pn
+
+
+def _term_fields(forms: MasterForms, pk: int, pl: int) -> Iterable[Tuple[Form, int]]:
+    """The offsets of Ax and Ay, each with the modulus a pullback reads it at."""
+    for tables in (forms.ax, forms.ay):
+        for terms in tables:
+            for _, _, p, _, q in terms:
+                yield p, pk
+                yield q, pl
+
+
+def _atom_fields(
+    atoms: Iterable[AtomForm], pk: int, pl: int, mod: int
+) -> Iterable[Tuple[Form, int]]:
+    """The fields of atoms, each with the modulus on_atoms reads it at for
+    a functional of period box (pk, pl) and modulus mod."""
+    for coef, p, q, family, args in atoms:
+        yield coef, mod
+        yield p, pk
+        yield q, pl
+        if family == "unit":
+            yield args[0], lcm(2, pk)
+            yield args[1], pl
+        else:
+            for arg in args:
+                yield arg, 0
+
+
+@lru_cache(maxsize=256)
+def _shape(i: int, j: int, parity: int, pk: int, pl: int, mod: int):
+    """(Pm, Pn, groups) for a functional of period box (pk, pl) and
+    modulus mod: the periods of the term tables of Ax and Ay, and the
+    atoms of master_forms grouped by their periods, as (indices, Gm, Gn),
+    0 for a variable read whole.  The forms' coefficients cm and cn depend
+    on (i, j, parity) alone, so the forms of any class data give them."""
+    forms = master_forms(0, 0, 0, 0, i, j, parity)
+    pm, pn = _periods(_term_fields(forms, pk, pl))
     groups: dict = {}
-    for atom in atoms:
-        coef, p, q, _, args = atom
-        if coef == _ZERO:
-            continue
-        fields = (coef, p, q, *args)
-        reads = any(cm for _, cm, _ in fields) | 2 * any(cn for _, _, cn in fields)
-        groups.setdefault(reads, []).append(atom)
-    return sorted(groups.items())
+    for index, atom in enumerate(forms.atoms):
+        groups.setdefault(_periods(_atom_fields((atom,), pk, pl, mod)), []).append(index)
+    return pm, pn, tuple((tuple(indices), gm, gn) for (gm, gn), indices in groups.items())
+
+
+def _plan(f: Functional, forms: MasterForms, i: int, j: int, parity: int):
+    """(Pm, Pn, linear failures by key, [(atoms, Gm, Gn, values by key)])
+    for the points of a sweep whose functional is f and whose n has the
+    given parity, both dicts empty.  A group leaves out the atoms whose
+    coefficient is 0 for every (m, n), and a group of none is left out."""
+    pm, pn, groups = _shape(i, j, parity, *f.period, f.mod)
+    atoms = forms.atoms
+    plan_groups = []
+    for indices, gm, gn in groups:
+        group = [atoms[index] for index in indices if atoms[index][0] != _ZERO]
+        if group:
+            plan_groups.append((group, gm, gn, {}))
+    return pm, pn, {}, plan_groups
 
 
 def _linear_failures(
-    cache: dict, f: Functional, ops: Tuple[KernelOperator, KernelOperator], coords: range
+    f: Functional, ops: Tuple[KernelOperator, KernelOperator], coords: range
 ) -> List[Tuple[str, int, int]]:
     """(name, k, l) for each nonzero entry of f∘Ax and f∘Ay that a report
     lists: those with k, l in coords, or, when none falls there, those of
     the pulled-back table's period box."""
     failures = []
     for name, op in zip(("Ax", "Ay"), ops):
-        pulled = _pullback_once(cache, f, op)
+        pulled = _pullback_once(_PULLED, f, op)
         if not any(map(any, pulled.table)):
             continue
         bad = [(k, l) for k in coords for l in coords if pulled.value(k, l)]

@@ -24,6 +24,7 @@ and certificates are built for (Verdict.representative).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .kleinpi import KleinElt
 
@@ -139,20 +140,34 @@ def _decide_type4(r1: int, r2: int, s1: int, s2: int) -> tuple[bool, str]:
     return False, "(d)"
 
 
+# Verdicts and reduced classes are frozen, so decide shares one object per
+# value while it is cached: a caller that keeps many verdicts keeps one of
+# each, not a copy per call.
+@lru_cache(maxsize=1024)
+def _reduced(kind: int, i: int, s1: int, s2: int, r1: int, r2: int) -> HomClass:
+    return HomClass(kind, i, s1, s2, r1, r2)
+
+
+@lru_cache(maxsize=1024)
+def _verdict(bu: bool, branch: str, reduced: HomClass) -> Verdict:
+    return Verdict(bu, branch, reduced)
+
+
 def decide(c: HomClass) -> Verdict:
     """Borsuk-Ulam status of a normalised class."""
     z = c.s2 % 2
-    # a class with s2 in {0, 1} is its own reduced class: no copy is kept
-    reduced = c if c.s2 == z else replace(c, s2=z)
+    # a class with s2 in {0, 1} is its own reduced class, and the others
+    # share one: decide keeps no copy of its own
+    reduced = c if c.s2 == z else _reduced(c.kind, c.i, c.s1, z, c.r1, c.r2)
     if c.kind == 1:
-        return Verdict(z == 0, "(a)", reduced)
+        return _verdict(z == 0, "(a)", reduced)
     if c.kind == 2:
-        return Verdict(True, "(b)", reduced)
+        return _verdict(True, "(b)", reduced)
     if c.kind == 3:
-        return Verdict(c.s1 != 0, "(c)", reduced)
+        return _verdict(c.s1 != 0, "(c)", reduced)
     bu, branch = _decide_type4(c.r1, c.r2, c.s1, z)
     literal_bu, _ = _decide_type4(c.r1, c.r2, c.s1, c.s2)  # unreduced reading
     if literal_bu != bu:
         # only possible when s2 is even but nonzero; the reduced reading wins
         branch += f" [s2={c.s2} reduced to {z}]"
-    return Verdict(bu, branch, reduced)
+    return _verdict(bu, branch, reduced)

@@ -208,17 +208,20 @@ def suite_q_identity() -> list[SuiteCheck]:
     ]
     _check(out, "Q through O and basis words, k,l in [-4,4]", fails)
 
+    # each loop below builds the forms of a class once per parity of n
+    # (cert.master_forms) and evaluates them at the class's points
+
     # neither side reads r2: it enters only through b1, and a1 - b1 + εi·b1
     # is a1 at i = 0 and a1 - 2·b1 at i = 1, where b1 has no r2 term
     fails = []
     for i in (0, 1):
         for j in (0, 1):
             for r1 in range(-3, 4):
-                for m in range(-3, 4):
-                    for n in range(-3, 4):
-                        for s2 in range(-3, 4):
-                            params = cert.MasterParams(r1, 0, 0, s2, i, j, m, n)
-                            a1, a2, b1, b2, g = cert.derived_exponents(params)
+                for s2 in range(-3, 4):
+                    forms = [cert.master_forms(r1, 0, 0, s2, i, j, parity) for parity in (0, 1)]
+                    for m in range(-3, 4):
+                        for n in range(-3, 4):
+                            a1, a2, b1, b2, g = forms[n % 2].derived_at(m, n)
                             lhs = word_o(
                                 s2 - n,
                                 2 * delta(i) * m - 2 * delta(i + 1) * delta(n + 1) * r1,
@@ -237,10 +240,10 @@ def suite_q_identity() -> list[SuiteCheck]:
     for i in (0, 1):
         for j in (0, 1):
             for r1 in range(-3, 4):
-                for n in range(-3, 4):
-                    for s2 in range(-3, 4):
-                        params = cert.MasterParams(r1, 0, 0, s2, i, j, 0, n)
-                        _, _, _, b2, _ = cert.derived_exponents(params)
+                for s2 in range(-3, 4):
+                    forms = [cert.master_forms(r1, 0, 0, s2, i, j, parity) for parity in (0, 1)]
+                    for n in range(-3, 4):
+                        _, _, _, b2, _ = forms[n % 2].derived_at(0, n)
                         m1 = delta(i + 1) * delta(j + 1) * r1
                         lhs = word_j(delta(i + 1) * (n - s2), -2 * m1) * _cpq(
                             -1, 0, word_i(-delta(i) * b2)
@@ -254,10 +257,10 @@ def suite_q_identity() -> list[SuiteCheck]:
     for i in (0, 1):
         for j in (0, 1):
             for r1 in range(-3, 4):
+                forms = [cert.master_forms(r1, 0, 0, 0, i, j, parity) for parity in (0, 1)]
                 for m in range(-3, 4):
                     for n in range(-3, 4):
-                        params = cert.MasterParams(r1, 0, 0, 0, i, j, m, n)
-                        a1, _, _, _, _ = cert.derived_exponents(params)
+                        a1, _, _, _, _ = forms[n % 2].derived_at(m, n)
                         e = a1 * eps(n + i)
                         lhs = word_t(e, delta(n + i))
                         rhs = U ** e * (BIG_B ** eps(n + i) * U ** eps(n + i + 1)) ** a1
@@ -270,10 +273,10 @@ def suite_q_identity() -> list[SuiteCheck]:
         for j in (0, 1):
             for s1 in range(-3, 4):
                 for r1 in range(-3, 4):
+                    forms = [cert.master_forms(r1, 0, s1, 0, i, j, parity) for parity in (0, 1)]
                     for m in range(-3, 4):
                         for n in range(-3, 4):
-                            params = cert.MasterParams(r1, 0, s1, 0, i, j, m, n)
-                            a1, a2, _, _, g = cert.derived_exponents(params)
+                            a1, a2, _, _, g = forms[n % 2].derived_at(m, n)
                             d = delta(n + i + 1)
                             lhs = word_o(a2 // 2, d) * _cpq(0, d, word_j(a2 // 2, -2 * g + 1))
                             rhs = V ** a2 * (

@@ -5,12 +5,13 @@ before they became tables, the per-basis sweep check_certificate ran
 before it read pulled-back tables, which builds op(e(k, l)) for every
 window point and applies the functional to the materialised constant,
 and the per-point sweep it ran before it kept the linear part per
-residue class of (m, n).  The tables must agree with the formulas on
-boxes several periods wide, pulling back must agree with applying the
-functional after the operator, the functional on the constant's atoms
-must agree with the functional on the projections of the family words
-moved by c_ab, and each reference sweep must return the report of
-check_certificate, failures included.
+residue class of (m, n).  Both sweeps build the forms of their class
+once per parity of n and evaluate them at each point.  The tables must
+agree with the formulas on boxes several periods wide, pulling back must
+agree with applying the functional after the operator, the functional on
+the constant's atoms must agree with the functional on the projections
+of the family words moved by c_ab, and each reference sweep must return
+the report of check_certificate, failures included.
 """
 
 import itertools
@@ -26,9 +27,11 @@ from kleinbraid.certificate import (
     CertificateReport,
     Functional,
     MasterParams,
+    _PullbackCache,
     _pullback_once,
     build_master,
     check_certificate,
+    master_forms,
     xi_column,
     xi_congruence,
     xi_count,
@@ -111,18 +114,27 @@ def functional_cases():
         yield xi_column(r1, r2, m, n), ref_xi_column(r1, r2, m, n), (2, 2 * r1)
 
 
+def _equation_at(params_at):
+    """(m, n) -> the class's master equation, from its forms built once per
+    parity of n."""
+    p = params_at(0, 0)
+    forms = [master_forms(p.r1, p.r2, p.s1, p.s2, p.i, p.j, parity) for parity in (0, 1)]
+    return lambda m, n: forms[n % 2].equation_at(m, n)
+
+
 def reference_sweep(cls, window, mn):
     """check_certificate as a per-basis sweep: every window point's image
     under Ax and Ay is built as a vector and the functional applied to it.
     Its own verdict must be the one its report reads off the failures."""
     family, params_at, functional_at = certificate._family(cls, decide(cls))
+    equation_at = _equation_at(params_at)
     failures = []
     linear_ok = constant_ok = True
     coords = range(-window, window + 1)
     units = [(k, l, KernelVector.unit(k, l)) for k in coords for l in coords]
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
-            eq = build_master(params_at(m, n))
+            eq = equation_at(m, n)
             f = functional_at(m, n)
             for k, l, e in units:
                 if f(eq.ax(e)) != 0:
@@ -145,12 +157,13 @@ def per_point_sweep(cls, window, mn):
     lists the nonzero entries of the functional pulled back through its
     Ax and Ay, each pullback still made once per residue key."""
     family, params_at, functional_at = certificate._family(cls, decide(cls))
+    equation_at = _equation_at(params_at)
     failures = []
     coords = range(-window, window + 1)
-    pulled_by_key = {}
+    pulled_by_key = _PullbackCache()
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
-            eq = build_master(params_at(m, n))
+            eq = equation_at(m, n)
             f = functional_at(m, n)
             for name, op in (("Ax", eq.ax), ("Ay", eq.ay)):
                 pulled = _pullback_once(pulled_by_key, f, op)
@@ -274,15 +287,49 @@ def test_pullback_once_keys_on_reduced_entries():
     for f in (xi_parity(0), xi_count(0)):
         assert f.pullback(one) != f.pullback(two)
         for order in ((one, two), (two, one)):
-            cache = {}
+            cache = _PullbackCache()
             for op in order:
                 assert _pullback_once(cache, f, op) == f.pullback(op)
-            assert len(cache) == 2
+            assert len(cache) == 2 and cache.entries == 4
         # offsets a whole period apart share one key
-        cache = {}
+        cache = _PullbackCache()
         for op in (ID, c_operator(2, 5), c_operator(-4, -1)):
             assert _pullback_once(cache, f, op) == f.pullback(op)
         assert len(cache) == 1
+
+
+def test_pullback_cache_holds_at_most_the_sweep_budget(monkeypatch):
+    # tables of 4·1 entries in a cache of 10: the third clears it first
+    monkeypatch.setattr(certificate, "MAX_SWEEP_ENTRIES", 10)
+    f = Functional(((0,), (1,), (2,), (0,)), 3)
+    cache = _PullbackCache()
+    sizes = []
+    for p in range(4):
+        assert _pullback_once(cache, f, c_operator(p, 0)) == f.pullback(c_operator(p, 0))
+        assert cache.entries == 4 * len(cache) <= 10
+        sizes.append(len(cache))
+    assert sizes == [1, 2, 1, 2]
+    # what it still holds is reused
+    _pullback_once(cache, f, c_operator(3, 0))
+    assert len(cache) == 2 and cache.entries == 8
+
+
+def test_sweeps_share_pulled_back_tables(monkeypatch):
+    # a second class of the same residue keys pulls back nothing
+    monkeypatch.setattr(certificate, "_PULLED", _PullbackCache())
+    assert check_certificate(HomClass(4, r1=1, r2=-2, s1=3, s2=0)).success
+    pulled = dict(certificate._PULLED)
+    assert pulled
+    calls = []
+    pullback = Functional.pullback
+
+    def counted(f, op):
+        calls.append(op)
+        return pullback(f, op)
+
+    monkeypatch.setattr(Functional, "pullback", counted)
+    assert check_certificate(HomClass(4, r1=3, r2=-2, s1=1, s2=0)).success
+    assert calls == [] and dict(certificate._PULLED) == pulled
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +456,13 @@ def test_sweep_matches_per_point_sweep_on_grid():
 
 def test_constant_evaluated_once_per_value_of_the_variables_it_reads(monkeypatch):
     # xi_count(n mod 2) is one functional per parity of n, so each group of
-    # atoms is evaluated once per value of the variables it reads.  At even
-    # n (5 values) this type-4 class has atoms that read neither, m only
-    # (9 values), n only and both: 1 + 9 + 5 + 45 calls; at odd n (4
-    # values) none reads both: 1 + 9 + 4
+    # atoms is evaluated once per key (m mod Gm, n mod Gn) of its periods,
+    # a variable of period 0 taken whole.  At each parity this type-4
+    # class has three groups: periods (1, 1), one call; (0, 1), one per m
+    # (9 values); and (1, 0), one per n (5 even values, 4 odd ones).  The
+    # atoms that read both variables read n only in an offset p of
+    # coefficient 2, which xi_count reads mod 2, so they join the group of
+    # period (0, 1): 1 + 9 + 5 calls at even n and 1 + 9 + 4 at odd n
     cls = HomClass(4, r1=1, r2=-2, s1=3, s2=0)
     assert decide(cls).branch == "(d)(i)"
     calls = []
@@ -425,7 +475,7 @@ def test_constant_evaluated_once_per_value_of_the_variables_it_reads(monkeypatch
     monkeypatch.setattr(Functional, "on_atoms", counted)
     report = check_certificate(cls, mn=4)
     monkeypatch.undo()
-    assert len(calls) == 60 + 14 < 81
+    assert len(calls) == 15 + 14 < 81
     assert report.success and report == per_point_sweep(cls, 6, 4)
 
 
@@ -491,22 +541,28 @@ def test_constant_matches_per_point_sweep_for_unstructured_functionals(monkeypat
 
 @pytest.mark.parametrize("cls, wrong", WRONG)
 def test_failures_reused_across_residue_classes(monkeypatch, cls, wrong):
-    # at mn = 2L + 1 every residue class of (m, n) mod L = lcm(2, pk, pl)
-    # holds several points, so the linear failures listed at one point are
-    # listed again at the others; the wrong functionals are built afresh at
-    # each point, so the sweep must match them by their tables
+    # at mn = 2L + 1, L = lcm(2, pk, pl), every key (m mod Pm, n mod Pn)
+    # of a plan holds several points, so the linear failures listed at one
+    # point are listed again at the others; the wrong functionals are built
+    # afresh at each point, so the sweep must match them by their tables.
+    # Each (functional, parity of n) evaluates its operators once per point
+    # of its (Pm, Pn) box that the sweep meets
     period = lcm(2, *wrong(0, 0).period)
     mn = 2 * period + 1
     _with_wrong_functional(monkeypatch, wrong)
-    classes = []
+    keys = []
     original = certificate._operators_at
 
     def counted(forms, m, n):
-        classes.append((m % period, n % period))
+        f = wrong(m, n)
+        pm, pn = certificate._periods(certificate._term_fields(forms, *f.period))
+        keys.append((f, n % 2, m % pm, n % pn))
         return original(forms, m, n)
 
     monkeypatch.setattr(certificate, "_operators_at", counted)
     report = check_certificate(cls, window=6, mn=mn)
-    assert sorted(classes) == sorted(itertools.product(range(period), repeat=2))
+    assert len(keys) == len(set(keys)) < (2 * mn + 1) ** 2
+    points = itertools.product(range(-mn, mn + 1), repeat=2)
+    assert {(f, n % 2) for f, n, *_ in keys} == {(wrong(m, n), n % 2) for m, n in points}
     assert report == per_point_sweep(cls, 6, mn)
     assert not report.linear_killed

@@ -6,31 +6,44 @@ master_atoms as they read before master_forms held the equation: each
 parity of n fixed, every integer in the equation is an affine form in
 (m, n), so the evaluations of master_forms must equal the references
 everywhere, and each atom field must read at most one of m and n.
+
+The certificate sweep reads its periods off the forms' coefficients.
+Here they are found by probing instead, on what a pullback and on_atoms
+read of the evaluated equation, and must agree; a coefficient the
+periods do not see must change the sweep's report.
 """
 
 import itertools
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kleinbraid import certificate
 from kleinbraid.certificate import (
+    Functional,
     MasterEquation,
     MasterParams,
-    _atom_groups,
     _atoms_at,
     _operators_at,
+    _periods,
+    _shape,
+    _term_fields,
     build_master,
+    check_certificate,
     derived_exponents,
     master_atoms,
     master_forms,
     master_operators,
 )
+from kleinbraid.classifier import HomClass, decide
 from kleinbraid.kernel import _operator
 from kleinbraid.kleinpi import delta, eps
 from kleinbraid.suites import _grid_classes
 
 from common import PROFILE
+from test_functionals import per_point_sweep, periodic_tables
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +203,212 @@ def test_atom_fields_read_at_most_one_variable(parity):
     assert reads == {(False, False), (True, False), (False, True)}
 
 
+def _coefficients(forms):
+    """Every (cm, cn) of the forms, in order."""
+    fields = list(forms.derived)
+    for tables in (forms.ax, forms.ay):
+        for terms in tables:
+            fields += [field for _, _, p, _, q in terms for field in (p, q)]
+    for coef, p, q, _, args in forms.atoms:
+        fields += [coef, p, q, *args]
+    return [(cm, cn) for _, cm, cn in fields]
+
+
+def test_coefficients_depend_on_i_j_and_parity_alone():
+    # _shape reads the periods off the forms of class data 0
+    for d in GRID_DATA:
+        for parity in (0, 1):
+            zero = master_forms(0, 0, 0, 0, *d[4:], parity)
+            assert _coefficients(master_forms(*d, parity)) == _coefficients(zero), (d, parity)
+
+
 def test_atom_groups_hold_every_atom_and_read_only_their_variables():
-    # the sweep keeps a group's value per value of the variables the group
-    # reads, so its atoms must evaluate alike at points that differ only
-    # in a variable it does not read, n moving by whole periods of 2
-    for d in GRID_DATA[::7]:
+    # each atom is in one group, one group per pair of periods; a group of
+    # period 1 in a variable reads the same of its atoms (as on_atoms reads
+    # them) at points that differ only in that variable, n moving by whole
+    # periods of 2
+    shapes = [((2, 1), 0), ((2, 1), 2), ((4, 1), 2), ((12, 1), 2), ((2, 6), 2), ((3, 4), 3)]
+    for d in GRID_DATA[::40]:
         for parity in (0, 1):
             forms = master_forms(*d, parity)
-            groups = _atom_groups(forms.atoms)
-            grouped = [atom for _, atoms in groups for atom in atoms]
-            assert sorted(grouped) == sorted(a for a in forms.atoms if a[0] != (0, 0, 0))
-            for reads, atoms in groups:
-                for m, n in POINTS:
-                    n = 2 * n + parity
-                    here = _atoms_at(atoms, m, n)
-                    if not reads & 1:
-                        assert _atoms_at(atoms, m + 3, n) == here, (d, reads)
-                    if not reads & 2:
-                        assert _atoms_at(atoms, m, n + 4) == here, (d, reads)
+            for (pk, pl), mod in shapes:
+                _, _, groups = _shape(*d[4:], parity, pk, pl, mod)
+                assert sorted(x for indices, _, _ in groups for x in indices) == list(range(11))
+                assert len({(gm, gn) for _, gm, gn in groups}) == len(groups)
+                f = Functional(((0,) * pl,) * pk, mod)
+                for indices, gm, gn in groups:
+                    read = _read_by_on_atoms([forms.atoms[x] for x in indices], f)
+                    for m, n in POINTS:
+                        n = 2 * n + parity
+                        if gm == 1:
+                            assert read(m + 3, n) == read(m, n), (d, pk, pl, mod, indices)
+                        if gn == 1:
+                            assert read(m, n + 4) == read(m, n), (d, pk, pl, mod, indices)
+
+
+# ---------------------------------------------------------------------------
+# periods read off the coefficients, against probing
+
+
+BU_CLASSES = [cls for cls in _grid_classes(3) if decide(cls).bu]
+BOX = list(itertools.product(range(-2, 3), repeat=2))
+
+
+def _least_periods(read, bound):
+    """(Pm, Pn): the least P <= bound such that read takes the same value
+    at (m + P, n), resp. (m, n + P), as at (m, n) for every (m, n) in BOX,
+    0 where no P <= bound does."""
+
+    def least(dm, dn):
+        for p in range(1, bound + 1):
+            if all(read(m + p * dm, n + p * dn) == read(m, n) for m, n in BOX):
+                return p
+        return 0
+
+    return least(1, 0), least(0, 1)
+
+
+def _sweep_of(cls):
+    """(class data, functional at (m, n)) as check_certificate reads them."""
+    _, params_at, functional_at = certificate._family(cls, decide(cls))
+    p = params_at(0, 0)
+    return (p.r1, p.r2, p.s1, p.s2, p.i, p.j), functional_at
+
+
+def _read_by_pullback(forms, f):
+    # the entries of Ax and Ay that _pullback_once keys on
+    pk, pl = f.period
+
+    def read(m, n):
+        return [
+            sorted((a, p % pk, b, q % pl, c) for (a, p, b, q), c in terms.items())
+            for op in _operators_at(forms, m, n)
+            for terms in op.terms
+        ]
+
+    return read
+
+
+def _read_by_on_atoms(atoms, f):
+    # each atom as on_atoms reads it: the coefficient mod f.mod, the
+    # offsets mod the period box, a unit's (k, l) mod (lcm(2, pk), pl), and
+    # the other families' arguments whole
+    pk, pl = f.period
+
+    def at(form, m, n, modulus=0):
+        c, cm, cn = form
+        value = c + cm * m + cn * n
+        return value % modulus if modulus else value
+
+    def read(m, n):
+        out = []
+        for coef, p, q, family, args in atoms:
+            if family == "unit":
+                moduli = (lcm(2, pk), pl)
+            else:
+                moduli = (0,) * len(args)
+            out.append(
+                (
+                    at(coef, m, n, f.mod),
+                    at(p, m, n, pk),
+                    at(q, m, n, pl),
+                    family,
+                    tuple(at(a, m, n, mod) for a, mod in zip(args, moduli)),
+                )
+            )
+        return out
+
+    return read
+
+
+@PROFILE
+@given(
+    st.sampled_from(BU_CLASSES),
+    st.integers(0, 1),
+    st.integers(-12, 12),
+    st.integers(-6, 6),
+    st.one_of(st.none(), periodic_tables()),
+)
+def test_periods_equal_least_periods_by_probing(cls, parity, m, t, table):
+    # the class's functional at a point of the parity, or an arbitrary
+    # table, odd periods and Z/3 values included
+    data, functional_at = _sweep_of(cls)
+    f = table or functional_at(m, 2 * t + parity)
+    forms = master_forms(*data, parity)
+    pk, pl = f.period
+    bound = lcm(2, pk, pl, f.mod or 1)  # every modulus divides it
+    pm, pn, groups = _shape(*data[4:], parity, pk, pl, f.mod)
+    assert (pm, pn) == _least_periods(_read_by_pullback(forms, f), bound)
+    for indices, gm, gn in groups:
+        read = _read_by_on_atoms([forms.atoms[x] for x in indices], f)
+        assert (gm, gn) == _least_periods(read, bound)
+
+
+def test_linear_periods_of_a_sweep_by_branch():
+    # over the whole sweep, the functional and the term tables of both
+    # parities repeat with the periods of experiment 1 in ROADMAP.md,
+    # L = lcm(2, pk, pl): the functional's period is probed, those of the
+    # term tables are read off their forms
+    expected = {
+        "(a)": lambda L: (1, 2),
+        "(b)": lambda L: (1, 2),
+        "(d)(i)": lambda L: (1, 2),
+        "(c)": lambda L: (1, L // 2),
+        "(d)(ii)": lambda L: (1, L),
+        "(d)(iii)": lambda L: (L, 2),
+    }
+    branches = set()
+    for cls in BU_CLASSES:
+        data, functional_at = _sweep_of(cls)
+        pk, pl = functional_at(0, 0).period
+        big = lcm(2, pk, pl)
+        pm, pn = _least_periods(functional_at, big)
+        for parity in (0, 1):
+            fm, fn = _periods(_term_fields(master_forms(*data, parity), pk, pl))
+            pm, pn = lcm(pm, fm), lcm(pn, fn)
+        branch = decide(decide(cls).representative).branch
+        assert (pm, lcm(2, pn)) == expected[branch](big), cls
+        branches.add(branch)
+    assert branches == set(expected)
+
+
+def _with_m_in(field):
+    """A wrapper of _operators_at or _atoms_at that evaluates the forms
+    with m added to the offset p of Ax's c-term, or to the k argument of
+    every unit atom: a coefficient the sweep's periods, read off the forms
+    it built, do not see."""
+    if field == "offset":
+        original = certificate._operators_at
+
+        def moved(forms, m, n):
+            ax = []
+            for (c, a, (p, pm, pn), b, q), *rest in forms.ax:
+                ax.append(((c, a, (p, pm + 1, pn), b, q), *rest))
+            return original(forms._replace(ax=tuple(ax)), m, n)
+
+        return "_operators_at", moved
+    original = certificate._atoms_at
+
+    def moved(atoms, m, n):
+        out = []
+        for coef, p, q, family, args in atoms:
+            if family == "unit":
+                (k, km, kn), l = args
+                args = ((k, km + 1, kn), l)
+            out.append((coef, p, q, family, args))
+        return original(out, m, n)
+
+    return "_atoms_at", moved
+
+
+@pytest.mark.parametrize("field", ["offset", "unit argument"])
+def test_sweep_sees_a_coefficient_its_periods_miss(monkeypatch, field):
+    # type 1 at (a), xi_parity(0): Ax's offsets, and the last unit atom at
+    # even n, are read mod 2 and read no m, so their periods in m are 1;
+    # with m added the sweep keeps one value where per_point_sweep sees
+    # both parities of m
+    cls = HomClass(1, i=0, s1=1, s2=0)
+    assert check_certificate(cls) == per_point_sweep(cls, 6, 4)
+    name, moved = _with_m_in(field)
+    monkeypatch.setattr(certificate, name, moved)
+    assert check_certificate(cls) != per_point_sweep(cls, 6, 4)
