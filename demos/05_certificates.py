@@ -7,18 +7,17 @@ Run as:  python3 demos/05_certificates.py
 from kleinbraid import (
     HomClass,
     KernelVector,
-    MasterParams,
-    build_master,
     check_certificate,
-    derived_exponents,
     equation_even_even,
+    master_forms,
     xi_count,
 )
 
 print("== the obstruction equation ==")
-params = MasterParams(r1=1, r2=2, s1=0, s2=0, i=0, j=0, m=1, n=0)
-eq = build_master(params)
-a1, a2, b1, b2, g = derived_exponents(params)
+# the equation for every even n, as affine forms in (m, n), evaluated at (1, 0)
+forms = master_forms(r1=1, r2=2, s1=0, s2=0, i=0, j=0, parity=0)
+a1, a2, b1, b2, g = forms.derived_at(1, 0)
+eq = forms.equation_at(1, 0)
 print(f"derived exponents at (m,n)=(1,0): a1={a1} a2={a2} b1={b1} b2={b2} g={g}")
 print(f"constant part: {eq.constant}")
 e = KernelVector.unit(0, 0)

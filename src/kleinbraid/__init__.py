@@ -21,13 +21,12 @@ from .certificate import (
     CertificateReport,
     Functional,
     MasterEquation,
-    MasterParams,
-    build_master,
+    MasterForms,
     check_certificate,
-    derived_exponents,
     equation_even_even,
     equation_even_odd,
     equation_first_odd,
+    master_forms,
     mu_nu_operators,
     xi_column,
     xi_congruence,

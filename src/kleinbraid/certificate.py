@@ -13,24 +13,23 @@ every (m, n) in a parameter window.  The (m, n) window is what keeps the
 verification finite, so reports always carry it; the coordinate window
 they also carry only bounds which failures of the linear part are listed.
 
-build_master assembles the general equation from the class parameters
-(r1, r2, s1, s2, i, j) and the quantified pair (m, n), as the operators
-of master_operators and the atoms of master_atoms.  Once the parity of n
-is fixed, every δ and ε in it is a constant, so master_forms writes the
-whole equation once per parity as integer affine forms c + cm·m + cn·n:
-the derived exponents, the offsets of the term tables of Ax and Ay (two
-terms per parity of k, signs and slopes fixed), and every field of every
-atom of the constant.  derived_exponents, master_operators and
-master_atoms evaluate those forms; the per-point transcription they
-replaced, and the compositions of c, theta, rho and id that define Ax and
-Ay, are the tests' reference.  Each atom field reads at most one of m and
-n.  The three per-family transcriptions below return the specialised
-equations as MasterEquation too, written independently: their operators
-composed from the induced operators or, for mu/nu, displayed, and their
-constants as atoms transcribed term for term from the specialised
-constants (even_even_atoms for the type-4 one, which the xi-count check
-reads alone).  Their exact equality with build_master is part of the test
-surface.
+The general equation depends on the class data (r1, r2, s1, s2, i, j)
+and the quantified pair (m, n).  Once the parity of n is fixed, every δ
+and ε in it is a constant, so master_forms writes the whole equation
+once per parity as integer affine forms c + cm·m + cn·n: the derived
+exponents, the offsets of the term tables of Ax and Ay (two terms per
+parity of k, signs and slopes fixed), and every field of every atom of
+the constant.  MasterForms.derived_at and equation_at evaluate those
+forms at a point; a per-point δ/ε transcription, and the compositions of
+c, theta, rho and id that define Ax and Ay, are the tests' reference.
+Each atom field reads at most one of m and n.  The three per-family
+transcriptions below return the specialised equations as MasterEquation
+too, written independently: their operators composed from the induced
+operators or, for mu/nu, displayed, and their constants as atoms
+transcribed term for term from the specialised constants
+(even_even_atoms for the type-4 one, which the xi-count check reads
+alone).  Their exact equality with the evaluated forms is part of the
+test surface.
 
 Every functional is periodic in (k, l), so a Functional is a table of its
 values on one period box.  Pulling it back through a term table gives
@@ -50,13 +49,14 @@ over one period, so f(C(m, n)) costs the same however large the family
 arguments are.
 
 The sweep builds the forms of both parities once, and evaluates only
-what changes from point to point.  It keeps one plan per functional and
-parity of n, built the first time the sweep meets that pair.  With the
-parity fixed, every integer the evaluation reads is an affine form, and
-the evaluation reads most of them modulo something: an offset p modulo
-pk and an offset q modulo pl (in the term tables of Ax and Ay and in the
-atoms), an atom coefficient modulo f.mod when mod > 0, and the two
-arguments of a "unit" atom modulo lcm(2, pk) and pl.  A form whose m
+what changes from point to point.  It keeps one plan per argument of the
+family's functional and parity of n, built with its functional the
+first time the sweep meets that pair.  With the parity fixed, every
+integer the evaluation reads is an affine form, and the evaluation reads
+most of them modulo something: an offset p modulo pk and an offset q
+modulo pl (in the term tables of Ax and Ay and in the atoms), an atom
+coefficient modulo f.mod when mod > 0, and the two arguments of a
+"unit" atom modulo lcm(2, pk) and pl.  A form whose m
 coefficient is c, read modulo M, repeats when m moves by M / gcd(c, M),
 so a piece of the equation repeats in m with the lcm of that over the
 fields that read m, and likewise in n: its periods are read off the
@@ -81,8 +81,8 @@ taken whole: a group is evaluated once per such key.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Callable, Iterable, List, NamedTuple, Tuple
 
@@ -110,18 +110,10 @@ class Functional:
     """Linear functional on kernel vectors, periodic in (k, l): its value
     on e(k, l) is table[k % pk][l % pl] for the period box (pk, pl) =
     (len(table), len(table[0])).  mod == 0 means Z-valued, mod == 2 means
-    Z/2-valued.  Its hash is taken once, when it is built, since the
-    sweep keys its caches on it at every (m, n) point."""
+    Z/2-valued."""
 
     table: Tuple[Tuple[int, ...], ...]
     mod: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.table, self.mod)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def period(self) -> Tuple[int, int]:
@@ -249,22 +241,6 @@ def _tabulate(
 
 
 @dataclass(frozen=True)
-class MasterParams:
-    r1: int
-    r2: int
-    s1: int
-    s2: int
-    i: int
-    j: int
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.i not in (0, 1) or self.j not in (0, 1):
-            raise ValueError("i and j must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class MasterEquation:
     ax: KernelOperator
     ay: KernelOperator
@@ -292,19 +268,27 @@ class MasterForms(NamedTuple):
     """The obstruction equation of one class for every n of one parity,
     each integer in it an affine form in (m, n): the derived exponents
     (a1, a2, b1, b2, g), the term tables of Ax and Ay as terms per parity
-    of k, and the atoms of the constant, zero coefficients included."""
+    of k, and the atoms of the constant, zero coefficients included.
+    derived_at and equation_at refuse an n of the other parity."""
 
+    parity: int
     derived: Tuple[Form, ...]
     ax: Tuple[Tuple[TermForm, ...], Tuple[TermForm, ...]]
     ay: Tuple[Tuple[TermForm, ...], Tuple[TermForm, ...]]
     atoms: Tuple[AtomForm, ...]
 
+    def _check(self, n: int) -> None:
+        if n & 1 != self.parity:
+            raise ValueError(f"n = {n} is not of the forms' parity {self.parity}")
+
     def derived_at(self, m: int, n: int) -> Tuple[int, int, int, int, int]:
         """(a1, a2, b1, b2, g) at (m, n)."""
+        self._check(n)
         return tuple([c + cm * m + cn * n for c, cm, cn in self.derived])
 
     def equation_at(self, m: int, n: int) -> MasterEquation:
         """The obstruction equation at (m, n): operators and nonzero atoms."""
+        self._check(n)
         return MasterEquation(*_operators_at(self, m, n), _atoms_at(self.atoms, m, n))
 
 
@@ -330,8 +314,10 @@ def master_forms(r1: int, r2: int, s1: int, s2: int, i: int, j: int, parity: int
 
     written as their terms: one c-term and one theta∘rho-term per parity
     of k for Ax, one c∘theta-term and the identity's -1 for Ay.  This is
-    the one transcription of the equation's δ and ε; derived_exponents,
-    master_operators and master_atoms evaluate it."""
+    the one transcription of the equation's δ and ε.  i, j and parity
+    must each be 0 or 1."""
+    if i not in (0, 1) or j not in (0, 1) or parity not in (0, 1):
+        raise ValueError(f"i, j and parity must be 0 or 1, got i={i}, j={j}, parity={parity}")
     dn = parity
     d_ni = (dn + i) % 2  # δ(n+i)
     en = 1 - 2 * dn  # εn
@@ -351,6 +337,7 @@ def master_forms(r1: int, r2: int, s1: int, s2: int, i: int, j: int, parity: int
     s2_less_n = (s2, 0, -1)
     d_ni1 = 1 - d_ni  # δ(n+i+1), which is δ(n+i-1)
     return MasterForms(
+        parity=parity,
         derived=((a1, a1m, 0), (a2, 0, 0), (b1, b1m, 0), (b2, 0, -2), (g, gm, 0)),
         ax=(
             ((1, 1, shift, 1, diff), (e, -1, _ZERO, -e, _ZERO)),
@@ -380,10 +367,6 @@ def master_forms(r1: int, r2: int, s1: int, s2: int, i: int, j: int, parity: int
             ((r - i, 0, 0), _ZERO, _ZERO, "unit", (shift, diff)),
         ),
     )
-
-
-def _forms_of(p: MasterParams) -> MasterForms:
-    return master_forms(p.r1, p.r2, p.s1, p.s2, p.i, p.j, p.n % 2)
 
 
 def _atoms_at(atoms: Iterable[AtomForm], m: int, n: int) -> Tuple[Atom, ...]:
@@ -423,32 +406,8 @@ def _operators_at(forms: MasterForms, m: int, n: int) -> Tuple[KernelOperator, K
     return tuple(ops)
 
 
-def derived_exponents(p: MasterParams) -> Tuple[int, int, int, int, int]:
-    """(a1, a2, b1, b2, g) as functions of the class data and (m, n)."""
-    return _forms_of(p).derived_at(p.m, p.n)
-
-
-def master_operators(p: MasterParams) -> Tuple[KernelOperator, KernelOperator]:
-    """The linear operators (Ax, Ay) of the obstruction equation at (m, n),
-    evaluated from master_forms."""
-    return _operators_at(_forms_of(p), p.m, p.n)
-
-
-def master_atoms(p: MasterParams) -> Tuple[Atom, ...]:
-    """The constant C(m, n) of the obstruction equation, as its nonzero
-    atoms (coef, p, q, family, args), evaluated from master_forms."""
-    return _atoms_at(_forms_of(p).atoms, p.m, p.n)
-
-
-def build_master(p: MasterParams) -> MasterEquation:
-    """The general two-unknown obstruction equation at (m, n): the
-    operators of master_operators and the atoms of master_atoms, both
-    evaluated from one build of the forms."""
-    return _forms_of(p).equation_at(p.m, p.n)
-
-
 # ---------------------------------------------------------------------------
-# per-family equations, transcribed independently of build_master
+# per-family equations, transcribed independently of master_forms
 
 
 def equation_first_odd(s: int, z: int, w: int, m: int, n: int) -> MasterEquation:
@@ -456,7 +415,7 @@ def equation_first_odd(s: int, z: int, w: int, m: int, n: int) -> MasterEquation
 
     Covers type 1 at the even representative (w = 0) and type 2 (w = 1).
     The constant is transcribed as atoms; cross-checked against
-    build_master with i = 1, j = w, s1 = s, s2 = z·w.
+    master_forms with i = 1, j = w, s1 = s, s2 = z·w.
     """
     shift = 2 * n - (2 * z + 1) * w - 4 * s - 2
     lam = 2 * m * eps(w) * delta(n + w)
@@ -481,7 +440,7 @@ def equation_even_odd(s: int, z: int, m: int, n: int) -> MasterEquation:
     """Equation for classes (1,0) ↦ (0, 2s), (0,1) ↦ (0, 2z+1) (type 3).
 
     The constant is transcribed as atoms; cross-checked against
-    build_master with i = 0, j = 1, s1 = s, s2 = z.
+    master_forms with i = 0, j = 1, s1 = s, s2 = z.
     """
     ax = (
         c_operator(2 * n - 2 * z - 4 * s - 1, -2 * delta(n) * m)
@@ -506,7 +465,7 @@ def mu_nu_operators(r1: int, r2: int, s: int, z: int, m: int, n: int):
         nu: e(k, l) ↦ e(k-4s, l - 2δ(n+k+1)·r1) - e(k, l),    λ = 2δ(n+1)(m-r1) + ε(n+1)r2
 
     and not from c_operator/theta_operator/RHO, since they must equal the
-    compositional definitions, whose tables build_master writes directly:
+    compositional definitions, whose tables master_forms writes directly:
 
         mu = c(2n-2z-4s, λ) + theta(m+ε(n+1)r1, δn)∘rho
         nu = c(-4s, -2δ(n+1)r1)∘theta(r1, 0) - id
@@ -544,7 +503,7 @@ def even_even_atoms(r1: int, r2: int, s: int, z: int, m: int, n: int) -> Tuple[A
 def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int) -> MasterEquation:
     """Equation for classes (1,0) ↦ (r1, 2s), (0,1) ↦ (r2, 2z) (type 4):
     the operators of mu_nu_operators and the atoms of even_even_atoms.
-    Cross-checked against build_master with i = j = 0, s1 = s, s2 = z.
+    Cross-checked against master_forms with i = j = 0, s1 = s, s2 = z.
     """
     args = (r1, r2, s, z, m, n)
     return MasterEquation(*mu_nu_operators(*args), even_even_atoms(*args))
@@ -614,19 +573,18 @@ def xi_row(s: int, n: int) -> Functional:
 # a bound: it takes every (m, n) point to pull back two tables of
 # lcm(2, pk)·pl entries, 1 to 1.5 µs an entry, as it does when each point
 # has a linear key (m mod Pm, n mod Pn) of its own, plus 40 entries for
-# the constant, about 0.03 ms when each point evaluated all its atoms.
-# Evaluated by groups of atoms of equal periods, the constant costs less:
-# a group is evaluated once per key of its own periods.  A point whose
-# linear key an earlier point of its plan had pulls back nothing, and a
-# residue key of the term tables that an earlier sweep had reuses its
-# tables.  At period (2, 2), mn = 40 took 0.020 s and mn = 45, the most
-# the budget admits there, 0.015 s; at mn = 4, type 3 with s1 = 612
-# (period (2448, 1), just within the budget, each value of n a key of its
-# own) took 0.14 s (medians of five fresh processes, Python 3.11 on a
-# shared 2-CPU host).  _tabulate refuses a table over half the budget,
-# since a sweep pulls back at least two tables at least as large.  The
-# cache of pulled-back tables that sweeps share holds at most this many
-# entries.
+# the constant.  The constant costs less, since it is evaluated by groups
+# of atoms of equal periods, each once per key of its own periods.  A
+# point whose linear key an earlier point of its plan had pulls back
+# nothing, and a residue key of the term tables that an earlier sweep had
+# reuses its tables.  At period (2, 2), mn = 40 took 0.020 s and mn = 45,
+# the most the budget admits there, 0.015 s; at mn = 4, type 3 with
+# s1 = 612 (period (2448, 1), just within the budget, each value of n a
+# key of its own) took 0.14 s (medians of five fresh processes, Python
+# 3.11 on a shared 2-CPU host).  _tabulate refuses a table over half the
+# budget, since a sweep pulls back at least two tables at least as large.
+# The cache of pulled-back tables that sweeps share holds at most this
+# many entries.
 MAX_SWEEP_ENTRIES = 400_000
 
 
@@ -672,46 +630,32 @@ _FAMILIES = {
 
 
 def _family(cls: HomClass, verdict: Verdict):
-    """(family label, params builder, functional builder) for a class
-    with the Borsuk-Ulam property, given its verdict.
+    """(family label, class data, functional builder, its arguments at
+    (m, n)) for a class with the Borsuk-Ulam property, given its verdict.
 
-    Both builders work on verdict.representative, the class the verdict
+    All of them are read off verdict.representative, the class the verdict
     reduces to taken with i = 0.  The obstruction equation depends on s2
     only through its parity, so the central shift needs no transport.  The
-    master parameters are read off the representative's images, and the
-    functional is the one _FAMILIES keys by decide's branch for it.  An
-    i = 1 class takes the representative's certificate: H carries
-    witnesses of the one to witnesses of the other and back, so refuting
-    the representative's equation refutes both, once check_h has confirmed
-    H.
+    class data (r1, r2, s1, s2, i, j) are the representative's, i and j
+    the parities of its images' second coordinates, and the functional is
+    the one _FAMILIES keys by decide's branch for it.  An i = 1 class
+    takes the representative's certificate: H carries witnesses of the one
+    to witnesses of the other and back, so refuting the representative's
+    equation refutes both, once check_h has confirmed H.
 
-    The functional builder builds each functional once per distinct
-    argument and keeps it for the life of the builder, which is one
-    sweep.  _FAMILIES reduces the arguments to the residues the tables
-    read, so however large mn, a sweep builds at most 2 xi_count, 4|s|
-    xi_row, 2|s| xi_congruence or 4|r1| xi_column functionals.  What it
-    keeps stays within the sweep budget, which counts each point for
-    twice its functional's table at least."""
+    _FAMILIES reduces the arguments to the residues the tables read, so
+    however large mn, a sweep, which builds one functional per argument
+    and parity of n, builds at most 2 xi_parity or xi_count, 4|s| xi_row,
+    2|s| xi_congruence or 4|r1| xi_column functionals.  What it keeps
+    stays within the sweep budget, which counts each point for twice its
+    functional's table at least."""
     rep = verdict.representative
     label, build, args_at = _FAMILIES[decide(rep).branch]
     n1, n2 = (img.n for img in rep.images())
     if cls.i:
         check_h()
         label += " via H"
-    built: dict = {}
-
-    def functional_at(m: int, n: int) -> Functional:
-        args = args_at(rep, m, n)
-        f = built.get(args)
-        if f is None:
-            f = built[args] = build(*args)
-        return f
-
-    return (
-        label,
-        lambda m, n: MasterParams(rep.r1, rep.r2, rep.s1, rep.s2, n1 % 2, n2 % 2, m, n),
-        functional_at,
-    )
+    return label, (rep.r1, rep.r2, rep.s1, rep.s2, n1 % 2, n2 % 2), build, partial(args_at, rep)
 
 
 def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> CertificateReport:
@@ -720,25 +664,24 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     For every (m, n) with |m|, |n| <= mn, the family's functional must
     kill both linear operators on every basis vector e(k, l) and take a
     nonzero value on the constant part.  The equation's forms are built
-    once per parity of n (master_forms), and no point builds a
-    MasterParams.  The sweep keeps one plan per functional and parity of n
-    (_plan), whose periods are read off the forms' coefficients, as the
-    module docstring says.  The linear part is decided once per key
-    (m mod Pm, n mod Pn) of a plan: its operators are evaluated and its
-    failures listed once, then copied with each point's (m, n).  The
-    functional is built once per distinct argument (_family), and its
-    pullbacks through Ax and Ay once per residue key (_pullback_once, in a
-    cache every sweep shares).  A pulled-back table holds f∘A on every
-    (k, l), so the linear part is decided for all (k, l) from the whole
-    table.  The coordinate window only bounds which failures are listed:
-    the nonzero entries with |k|, |l| <= window, or, when none falls
-    inside it, the nonzero entries of the table's period box.  The
-    constant is f applied to its atoms, summed over the groups of _shape;
-    each group's value is kept per its own reduced (m, n), so the sweep
-    builds no vector and evaluates a group once per such key.  A sweep
-    over MAX_SWEEP_ENTRIES, counted from mn and the functional's period,
-    raises ValueError before any form, atom or pulled-back table is
-    built.
+    once per parity of n (master_forms).  The sweep keeps one plan per
+    argument of the functional and parity of n (_plan), with the
+    functional built once for it and periods read off the forms'
+    coefficients, as the module docstring says.  The linear part is
+    decided once per key (m mod Pm, n mod Pn) of a plan: its operators are
+    evaluated and its failures listed once, then copied with each point's
+    (m, n).  The functional's pullbacks through Ax and Ay are made once
+    per residue key (_pullback_once, in a cache every sweep shares).  A
+    pulled-back table holds f∘A on every (k, l), so the linear part is
+    decided for all (k, l) from the whole table.  The coordinate window
+    only bounds which failures are listed: the nonzero entries with |k|,
+    |l| <= window, or, when none falls inside it, the nonzero entries of
+    the table's period box.  The constant is f applied to its atoms,
+    summed over the groups of _shape; each group's value is kept per its
+    own reduced (m, n), so the sweep builds no vector and evaluates a
+    group once per such key.  A sweep over MAX_SWEEP_ENTRIES, counted from
+    mn and the functional's period, raises ValueError before any form,
+    atom or pulled-back table is built.
     """
     if window < 0 or mn < 0:
         raise ValueError(f"windows must be non-negative, got window={window}, mn={mn}")
@@ -748,28 +691,29 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
             f"{cls.describe()} fails the Borsuk-Ulam property; "
             "certificates only exist for classes that have it"
         )
-    family, params_at, functional_at = _family(cls, verdict)
-    pk, pl = functional_at(0, 0).period
+    family, data, build, args_at = _family(cls, verdict)
+    origin = args_at(0, 0)
+    first = build(*origin)
+    pk, pl = first.period
     entries = (2 * mn + 1) ** 2 * (40 + 2 * lcm(2, pk) * pl)
     if entries > MAX_SWEEP_ENTRIES:
         raise ValueError(
             f"certificate sweep of {entries} table entries (mn={mn}, period {pk}x{pl}) "
             f"exceeds the budget of {MAX_SWEEP_ENTRIES}"
         )
-    base = params_at(0, 0)
-    i, j = base.i, base.j
-    forms = [master_forms(base.r1, base.r2, base.s1, base.s2, i, j, parity) for parity in (0, 1)]
+    i, j = data[4:]
+    forms = [master_forms(*data, parity) for parity in (0, 1)]
     failures: list[Tuple[int, int, str, int, int]] = []
     coords = range(-window, window + 1)
-    plans: dict = {}
+    # the functional read off for the budget is the one of the plan at (0, 0)
+    plans = {(origin, 0): _plan(first, forms[0], i, j, 0)}
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
-            f = functional_at(m, n)
-            parity = n & 1
-            plan = plans.get((f, parity))
+            args, parity = args_at(m, n), n & 1
+            plan = plans.get((args, parity))
             if plan is None:
-                plan = plans[f, parity] = _plan(f, forms[parity], i, j, parity)
-            pm, pn, linear_by_key, atom_groups = plan
+                plan = plans[args, parity] = _plan(build(*args), forms[parity], i, j, parity)
+            f, pm, pn, linear_by_key, atom_groups = plan
             total = 0
             for atoms, gm, gn, values in atom_groups:
                 key = (m % gm if gm else m, n % gn if gn else n)
@@ -790,17 +734,12 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     return _report(family, window, mn, tuple(sorted(failures)))
 
 
-# A report is frozen, so sweeps share one report per value, and reports
-# one (window, mn) tuple per value, while they are cached: a caller that
-# keeps many reports keeps one of each, not a copy per sweep.
-@lru_cache(maxsize=64)
-def _windows(window: int, mn: int) -> Tuple[int, int]:
-    return window, mn
-
-
+# A report is frozen, so sweeps share one report per value while it is
+# cached: a caller that keeps many reports keeps one of each, not a copy
+# per sweep.
 @lru_cache(maxsize=256)
 def _report(family: str, window: int, mn: int, failures: tuple) -> CertificateReport:
-    return CertificateReport(family, _windows(window, mn), failures)
+    return CertificateReport(family, (window, mn), failures)
 
 
 def _periods(fields: Iterable[Tuple[Form, int]]) -> Tuple[int, int]:
@@ -860,9 +799,9 @@ def _shape(i: int, j: int, parity: int, pk: int, pl: int, mod: int):
 
 
 def _plan(f: Functional, forms: MasterForms, i: int, j: int, parity: int):
-    """(Pm, Pn, linear failures by key, [(atoms, Gm, Gn, values by key)])
-    for the points of a sweep whose functional is f and whose n has the
-    given parity, both dicts empty.  A group leaves out the atoms whose
+    """(f, Pm, Pn, linear failures by key, [(atoms, Gm, Gn, values by
+    key)]) for the points of a sweep whose functional is f and whose n has
+    the given parity, both dicts empty.  A group leaves out the atoms whose
     coefficient is 0 for every (m, n), and a group of none is left out."""
     pm, pn, groups = _shape(i, j, parity, *f.period, f.mod)
     atoms = forms.atoms
@@ -871,7 +810,7 @@ def _plan(f: Functional, forms: MasterForms, i: int, j: int, parity: int):
         group = [atoms[index] for index in indices if atoms[index][0] != _ZERO]
         if group:
             plan_groups.append((group, gm, gn, {}))
-    return pm, pn, {}, plan_groups
+    return f, pm, pn, {}, plan_groups
 
 
 def _linear_failures(

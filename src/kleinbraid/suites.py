@@ -415,48 +415,52 @@ def suite_certificate_grid() -> list[SuiteCheck]:
 
 
 def suite_specialization() -> list[SuiteCheck]:
-    """build_master equals the three per-family transcriptions: operators by
-    exact term-table equality, which is equality on every e(k, l); constants
-    as the vectors their atoms materialise."""
+    """master_forms equals the three per-family transcriptions: operators
+    by exact term-table equality, which is equality on every e(k, l);
+    constants as the vectors their atoms materialise.  The forms of a
+    class are built once per parity of n."""
     out: list[SuiteCheck] = []
 
-    def agrees(equation, args, *master):
-        fam = equation(*args)
-        eq = cert.build_master(cert.MasterParams(*master))
+    def agrees(fam, eq):
         return fam.ax == eq.ax and fam.ay == eq.ay and fam.constant == eq.constant
 
     fails = []
     for s in range(-2, 3):
         for z in (0, 1):
             for w in (0, 1):
+                forms = [cert.master_forms(0, 0, s, z * w, 1, w, parity) for parity in (0, 1)]
                 for m in range(-2, 3):
                     for n in range(-2, 3):
                         args = (s, z, w, m, n)
-                        if not agrees(cert.equation_first_odd, args, 0, 0, s, z * w, 1, w, m, n):
+                        eq = forms[n % 2].equation_at(m, n)
+                        if not agrees(cert.equation_first_odd(*args), eq):
                             fails.append(args)
-    _check(out, "first-odd family equals build_master(i=1, j=w)", fails)
+    _check(out, "first-odd family equals master_forms(i=1, j=w)", fails)
 
     fails = []
     for s in range(-2, 3):
         for z in (0, 1):
+            forms = [cert.master_forms(0, 0, s, z, 0, 1, parity) for parity in (0, 1)]
             for m in range(-2, 3):
                 for n in range(-2, 3):
                     args = (s, z, m, n)
-                    if not agrees(cert.equation_even_odd, args, 0, 0, s, z, 0, 1, m, n):
+                    if not agrees(cert.equation_even_odd(*args), forms[n % 2].equation_at(m, n)):
                         fails.append(args)
-    _check(out, "even-odd family equals build_master(i=0, j=1)", fails)
+    _check(out, "even-odd family equals master_forms(i=0, j=1)", fails)
 
     fails = []
     for r1 in (0, 1, 2):
         for r2 in (-2, -1, 1, 2):
             for s in (-2, 0, 2):
                 for z in (0, 1):
+                    forms = [cert.master_forms(r1, r2, s, z, 0, 0, parity) for parity in (0, 1)]
                     for m in (-2, 0, 2):
                         for n in (-2, -1, 0, 1, 2):
                             args = (r1, r2, s, z, m, n)
-                            if not agrees(cert.equation_even_even, args, r1, r2, s, z, 0, 0, m, n):
+                            eq = forms[n % 2].equation_at(m, n)
+                            if not agrees(cert.equation_even_even(*args), eq):
                                 fails.append(args)
-    _check(out, "even-even family (displayed mu/nu) equals build_master(i=j=0)", fails)
+    _check(out, "even-even family (displayed mu/nu) equals master_forms(i=j=0)", fails)
     return out
 
 

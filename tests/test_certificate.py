@@ -11,14 +11,12 @@ from kleinbraid.certificate import (
     CertificateReport,
     Functional,
     _family,
-    MasterParams,
-    build_master,
     check_certificate,
-    derived_exponents,
     equation_even_even,
     equation_even_odd,
     equation_first_odd,
     even_even_atoms,
+    master_forms,
     mu_nu_operators,
     xi_column,
     xi_congruence,
@@ -48,20 +46,39 @@ def unit(k, l):
     return KernelVector.unit(k, l)
 
 
-def test_master_params_validation():
-    with pytest.raises(ValueError):
-        MasterParams(0, 0, 0, 0, 2, 0, 0, 0)
+def _equation(r1, r2, s1, s2, i, j, m, n):
+    """The obstruction equation of the class data at (m, n)."""
+    return master_forms(r1, r2, s1, s2, i, j, n % 2).equation_at(m, n)
 
 
-def test_derived_exponents_even_case():
+def test_master_forms_validation():
+    for i, j, parity in ((2, 0, 0), (0, -1, 0), (0, 0, 2), (0, 0, -1)):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            master_forms(0, 0, 0, 0, i, j, parity)
+
+
+def test_forms_refuse_an_n_of_the_other_parity():
+    for parity in (0, 1):
+        forms = master_forms(1, 2, 1, 0, 0, 0, parity)
+        assert forms.parity == parity
+        for n in (parity - 2, parity, parity + 2):  # accepted
+            forms.derived_at(1, n)
+            forms.equation_at(1, n)
+        for n in (parity - 3, parity - 1, parity + 1):
+            with pytest.raises(ValueError, match="parity"):
+                forms.derived_at(1, n)
+            with pytest.raises(ValueError, match="parity"):
+                forms.equation_at(1, n)
+
+
+def test_derived_at_even_case():
     # i = j = 0 collapses the derived data to the even-even family's values
     for r1 in range(-2, 3):
         for r2 in range(-2, 3):
+            forms = [master_forms(r1, r2, 1, 0, 0, 0, parity) for parity in (0, 1)]
             for m in range(-2, 3):
                 for n in range(-2, 3):
-                    a1, a2, b1, b2, g = derived_exponents(
-                        MasterParams(r1, r2, 1, 0, 0, 0, m, n)
-                    )
+                    a1, a2, b1, b2, g = forms[n % 2].derived_at(m, n)
                     assert a1 == -2 * delta(n + 1) * r1
                     assert a2 == -4
                     assert b1 == eps(n) * r2 - 2 * delta(n + 1) * m
@@ -70,14 +87,14 @@ def test_derived_exponents_even_case():
 
 
 def test_equation_value_at_zero_unknowns_is_constant():
-    eq = build_master(MasterParams(1, 2, 1, 0, 0, 0, 1, 1))
+    eq = _equation(1, 2, 1, 0, 0, 0, 1, 1)
     zero = KernelVector()
     assert eq.ax(zero) == zero and eq.ay(zero) == zero
     assert eq.constant  # generically nonzero
 
 
 def test_linearity_of_operators():
-    eq = build_master(MasterParams(1, -1, 2, 1, 0, 0, -1, 2))
+    eq = _equation(1, -1, 2, 1, 0, 0, -1, 2)
     v = KernelVector({(0, 0): 2, (1, -1): -1})
     w = KernelVector({(2, 3): 5})
     for op in (eq.ax, eq.ay):
@@ -86,7 +103,7 @@ def test_linearity_of_operators():
 
 
 @pytest.mark.parametrize("family", ["first_odd", "even_odd", "even_even"])
-def test_specializations_match_build_master(family):
+def test_specializations_match_master_forms(family):
     # equal term tables act alike on every e(k, l)
     cases = {
         "first_odd": [(1, 0, 0, 0, 0), (-2, 1, 1, 2, -1), (2, 1, 0, -2, 3), (0, 0, 1, 1, 1)],
@@ -102,32 +119,38 @@ def test_specializations_match_build_master(family):
         if family == "first_odd":
             s, z, w, m, n = params
             fam = equation_first_odd(s, z, w, m, n)
-            eq = build_master(MasterParams(0, 0, s, z * w, 1, w, m, n))
+            eq = _equation(0, 0, s, z * w, 1, w, m, n)
         elif family == "even_odd":
             s, z, m, n = params
             fam = equation_even_odd(s, z, m, n)
-            eq = build_master(MasterParams(0, 0, s, z, 0, 1, m, n))
+            eq = _equation(0, 0, s, z, 0, 1, m, n)
         else:
             r1, r2, s, z, m, n = params
             fam = equation_even_even(r1, r2, s, z, m, n)
-            eq = build_master(MasterParams(r1, r2, s, z, 0, 0, m, n))
+            eq = _equation(r1, r2, s, z, 0, 0, m, n)
         assert fam.ax == eq.ax and fam.ay == eq.ay
         assert fam.constant == eq.constant
+
+
+def _with_moved_offset(monkeypatch, move):
+    """Patch the evaluation of the forms' operators so that the first term
+    of Ax at even k has its offset p moved by move(m)."""
+    original = certificate._operators_at
+
+    def moved(forms, m, n):
+        ax, ay = original(forms, m, n)
+        even, odd = ([(c, *key) for key, c in table.items()] for table in ax.terms)
+        c, a, p, b, q = even[0]
+        even[0] = (c, a, p + move(m), b, q)
+        return KernelOperator(even, odd), ay
+
+    monkeypatch.setattr(certificate, "_operators_at", moved)
 
 
 def test_specialization_suite_sees_one_moved_offset(monkeypatch):
     # the suite compares term tables only: moving one offset of Ax by 1
     # must fail every family's check
-    original = certificate.build_master
-
-    def moved(params):
-        eq = original(params)
-        even, odd = ([(c, *key) for key, c in table.items()] for table in eq.ax.terms)
-        c, a, p, b, q = even[0]
-        even[0] = (c, a, p + 1, b, q)
-        return replace(eq, ax=KernelOperator(even, odd))
-
-    monkeypatch.setattr(certificate, "build_master", moved)
+    _with_moved_offset(monkeypatch, lambda m: 1)
     assert [check.ok for check in suite_specialization()] == [False, False, False]
 
 
@@ -136,28 +159,27 @@ EXTRA_UNIT = (1, 0, 0, "unit", (0, 0))
 
 
 def test_specialization_suite_sees_one_added_atom(monkeypatch):
-    # the suite also compares the constants: one more unit atom in
-    # build_master's constant must fail every family's check
-    original = certificate.build_master
+    # the suite also compares the constants: one more unit atom in the
+    # evaluated forms' constant must fail every family's check
+    original = certificate._atoms_at
 
-    def added(params):
-        eq = original(params)
-        return replace(eq, atoms=eq.atoms + (EXTRA_UNIT,))
+    def added(atoms, m, n):
+        return original(atoms, m, n) + (EXTRA_UNIT,)
 
-    monkeypatch.setattr(certificate, "build_master", added)
+    monkeypatch.setattr(certificate, "_atoms_at", added)
     assert [check.ok for check in suite_specialization()] == [False, False, False]
 
 
-def test_master_operators_equal_compositions():
-    # build_master writes Ax and Ay as term tables; the compositions of the
+def test_operators_equal_compositions():
+    # master_forms writes Ax and Ay as term tables; the compositions of the
     # induced operators are the reference, compared as whole tables
     cancelled = set()
     for r1, r2, s1, s2, i, j, m, n in itertools.product(
         (-2, 0, 1, 3), (-1, 0, 2), (-1, 0, 2), (0, 1), (0, 1), (0, 1), (-2, 0, 1), (-3, 0, 1, 2)
     ):
-        params = MasterParams(r1, r2, s1, s2, i, j, m, n)
-        eq = build_master(params)
-        a1, a2, b1, b2, g = derived_exponents(params)
+        forms = master_forms(r1, r2, s1, s2, i, j, n % 2)
+        eq = forms.equation_at(m, n)
+        a1, a2, b1, b2, g = forms.derived_at(m, n)
         ax = c_operator(a2 - b2, a1 - b1) + theta_operator(g, delta(n + i)) @ RHO
         ay = (
             c_operator(a2, a1 * eps(n + i))
@@ -186,58 +208,41 @@ def _reduced_tables(op, period):
     return tables
 
 
-def _periodic(params, period):
-    """Whether build_master's Ax and Ay, reduced mod period, agree at
-    (m, n), (m + period, n) and (m, n + period)."""
+def _periodic(data, m, n, period):
+    """Whether Ax and Ay of the class data, reduced mod period, agree at
+    (m, n), (m + period, n) and (m, n + period); period is even, so the
+    three points share the forms of one parity of n."""
+    forms = master_forms(*data, n % 2)
 
     def reduced(m, n):
-        eq = certificate.build_master(replace(params, m=m, n=n))
+        eq = forms.equation_at(m, n)
         return [_reduced_tables(op, period) for op in (eq.ax, eq.ay)]
 
-    m, n = params.m, params.n
     return reduced(m, n) == reduced(m + period, n) == reduced(m, n + period)
 
 
-class_params = st.builds(
-    MasterParams,
-    st.integers(-4, 4),
-    st.integers(-4, 4),
-    st.integers(-4, 4),
-    st.integers(-4, 4),
-    st.integers(0, 1),
-    st.integers(0, 1),
-    st.integers(-30, 30),
-    st.integers(-30, 30),
-)
+class_data = st.tuples(*[st.integers(-4, 4)] * 4, st.integers(0, 1), st.integers(0, 1))
+quantified = st.integers(-30, 30)
 # lcm(2, pk, pl) over the functionals' periods: (2, 1), (4|s|, 1), (2, 2|r1|)
 sweep_periods = st.sampled_from((2, 4, 6, 8, 12))
 
 
 @PROFILE
-@given(class_params, sweep_periods)
-def test_operator_tables_are_periodic_in_m_and_n(params, period):
+@given(class_data, quantified, quantified, sweep_periods)
+def test_operator_tables_are_periodic_in_m_and_n(data, m, n, period):
     # what check_certificate's per-class cache rests on: with the parity of
     # n fixed, every offset is an integer affine function of (m, n)
-    assert _periodic(params, period)
+    assert _periodic(data, m, n, period)
 
 
 def test_periodicity_check_sees_a_quadratic_offset(monkeypatch):
     # an integer polynomial in m stays periodic mod an even period, so the
     # moved offset is m(m + 1)/2, which moves by m·L + L(L + 1)/2 ≡ L/2
     # (mod L) from m to m + L
-    original = certificate.build_master
-
-    def moved(params):
-        eq = original(params)
-        even, odd = ([(c, *key) for key, c in table.items()] for table in eq.ax.terms)
-        c, a, p, b, q = even[0]
-        even[0] = (c, a, p + params.m * (params.m + 1) // 2, b, q)
-        return replace(eq, ax=KernelOperator(even, odd))
-
-    monkeypatch.setattr(certificate, "build_master", moved)
+    _with_moved_offset(monkeypatch, lambda m: m * (m + 1) // 2)
     for period in (2, 4, 6, 8, 12):
-        for params in (MasterParams(1, 2, 0, 0, 0, 0, 0, 0), MasterParams(0, 1, -1, 1, 1, 1, 3, -2)):
-            assert not _periodic(params, period)
+        for data, m, n in (((1, 2, 0, 0, 0, 0), 0, 0), ((0, 1, -1, 1, 1, 1), 3, -2)):
+            assert not _periodic(data, m, n, period)
 
 
 def test_mu_nu_displayed_vs_compositional():
@@ -248,7 +253,7 @@ def test_mu_nu_displayed_vs_compositional():
                     for m in (-2, 1):
                         for n in (-1, 0, 2):
                             mu, nu = mu_nu_operators(r1, r2, s, z, m, n)
-                            eq = build_master(MasterParams(r1, r2, s, z, 0, 0, m, n))
+                            eq = _equation(r1, r2, s, z, 0, 0, m, n)
                             assert mu == eq.ax and nu == eq.ay
 
 
@@ -386,7 +391,7 @@ def test_family_follows_decide_branch():
         verdict = decide(cls)
         if not verdict.bu:
             continue
-        label, _, _ = _family(cls, verdict)
+        label, *_ = _family(cls, verdict)
         kind, _, rest = label.partition("/")
         if cls.kind == 4:
             assert kind == "type4-" + verdict.branch.split()[0][3:], cls
@@ -434,7 +439,7 @@ def test_certificate_blocks_windowed_solutions():
     ]
     for m in (-4, 0, 3):
         for n in (-4, 1):
-            eq = build_master(MasterParams(cls.r1, cls.r2, cls.s1, z, 0, 0, m, n))
+            eq = _equation(cls.r1, cls.r2, cls.s1, z, 0, 0, m, n)
             for x in probes:
                 for y in probes:
                     assert eq.ax(x) + eq.ay(y) + eq.constant != KernelVector()
@@ -453,9 +458,9 @@ def test_linear_part_is_decided_on_the_whole_table(monkeypatch, window):
     linear = [f for f in report.witnesses_of_failure if f[2] in ("Ax", "Ay")]
     assert linear
     # every listed failure is a basis vector the functional does not kill
-    _, params_at, _ = _family(cls, decide(cls))
+    _, data, _, _ = _family(cls, decide(cls))
     for m, n, name, k, l in linear:
-        op = getattr(build_master(params_at(m, n)), name.lower())
+        op = getattr(_equation(*data, m, n), name.lower())
         assert spike(op(unit(k, l))) != 0
 
 
@@ -480,9 +485,37 @@ def test_functional_built_once_per_argument_of_a_sweep(monkeypatch):
     cls = HomClass(4, r1=0, r2=2, s1=1, s2=0)  # xi_count(n mod 2)
     assert check_certificate(cls, mn=4).success
     assert sorted(calls) == [(0,), (1,)]
-    # the memo lives for one sweep: a second sweep builds its own
+    # the plans live for one sweep: a second sweep builds its own
     assert check_certificate(cls, mn=1).success
     assert sorted(calls[2:]) == [(0,), (1,)]
+
+
+@pytest.mark.parametrize(
+    "cls, mn, plans",
+    [
+        (HomClass(4, r1=0, r2=0, s1=3, s2=0), 39, 12),  # xi_row(3, n mod 12)
+        (HomClass(4, r1=400, r2=0, s1=0, s2=0), 4, 18),  # xi_column(400, 0, m mod 800, n mod 2)
+    ],
+    ids=["(d)(ii)", "(d)(iii)"],
+)
+def test_one_functional_per_plan_key(monkeypatch, cls, mn, plans):
+    # the sweep keys its plans on (arguments, n mod 2) and builds the
+    # functional once per plan, the one it reads the period off included
+    rep = decide(cls).representative
+    branch = decide(rep).branch
+    label, build, args_at = certificate._FAMILIES[branch]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setitem(certificate._FAMILIES, branch, (label, counted, args_at))
+    assert check_certificate(cls, mn=mn).success
+    window = range(-mn, mn + 1)
+    keys = {(args_at(rep, m, n), n % 2) for m in window for n in window}
+    assert len(keys) == plans
+    assert sorted(calls) == sorted(args for args, _ in keys)
 
 
 # the arguments of each family as the builders take them, unreduced
@@ -530,8 +563,7 @@ def _no_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("the sweep started")
 
-    for name in ("master_forms", "master_atoms", "master_operators", "build_master"):
-        monkeypatch.setattr(certificate, name, no_sweep)
+    monkeypatch.setattr(certificate, "master_forms", no_sweep)
     monkeypatch.setattr(Functional, "pullback", no_sweep)
 
 

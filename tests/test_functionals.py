@@ -26,10 +26,8 @@ from kleinbraid import certificate, kernel
 from kleinbraid.certificate import (
     CertificateReport,
     Functional,
-    MasterParams,
     _PullbackCache,
     _pullback_once,
-    build_master,
     check_certificate,
     master_forms,
     xi_column,
@@ -114,11 +112,10 @@ def functional_cases():
         yield xi_column(r1, r2, m, n), ref_xi_column(r1, r2, m, n), (2, 2 * r1)
 
 
-def _equation_at(params_at):
-    """(m, n) -> the class's master equation, from its forms built once per
-    parity of n."""
-    p = params_at(0, 0)
-    forms = [master_forms(p.r1, p.r2, p.s1, p.s2, p.i, p.j, parity) for parity in (0, 1)]
+def _equation_at(data):
+    """(m, n) -> the master equation of the class data, from its forms
+    built once per parity of n."""
+    forms = [master_forms(*data, parity) for parity in (0, 1)]
     return lambda m, n: forms[n % 2].equation_at(m, n)
 
 
@@ -126,8 +123,8 @@ def reference_sweep(cls, window, mn):
     """check_certificate as a per-basis sweep: every window point's image
     under Ax and Ay is built as a vector and the functional applied to it.
     Its own verdict must be the one its report reads off the failures."""
-    family, params_at, functional_at = certificate._family(cls, decide(cls))
-    equation_at = _equation_at(params_at)
+    family, data, build, args_at = certificate._family(cls, decide(cls))
+    equation_at = _equation_at(data)
     failures = []
     linear_ok = constant_ok = True
     coords = range(-window, window + 1)
@@ -135,7 +132,7 @@ def reference_sweep(cls, window, mn):
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
             eq = equation_at(m, n)
-            f = functional_at(m, n)
+            f = build(*args_at(m, n))
             for k, l, e in units:
                 if f(eq.ax(e)) != 0:
                     linear_ok = False
@@ -156,15 +153,15 @@ def per_point_sweep(cls, window, mn):
     residue class of (m, n): every point builds its master equation and
     lists the nonzero entries of the functional pulled back through its
     Ax and Ay, each pullback still made once per residue key."""
-    family, params_at, functional_at = certificate._family(cls, decide(cls))
-    equation_at = _equation_at(params_at)
+    family, data, build, args_at = certificate._family(cls, decide(cls))
+    equation_at = _equation_at(data)
     failures = []
     coords = range(-window, window + 1)
     pulled_by_key = _PullbackCache()
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
             eq = equation_at(m, n)
-            f = functional_at(m, n)
+            f = build(*args_at(m, n))
             for name, op in (("Ax", eq.ax), ("Ay", eq.ay)):
                 pulled = _pullback_once(pulled_by_key, f, op)
                 if not any(map(any, pulled.table)):
@@ -392,15 +389,13 @@ def test_atoms_on_both_sides_of_the_single_residue_rule():
     assert sides == {True, False}
 
 
-master_params = st.builds(
-    MasterParams, small, small, small, small, st.integers(0, 1), st.integers(0, 1), small, small
-)
+class_data = st.tuples(small, small, small, small, st.integers(0, 1), st.integers(0, 1))
 
 
 @PROFILE
-@given(master_params, functionals)
-def test_atoms_equal_materialised_constant(params, f):
-    eq = build_master(params)
+@given(class_data, small, small, functionals)
+def test_atoms_equal_materialised_constant(data, m, n, f):
+    eq = master_forms(*data, n % 2).equation_at(m, n)
     assert all(coef for coef, *_ in eq.atoms)
     assert f.on_atoms(eq.atoms) == f(eq.constant)
 
@@ -480,22 +475,30 @@ def test_constant_evaluated_once_per_value_of_the_variables_it_reads(monkeypatch
 
 
 WRONG = [
-    # (class, wrong functional at (m, n))
-    (HomClass(2, i=0, s1=0, s2=0), lambda m, n: xi_parity(0)),
-    (HomClass(3, i=0, s1=1, s2=1), lambda m, n: xi_count(n)),
-    (HomClass(4, r1=1, r2=2, s1=0, s2=0), lambda m, n: xi_congruence(1, n, 0)),
-    (HomClass(4, r1=0, r2=0, s1=3, s2=0), lambda m, n: xi_row(2, n)),
-    (HomClass(4, r1=2, r2=-1, s1=1, s2=0), lambda m, n: xi_column(3, 0, m, n)),
-    (HomClass(1, i=0, s1=2, s2=0), lambda m, n: xi_congruence(1, n, 1)),
+    # (class, wrong functional at (m, n) as a pair (builder, arguments)),
+    # each argument reduced to what the table reads, as _FAMILIES reduces
+    # them
+    (HomClass(2, i=0, s1=0, s2=0), lambda m, n: (xi_parity, (0,))),
+    (HomClass(3, i=0, s1=1, s2=1), lambda m, n: (xi_count, (n % 2,))),
+    (HomClass(4, r1=1, r2=2, s1=0, s2=0), lambda m, n: (xi_congruence, (1, n % 2, 0))),
+    (HomClass(4, r1=0, r2=0, s1=3, s2=0), lambda m, n: (xi_row, (2, n % 8))),
+    (HomClass(4, r1=2, r2=-1, s1=1, s2=0), lambda m, n: (xi_column, (3, 0, m % 6, n % 2))),
+    (HomClass(1, i=0, s1=2, s2=0), lambda m, n: (xi_congruence, (1, n % 2, 1))),
 ]
 
 
+def _built(build, args):
+    return build(*args)
+
+
 def _with_wrong_functional(monkeypatch, wrong):
+    """Patch _family so that the sweep keys its plans on wrong(m, n), a
+    pair (builder, arguments), and builds builder(*arguments) for each."""
     original = certificate._family
 
     def family(c, verdict):
-        label, params_at, _ = original(c, verdict)
-        return label, params_at, wrong
+        label, data, _, _ = original(c, verdict)
+        return label, data, _built, wrong
 
     monkeypatch.setattr(certificate, "_family", family)
 
@@ -532,7 +535,7 @@ NOISE = [
     ids=lambda cls: cls.describe(),
 )
 def test_constant_matches_per_point_sweep_for_unstructured_functionals(monkeypatch, cls):
-    _with_wrong_functional(monkeypatch, lambda m, n: NOISE[n % 3])
+    _with_wrong_functional(monkeypatch, lambda m, n: (NOISE.__getitem__, (n % 3,)))
     report = check_certificate(cls, window=0, mn=4)
     zero = {(m, n) for m, n, part, _, _ in report.witnesses_of_failure if part == "C"}
     assert 0 < len(zero) < 81
@@ -543,26 +546,24 @@ def test_constant_matches_per_point_sweep_for_unstructured_functionals(monkeypat
 def test_failures_reused_across_residue_classes(monkeypatch, cls, wrong):
     # at mn = 2L + 1, L = lcm(2, pk, pl), every key (m mod Pm, n mod Pn)
     # of a plan holds several points, so the linear failures listed at one
-    # point are listed again at the others; the wrong functionals are built
-    # afresh at each point, so the sweep must match them by their tables.
-    # Each (functional, parity of n) evaluates its operators once per point
-    # of its (Pm, Pn) box that the sweep meets
-    period = lcm(2, *wrong(0, 0).period)
+    # point are listed again at the others.  Each plan, keyed on the
+    # functional's arguments and the parity of n, evaluates its operators
+    # once per point of its (Pm, Pn) box that the sweep meets
+    period = lcm(2, *_built(*wrong(0, 0)).period)
     mn = 2 * period + 1
     _with_wrong_functional(monkeypatch, wrong)
     keys = []
     original = certificate._operators_at
 
     def counted(forms, m, n):
-        f = wrong(m, n)
-        pm, pn = certificate._periods(certificate._term_fields(forms, *f.period))
-        keys.append((f, n % 2, m % pm, n % pn))
+        pm, pn = certificate._periods(certificate._term_fields(forms, *_built(*wrong(m, n)).period))
+        keys.append((wrong(m, n), n % 2, m % pm, n % pn))
         return original(forms, m, n)
 
     monkeypatch.setattr(certificate, "_operators_at", counted)
     report = check_certificate(cls, window=6, mn=mn)
     assert len(keys) == len(set(keys)) < (2 * mn + 1) ** 2
     points = itertools.product(range(-mn, mn + 1), repeat=2)
-    assert {(f, n % 2) for f, n, *_ in keys} == {(wrong(m, n), n % 2) for m, n in points}
+    assert {key[:2] for key in keys} == {(wrong(m, n), n % 2) for m, n in points}
     assert report == per_point_sweep(cls, 6, mn)
     assert not report.linear_killed

@@ -1,7 +1,6 @@
 """The obstruction equation as affine forms, against its δ/ε transcription.
 
-The references below are derived_exponents, master_operators and
-master_atoms as they read before master_forms held the equation: each
+The references below transcribe the equation point by point: each
 (m, n) point evaluates the δ and ε of the class data and of n.  With the
 parity of n fixed, every integer in the equation is an affine form in
 (m, n), so the evaluations of master_forms must equal the references
@@ -24,18 +23,13 @@ from kleinbraid import certificate
 from kleinbraid.certificate import (
     Functional,
     MasterEquation,
-    MasterParams,
     _atoms_at,
     _operators_at,
     _periods,
     _shape,
     _term_fields,
-    build_master,
     check_certificate,
-    derived_exponents,
-    master_atoms,
     master_forms,
-    master_operators,
 )
 from kleinbraid.classifier import HomClass, decide
 from kleinbraid.kernel import _operator
@@ -50,8 +44,7 @@ from test_functionals import per_point_sweep, periodic_tables
 # the per-point transcription, as the reference
 
 
-def ref_derived_exponents(p):
-    r1, r2, s1, s2, i, j, m, n = p.r1, p.r2, p.s1, p.s2, p.i, p.j, p.m, p.n
+def ref_derived(r1, r2, s1, s2, i, j, m, n):
     a1 = -2 * (delta(i + 1) * delta(j + 1) * delta(n + 1) * r1 + delta(i) * eps(n) * m)
     a2 = -4 * s1 - 2 * i
     b1 = delta(i + 1) * delta(j + 1) * eps(n) * r2 + 2 * delta(j + n + 1) * eps(j + 1) * m
@@ -63,9 +56,8 @@ def ref_derived_exponents(p):
 _IDENTITY = (1, 0, 1, 0)  # the key of ID's one term at each parity
 
 
-def ref_master_operators(p):
-    r1, i, j, n = p.r1, p.i, p.j, p.n
-    a1, a2, b1, b2, g = ref_derived_exponents(p)
+def ref_operators(r1, r2, s1, s2, i, j, m, n):
+    a1, a2, b1, b2, g = ref_derived(r1, r2, s1, s2, i, j, m, n)
     e, t = eps(n + i), eps(i)
     r = delta(i + 1) * delta(j + 1) * r1
     lam = a1 * e
@@ -85,9 +77,8 @@ def ref_master_operators(p):
     return ax, ay
 
 
-def ref_master_atoms(p):
-    r1, s1, s2, i, j, m, n = p.r1, p.s1, p.s2, p.i, p.j, p.m, p.n
-    a1, a2, b1, b2, g = ref_derived_exponents(p)
+def ref_atoms(r1, r2, s1, s2, i, j, m, n):
+    a1, a2, b1, b2, g = ref_derived(r1, r2, s1, s2, i, j, m, n)
     e, t = eps(n + i), eps(i)
     r = delta(i + 1) * delta(j + 1) * r1
     lam = a1 * e
@@ -128,7 +119,7 @@ GRID_DATA = sorted({_class_data(cls) for cls in _grid_classes(3)})
 POINTS = list(itertools.product(range(-4, 5), repeat=2))
 
 
-def _mismatches(data, points, ref_atoms=ref_master_atoms):
+def _mismatches(data, points, reference_atoms=ref_atoms):
     """(class data, m, n, part) wherever the forms of master_forms,
     evaluated at (m, n), differ from the reference.  Each class builds its
     forms once per parity, as check_certificate does."""
@@ -136,16 +127,15 @@ def _mismatches(data, points, ref_atoms=ref_master_atoms):
     for d in data:
         forms = [master_forms(*d, parity) for parity in (0, 1)]
         for m, n in points:
-            p = MasterParams(*d, m, n)
             f = forms[n % 2]
             parts = (
                 (
                     "derived",
                     tuple(c + cm * m + cn * n for c, cm, cn in f.derived),
-                    ref_derived_exponents(p),
+                    ref_derived(*d, m, n),
                 ),
-                ("operators", _operators_at(f, m, n), ref_master_operators(p)),
-                ("atoms", _atoms_at(f.atoms, m, n), ref_atoms(p)),
+                ("operators", _operators_at(f, m, n), ref_operators(*d, m, n)),
+                ("atoms", _atoms_at(f.atoms, m, n), reference_atoms(*d, m, n)),
             )
             out.extend((d, m, n, name) for name, got, want in parts if got != want)
     return out
@@ -163,22 +153,20 @@ def test_forms_evaluate_to_reference_on_grid():
     st.integers(-200, 200),
 )
 def test_evaluations_equal_reference(data, m, n):
-    p = MasterParams(*data, m, n)
-    ops, atoms = ref_master_operators(p), ref_master_atoms(p)
-    assert derived_exponents(p) == ref_derived_exponents(p)
-    assert master_operators(p) == ops
-    assert master_atoms(p) == atoms
-    assert build_master(p) == MasterEquation(*ops, atoms)
+    forms = master_forms(*data, n % 2)
+    assert forms.derived_at(m, n) == ref_derived(*data, m, n)
+    ops, atoms = ref_operators(*data, m, n), ref_atoms(*data, m, n)
+    assert forms.equation_at(m, n) == MasterEquation(*ops, atoms)
 
 
 def test_comparison_sees_a_product_term():
     # one field that reads m·n is affine in neither variable, so no form
     # can equal it: the argument of the always-present o atom at k = 0
-    def with_product(p):
-        atoms = list(ref_master_atoms(p))
-        at = atoms.index((1, 0, 0, "o", (-2 * p.s1 - p.i, delta(p.n + p.i - 1))))
-        coef, pp, q, family, (k, l) = atoms[at]
-        atoms[at] = (coef, pp, q, family, (k, l + p.m * p.n))
+    def with_product(r1, r2, s1, s2, i, j, m, n):
+        atoms = list(ref_atoms(r1, r2, s1, s2, i, j, m, n))
+        at = atoms.index((1, 0, 0, "o", (-2 * s1 - i, delta(n + i - 1))))
+        coef, p, q, family, (k, l) = atoms[at]
+        atoms[at] = (coef, p, q, family, (k, l + m * n))
         return tuple(atoms)
 
     bad = _mismatches(GRID_DATA[::50], POINTS, with_product)
@@ -270,9 +258,8 @@ def _least_periods(read, bound):
 
 def _sweep_of(cls):
     """(class data, functional at (m, n)) as check_certificate reads them."""
-    _, params_at, functional_at = certificate._family(cls, decide(cls))
-    p = params_at(0, 0)
-    return (p.r1, p.r2, p.s1, p.s2, p.i, p.j), functional_at
+    _, data, build, args_at = certificate._family(cls, decide(cls))
+    return data, lambda m, n: build(*args_at(m, n))
 
 
 def _read_by_pullback(forms, f):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kleinbraid.certificate import MasterParams, build_master
+from kleinbraid.certificate import master_forms
 from kleinbraid.kernel import (
     ID,
     RHO,
@@ -116,7 +116,7 @@ def test_shift_composition():
 def test_identities():
     assert RHO @ RHO == ID
     assert c_operator(0, 0) == theta_operator(0, 0) == ID
-    eq = build_master(MasterParams(1, -1, 2, 1, 0, 0, -1, 2))
+    eq = master_forms(1, -1, 2, 1, 0, 0, 0).equation_at(-1, 2)
     for op in (eq.ax, eq.ay, RHO):
         assert (op - op).terms == ({}, {})
         assert op != op + op
