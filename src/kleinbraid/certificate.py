@@ -67,10 +67,8 @@ full value.
 The plan keeps the linear failures per (m mod Pm, n mod Pn), the periods
 of the term tables: each offset reduced modulo the functional's period
 box is all that a pullback reads, so the points of one key share their
-pulled-back tables.  A pulled-back table is made once per residue key
-(the functional and the term tables with their offsets reduced), kept in
-a cache that every sweep shares and that holds at most MAX_SWEEP_ENTRIES
-table entries.  The constant is evaluated in groups of atoms, one per
+pulled-back tables, and a plan pulls its functional back through Ax and
+Ay once per key.  The constant is evaluated in groups of atoms, one per
 pair (Gm, Gn) of an atom's own periods, 1 for a variable it does not
 read and 0 for one it reads whole.  The coefficients cm and cn depend on
 (i, j, parity) alone, so the groups and every period are worked out once
@@ -159,24 +157,32 @@ class Functional:
         return total % mod if mod else total
 
     def pullback(self, op: KernelOperator) -> "Functional":
-        """f∘op, tabulated over the period box (lcm(2, pk), pl).
+        """f∘op, tabulated over the period box (lcm(2, pk), pl), row by row.
 
         An entry (a, p, b, q): c at the parity of k sends e(k, l) to
         c·e(a·k + p, b·l + q); with a, b = ±1, moving k by a multiple of
         lcm(2, pk) keeps its parity and moves a·k + p by a multiple of pk,
         and moving l by pl moves b·l + q by pl, so one box holds every
-        value of f∘op."""
+        value of f∘op.  Row k of f∘op is the sum, over the entries at the
+        parity of k, of c times row a·k + p of the table rotated by q, so
+        that its entry l is the row's at l + q; for b = -1 the row is
+        reversed first, whose entry l is the row's at -1 - l, and rotated
+        by -1 - q."""
         table, mod = self.table, self.mod
         pk, pl = self.period
-
-        def on_basis(k: int, l: int) -> int:
-            total = sum(
-                c * table[(a * k + p) % pk][(b * l + q) % pl]
-                for (a, p, b, q), c in op.terms[k % 2].items()
-            )
-            return total % mod if mod else total
-
-        return _tabulate((lcm(2, pk), pl), on_basis, mod)
+        rk = lcm(2, pk)
+        _check_table(rk, pl)
+        rows = []
+        for k in range(rk):
+            total = [0] * pl
+            for (a, p, b, q), c in op.terms[k & 1].items():
+                row = table[(a * k + p) % pk]
+                if b == -1:
+                    row, q = row[::-1], -1 - q
+                q %= pl
+                total = [t + c * x for t, x in zip(total, row[q:] + row[:q])]
+            rows.append(tuple([t % mod for t in total] if mod else total))
+        return Functional(tuple(rows), mod)
 
 
 def _residue_counts(start: int, step: int, count: int, period: int) -> List[Tuple[int, int]]:
@@ -188,54 +194,21 @@ def _residue_counts(start: int, step: int, count: int, period: int) -> List[Tupl
     return [((start + step * i) % period, full + (i < rest)) for i in range(min(count, cycle))]
 
 
-class _PullbackCache(dict):
-    """Pulled-back tables by residue key, at most MAX_SWEEP_ENTRIES table
-    entries in all: a table that would pass that clears the cache first."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.entries = 0
-
-
-def _pullback_once(cache: _PullbackCache, f: Functional, op: KernelOperator) -> Functional:
-    """f.pullback(op), computed once per residue key and kept in cache.
-
-    The pullback reads an entry (a, p, b, q): c of op only through
-    p mod pk and q mod pl, so the key is f and op's tables as entries
-    (a, p mod pk, b, q mod pl, c).  A key is order-sensitive,
-    so two orders of one table only cost a second pullback."""
-    pk, pl = f.period
-    key = (f,) + tuple(
-        tuple((a, p % pk, b, q % pl, c) for (a, p, b, q), c in terms.items())
-        for terms in op.terms
-    )
-    pulled = cache.get(key)
-    if pulled is None:
-        pulled = f.pullback(op)
-        size = len(pulled.table) * len(pulled.table[0])
-        if cache.entries + size > MAX_SWEEP_ENTRIES:
-            cache.clear()
-            cache.entries = 0
-        cache[key] = pulled
-        cache.entries += size
-    return pulled
-
-
-# the pulled-back tables of every sweep, shared across sweeps
-_PULLED = _PullbackCache()
+def _check_table(pk: int, pl: int) -> None:
+    """Refuse a table of period box (pk, pl) over half the sweep budget,
+    since a sweep pulls back at least two tables at least as large."""
+    if 2 * pk * pl > MAX_SWEEP_ENTRIES:
+        raise ValueError(
+            f"a table of {pk * pl} entries exceeds half the budget of {MAX_SWEEP_ENTRIES} "
+            "table entries of a certificate sweep"
+        )
 
 
 def _tabulate(
     period: Tuple[int, int], on_basis: Callable[[int, int], int], mod: int
 ) -> Functional:
     pk, pl = period
-    if 2 * pk * pl > MAX_SWEEP_ENTRIES:
-        raise ValueError(
-            f"a table of {pk * pl} entries exceeds half the budget of {MAX_SWEEP_ENTRIES} "
-            "table entries of a certificate sweep"
-        )
+    _check_table(pk, pl)
     table = tuple(tuple(on_basis(k, l) for l in range(pl)) for k in range(pk))
     return Functional(table, mod)
 
@@ -571,20 +544,18 @@ def xi_row(s: int, n: int) -> Functional:
 
 # Budget of check_certificate, in pulled-back table entries.  The count is
 # a bound: it takes every (m, n) point to pull back two tables of
-# lcm(2, pk)·pl entries, 1 to 1.5 µs an entry, as it does when each point
-# has a linear key (m mod Pm, n mod Pn) of its own, plus 40 entries for
-# the constant.  The constant costs less, since it is evaluated by groups
-# of atoms of equal periods, each once per key of its own periods.  A
-# point whose linear key an earlier point of its plan had pulls back
-# nothing, and a residue key of the term tables that an earlier sweep had
-# reuses its tables.  At period (2, 2), mn = 40 took 0.020 s and mn = 45,
-# the most the budget admits there, 0.015 s; at mn = 4, type 3 with
-# s1 = 612 (period (2448, 1), just within the budget, each value of n a
-# key of its own) took 0.14 s (medians of five fresh processes, Python
-# 3.11 on a shared 2-CPU host).  _tabulate refuses a table over half the
+# lcm(2, pk)·pl entries, about 2 µs an entry in rows of one entry and
+# 0.1 µs in rows of 800, as it does when each point has a linear key
+# (m mod Pm, n mod Pn) of its own, plus 40 entries for the constant.  The
+# constant costs less, since it is evaluated by groups of atoms of equal
+# periods, each once per key of its own periods.  A point whose linear
+# key an earlier point of its plan had pulls back nothing.  At period
+# (2, 2), mn = 40 took 0.011-0.019 s and mn = 45, the most the budget
+# admits there, 0.013-0.023 s; at mn = 4, type 3 with s1 = 612 (period
+# (2448, 1), just within the budget, each value of n a key of its own)
+# took 0.17 s (medians of five fresh processes, two sets, Python 3.11 on
+# a shared 2-CPU host).  _check_table refuses a table over half the
 # budget, since a sweep pulls back at least two tables at least as large.
-# The cache of pulled-back tables that sweeps share holds at most this
-# many entries.
 MAX_SWEEP_ENTRIES = 400_000
 
 
@@ -669,14 +640,13 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     functional built once for it and periods read off the forms'
     coefficients, as the module docstring says.  The linear part is
     decided once per key (m mod Pm, n mod Pn) of a plan: its operators are
-    evaluated and its failures listed once, then copied with each point's
-    (m, n).  The functional's pullbacks through Ax and Ay are made once
-    per residue key (_pullback_once, in a cache every sweep shares).  A
-    pulled-back table holds f∘A on every (k, l), so the linear part is
-    decided for all (k, l) from the whole table.  The coordinate window
-    only bounds which failures are listed: the nonzero entries with |k|,
-    |l| <= window, or, when none falls inside it, the nonzero entries of
-    the table's period box.  The constant is f applied to its atoms,
+    evaluated, the functional pulled back through them and its failures
+    listed once, then copied with each point's (m, n).  A pulled-back
+    table holds f∘A on every (k, l), so the linear part is decided for all
+    (k, l) from the whole table.  The coordinate window only bounds which
+    failures are listed: the nonzero entries with |k|, |l| <= window, or,
+    when none falls inside it, the nonzero entries of the table's period
+    box.  The constant is f applied to its atoms,
     summed over the groups of _shape; each group's value is kept per its
     own reduced (m, n), so the sweep builds no vector and evaluates a
     group once per such key.  A sweep over MAX_SWEEP_ENTRIES, counted from
@@ -821,7 +791,7 @@ def _linear_failures(
     the pulled-back table's period box."""
     failures = []
     for name, op in zip(("Ax", "Ay"), ops):
-        pulled = _pullback_once(_PULLED, f, op)
+        pulled = f.pullback(op)
         if not any(map(any, pulled.table)):
             continue
         bad = [(k, l) for k in coords for l in coords if pulled.value(k, l)]

@@ -604,6 +604,29 @@ def test_no_table_over_half_the_sweep_budget(monkeypatch):
             check_certificate(cls)
 
 
+def test_no_pullback_over_half_the_sweep_budget(monkeypatch):
+    # hand-built tables of one row pull back to lcm(2, 1) = 2 rows: one
+    # entry more per row than a quarter of the budget passes half of it,
+    # and is refused before a term is read or a row built
+    over = Functional(((0,) * (MAX_SWEEP_ENTRIES // 4 + 1),), 2)
+    at = Functional(((0,) * (MAX_SWEEP_ENTRIES // 4),), 2)
+
+    class NoTerms:
+        @property
+        def terms(self):
+            raise AssertionError("a row was built")
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(certificate, "Functional", no_table)
+    with pytest.raises(ValueError, match="exceeds half the budget"):
+        over.pullback(NoTerms())
+    # at half the budget the rows are built
+    with pytest.raises(AssertionError, match="a table was built"):
+        at.pullback(ID)
+
+
 @pytest.mark.parametrize("args", [["--type", "3", "--s1", "100000"],
                                   ["--type", "4", "--r1", "1", "--r2", "2", "--mn", "1000"]])
 def test_cli_rejects_certificate_over_budget(capsys, monkeypatch, args):

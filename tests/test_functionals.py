@@ -19,15 +19,13 @@ import random
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kleinbraid import certificate, kernel
 from kleinbraid.certificate import (
     CertificateReport,
     Functional,
-    _PullbackCache,
-    _pullback_once,
     check_certificate,
     master_forms,
     xi_column,
@@ -41,7 +39,6 @@ from kleinbraid.kernel import (
     BOXES,
     ID,
     RHO,
-    KernelOperator,
     KernelVector,
     c_ab,
     c_operator,
@@ -152,18 +149,17 @@ def per_point_sweep(cls, window, mn):
     """check_certificate as it ran before it kept the linear part per
     residue class of (m, n): every point builds its master equation and
     lists the nonzero entries of the functional pulled back through its
-    Ax and Ay, each pullback still made once per residue key."""
+    Ax and Ay."""
     family, data, build, args_at = certificate._family(cls, decide(cls))
     equation_at = _equation_at(data)
     failures = []
     coords = range(-window, window + 1)
-    pulled_by_key = _PullbackCache()
     for m in range(-mn, mn + 1):
         for n in range(-mn, mn + 1):
             eq = equation_at(m, n)
             f = build(*args_at(m, n))
             for name, op in (("Ax", eq.ax), ("Ay", eq.ay)):
-                pulled = _pullback_once(pulled_by_key, f, op)
+                pulled = f.pullback(op)
                 if not any(map(any, pulled.table)):
                     continue
                 bad = [(k, l) for k in coords for l in coords if pulled.value(k, l)]
@@ -207,9 +203,9 @@ nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
 
 @st.composite
 def periodic_tables(draw):
-    """A functional with an arbitrary period box up to 6×5, odd k-periods
+    """A functional with an arbitrary period box up to 6×9, odd k-periods
     included, Z-valued or reduced mod 2 or 3."""
-    pk, pl = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    pk, pl = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     mod = draw(st.sampled_from((0, 2, 3)))
     values = st.integers(0, mod - 1) if mod else st.integers(-2, 2)
     row = st.lists(values, min_size=pl, max_size=pl).map(tuple)
@@ -227,8 +223,23 @@ functionals = st.one_of(
 )
 
 
+# rows of nine columns: rotated by more than a period, reversed (rho at
+# even k, theta with odd n) and reversed then rotated by more than a
+# period; and two terms that read one row of a (2, 1) table, which add
+WIDE = Functional(
+    ((0, 1, 2, 0, 1, 1, 2, 0, 2), (1, 0, 0, 2, 2, 1, 0, 1, 0), (2, 2, 1, 0, 0, 0, 1, 1, 2)), 3
+)
+
+
 @PROFILE
 @given(functionals, exprs)
+@example(WIDE, ("c", 4, 13))
+@example(WIDE, ("c", -5, -22))
+@example(WIDE, ("rho",))
+@example(WIDE, ("theta", 4, 1))
+@example(WIDE, ("@", ("c", 2, -11), ("@", ("theta", -3, 1), ("rho",))))
+@example(xi_column(4, 2, 3, 1), ("-", ("theta", 7, 1), ("c", 1, 17)))
+@example(xi_count(0), ("+", ("id",), ("c", 2, 0)))
 def test_pullback_equals_functional_after_operator(f, expr):
     op = build(expr)
     pulled = f.pullback(op)
@@ -273,60 +284,6 @@ def test_pullback_equality_sees_past_the_window():
     )
     assert spike.pullback(shift) != spike
     assert spike.pullback(shift).value(6, 0) != spike.value(6, 0)
-
-
-def test_pullback_once_keys_on_reduced_entries():
-    # at period (2, 1), e(k, l) ↦ e(k, l) + e(k + 2, l) pulls back to twice
-    # what the identity does, so its two entries, which reduce alike, key
-    # apart from the identity's one
-    one = KernelOperator([(1, 1, 0, 1, 0)], [(1, 1, 0, 1, 0)])
-    two = KernelOperator([(1, 1, 0, 1, 0), (1, 1, 2, 1, 0)], [(1, 1, 0, 1, 0), (1, 1, 2, 1, 0)])
-    for f in (xi_parity(0), xi_count(0)):
-        assert f.pullback(one) != f.pullback(two)
-        for order in ((one, two), (two, one)):
-            cache = _PullbackCache()
-            for op in order:
-                assert _pullback_once(cache, f, op) == f.pullback(op)
-            assert len(cache) == 2 and cache.entries == 4
-        # offsets a whole period apart share one key
-        cache = _PullbackCache()
-        for op in (ID, c_operator(2, 5), c_operator(-4, -1)):
-            assert _pullback_once(cache, f, op) == f.pullback(op)
-        assert len(cache) == 1
-
-
-def test_pullback_cache_holds_at_most_the_sweep_budget(monkeypatch):
-    # tables of 4·1 entries in a cache of 10: the third clears it first
-    monkeypatch.setattr(certificate, "MAX_SWEEP_ENTRIES", 10)
-    f = Functional(((0,), (1,), (2,), (0,)), 3)
-    cache = _PullbackCache()
-    sizes = []
-    for p in range(4):
-        assert _pullback_once(cache, f, c_operator(p, 0)) == f.pullback(c_operator(p, 0))
-        assert cache.entries == 4 * len(cache) <= 10
-        sizes.append(len(cache))
-    assert sizes == [1, 2, 1, 2]
-    # what it still holds is reused
-    _pullback_once(cache, f, c_operator(3, 0))
-    assert len(cache) == 2 and cache.entries == 8
-
-
-def test_sweeps_share_pulled_back_tables(monkeypatch):
-    # a second class of the same residue keys pulls back nothing
-    monkeypatch.setattr(certificate, "_PULLED", _PullbackCache())
-    assert check_certificate(HomClass(4, r1=1, r2=-2, s1=3, s2=0)).success
-    pulled = dict(certificate._PULLED)
-    assert pulled
-    calls = []
-    pullback = Functional.pullback
-
-    def counted(f, op):
-        calls.append(op)
-        return pullback(f, op)
-
-    monkeypatch.setattr(Functional, "pullback", counted)
-    assert check_certificate(HomClass(4, r1=3, r2=-2, s1=1, s2=0)).success
-    assert calls == [] and dict(certificate._PULLED) == pulled
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,8 @@ def _sweep_of(cls):
 
 
 def _read_by_pullback(forms, f):
-    # the entries of Ax and Ay that _pullback_once keys on
+    # the entries of Ax and Ay as a pullback reads them, offsets reduced
+    # modulo the period box
     pk, pl = f.period
 
     def read(m, n):
