@@ -124,12 +124,13 @@ def _cmd_witness(args) -> int:
             f"{cls.describe()} has the Borsuk-Ulam property; no witness exists"
         )
     if args.search:
-        result = search_witness(cls, SearchBounds(args.bounds, args.coords))
+        bounds = SearchBounds(args.bounds, args.coords)
+        result = search_witness(cls, bounds)
         if not result.found:
             print(
                 f"not found: examined {result.examined} candidate pairs at "
-                f"bounds (word length <= {result.bounds.word_len}, "
-                f"|coords| <= {result.bounds.coord})"
+                f"bounds (word length <= {bounds.word_len}, "
+                f"|coords| <= {bounds.coord})"
             )
             return EXIT_FAIL
         report = result.report

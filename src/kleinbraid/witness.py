@@ -30,10 +30,14 @@ word equation, which alone accepts a pair; psi is a homomorphism, so no
 solution fails in A5 (Holt, Eick & O'Brien, *Handbook of Computational
 Group Theory*, 2005).  psi of each short word is kept in
 its bucket and evicted with it; the images under psi of the words twisted
-by theta are folds over their runs, made per search, with no word built.
-lsigma(a) is not computed per a-word: it is rho(w_a), cached beside the
-word buckets across searches and evicted with them, times a factor that
-depends on the a-bucket only, computed once per a-bucket in a search.
+by theta are folds over their runs, with no word built.  lsigma(a) is not
+computed per a-word: it is rho(w_a) times a factor that depends on the
+a-bucket only.  What depends on a's twist t_a alone is kept beside the
+word buckets and evicted with them, for the _TWIST_CACHE_SIZE twists used
+last, and shared by every search with that t_a: per b-bucket, its words
+indexed by level with psi∘theta(t_a) of each; per a-bucket, the factor
+and each word's rho(w_a) and abelian image of lsigma(a).  Nothing that
+depends on the class's image of (0, 1) or on a search's outcome is kept.
 SearchBounds caps word_len and coord (MAX_WORD_LEN, MAX_COORD).
 search_witness counts the candidate pairs from the bucket sizes, which
 _bucket_sizes counts without building a word, and refuses more than
@@ -110,7 +114,7 @@ MAX_PAIRS = 1_000_000
 MAX_WITNESS_PARAM = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchBounds:
     word_len: int = 4  # reduced letter count of each word part
     coord: int = 2     # max |m|, |n| of each twist
@@ -132,7 +136,6 @@ class SearchBounds:
 class SearchResult:
     report: "WitnessReport | None"
     examined: int
-    bounds: SearchBounds
 
     @property
     def found(self) -> bool:
@@ -256,18 +259,34 @@ def _bucket_sizes(max_len: int) -> dict[tuple[int, int], int]:
     return sizes
 
 
-_Buckets = dict[tuple[int, int], tuple[tuple[tuple[int, int], tuple[tuple[Word, int, int], ...]], ...]]
+# a bucket's words, grouped by exponent sums, each with psi(w) and letters
+_Groups = tuple[tuple[tuple[int, int], tuple[tuple[Word, int, int], ...]], ...]
+_Buckets = dict[tuple[int, int], _Groups]
+# level -> a b-bucket's words of that level, as the bucket holds them, and
+# psi_{t_a}(w_b) of each
+_Levels = dict[int, tuple[tuple[tuple[Word, int, int], ...], tuple[int, ...]]]
+# the factor theta(g_a)(w_L) of an a-bucket, and per a-word: a = (w_a; t_a),
+# the row of psi(w_a) in the A5 table, rho(w_a), the u-exponent of w_a, the
+# exponent sums of w_ls = rho(w_a) · factor, and the letters of w_a
+_ASide = tuple[Word, tuple[tuple[BraidElt, tuple[int, ...], Word, int, int, int, int], ...]]
 
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
-def _words_by_gmap(max_len: int) -> tuple[_Buckets, dict[Word, Word]]:
+def _words_by_gmap(max_len: int) -> tuple[
+    _Buckets, dict[Word, Word], dict[tuple[int, int], dict[tuple[int, int], _Levels]],
+    dict[KleinElt, dict[int, _ASide]],
+]:
     """Short words bucketed by gmap, each bucket grouped by exponent sums,
-    each word held with psi(w) and its letter length; and beside them the
-    cache of rho(w), filled as searches reach each w.
+    each word held with psi(w) and its letter length; and beside them what
+    searches fill as they reach each word or bucket: the cache of rho(w),
+    the b-levels of each b-bucket per (m, n mod 2) of t_a, and the a-side
+    of each a-bucket per t_a (_twist_state).
 
-    The cache pays although lsigma is linear: the benchmark's pass of 100
-    searches at word_len 6, coord 1 (seed 1) looks up rho 8,175 times for
-    316 distinct words."""
+    Each pays across searches: a pass of the benchmark's 100 searches at
+    word_len 6, coord 1 makes rho of 316 words, reads the 563 a-words of
+    its a-sides 32,680 times, once per (w_a, t_b), and folds 3,476 b-words
+    into b-levels once each; its classes have 6 distinct t_a and 4
+    distinct (m, n mod 2)."""
     buckets: dict[tuple[int, int], dict[tuple[int, int], list[tuple[Word, int, int]]]] = {}
     for w in _short_words(max_len):
         g = gmap(w)
@@ -277,7 +296,58 @@ def _words_by_gmap(max_len: int) -> tuple[_Buckets, dict[Word, Word]]:
         key: tuple((sums, tuple(ws)) for sums, ws in groups.items())
         for key, groups in buckets.items()
     }
-    return grouped, {}
+    return grouped, {}, {}, {}
+
+
+# the twists whose state each word length keeps: the benchmark's classes
+# have 6 distinct t_a, and coord 1 admits 9.  A twist's state holds at most
+# one entry per short word on each side
+_TWIST_CACHE_SIZE = 8
+
+
+def _twist_state(states: dict, key) -> dict:
+    """states[key], an empty dict the first time; states keeps the
+    _TWIST_CACHE_SIZE keys used last, in order of use."""
+    state = states.pop(key, None)
+    if state is None:
+        state = {}
+        if len(states) >= _TWIST_CACHE_SIZE:
+            del states[next(iter(states))]
+    states[key] = state
+    return state
+
+
+def _b_levels(groups: _Groups, t_a: KleinElt) -> _Levels:
+    """A b-bucket's words by the level of their exponent sums, each with
+    psi_{t_a}(w_b).  Reads t_a only through (m, n mod 2), as both the level
+    and psi∘theta(t_a) do."""
+    images = _psi_images(t_a)
+    twist = (0, 0, t_a.m, t_a.n)
+    levels: dict[int, tuple[list[tuple[Word, int, int]], list[int]]] = {}
+    for (pu, pv), entries in groups:
+        words, folds = levels.setdefault(_ab_mul(twist, (pu, pv, 0, 0))[0] - pu, ([], []))
+        words.extend(entries)
+        folds.extend(_fold(images, w) for w, _, _ in entries)
+    return {level: (tuple(words), tuple(folds)) for level, (words, folds) in levels.items()}
+
+
+def _a_side(groups: _Groups, rhos: dict[Word, Word], t_a: KleinElt, a1: int) -> _ASide:
+    """The factor theta(g_a)(w_L) of the a-bucket of g_a = (a1, -2·n_a), and
+    each of its words w_a with (w_a; t_a), the row of psi(w_a), rho(w_a), the
+    exponent sums of w_ls = rho(w_a) · factor and its letters; rho(w_a) is
+    read from rhos, or made and put there."""
+    mul = _a5()[0]
+    factor = theta(KleinElt(a1, -2 * t_a.n), lsigma(BraidElt(ONE, t_a)).word)
+    fu, fv = factor.exponent_sums()
+    side = []
+    for (pu_a, _), entries in groups:
+        for w_a, p_a, letters_a in entries:
+            r = rhos.get(w_a)
+            if r is None:
+                r = rhos[w_a] = rho(w_a)
+            ru, rv = r.exponent_sums()
+            side.append((BraidElt(w_a, t_a), mul[p_a], r, pu_a, ru + fu, rv + fv, letters_a))
+    return factor, tuple(side)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +429,6 @@ def _psi_images(t: KleinElt) -> tuple[int, int]:
     return mul[mul[p][phi_u]][p_inv], mul[mul[p][phi_v]][p_inv]
 
 
-def _ab_image(word: Word, twist: KleinElt) -> tuple[int, int, int, int]:
-    pu, pv = word.exponent_sums()
-    return pu, pv, twist.m, twist.n
-
-
 def _ab_mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]):
     # image of the braid product in (Z² ⋊ (Z ⋊ Z)), with the word part
     # abelianised: theta(m, n) acts on (p, q) as (εn·p + 2(δn - m)·q, q)
@@ -422,41 +487,50 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     abelianised relation, which matches the twists too.  With b's exponent
     sums (p, q) it reads lhs = (-level(p, q), 0, m_b, n_b), where lhs is its
     left side at p = q = 0 and level is linear with coefficients from t_a
-    alone.  So each b-bucket's words are indexed by level once per search,
-    and each (w_a, t_b) computes lhs once and looks up the one level that
-    passes.  Then the equation's image under psi,
+    alone.  Of lhs, only the first component can fail: the second is
+    pv_a + (v-exponent of w_ls) = 0, since lsigma sends each word to one of
+    opposite v-exponent and lsigma((1; t_a)) has a word of v-exponent 0,
+    and the twists match by the choice of a's bucket.  So each b-bucket's
+    words are indexed by level, and each (w_a, t_b) computes the first
+    component of lhs and looks up the one level that passes.  Then the
+    equation's image under psi,
 
         psi(w_a) · psi_{t_a}(w_b) · psi_{t_a·t_b}(w_ls) = psi(w_b),
 
     where psi_t = psi∘theta(t) is the fold of w's runs over the two images
     psi_t(u) and psi_t(v), read off the table: theta(t) depends on t only
-    through (m, n mod 2).  psi(w) is held beside each word in the buckets,
-    psi_{t_a}(w_b) is folded once per b-word per search, and
-    psi_{t_a·t_b}(w_ls) once per (w_a, t_b) whose level is not empty.
-    Only a pair that passes both builds theta(t_a)(w_b), and the tail
-    theta(t_a·t_b)(w_ls) once per (w_a, t_b) for its first such pair.
-    lsigma(a) is taken apart as the group law gives it,
+    through (m, n mod 2).  Only a pair that passes both builds
+    theta(t_a)(w_b), and w_ls with the tail theta(t_a·t_b)(w_ls) once per
+    (w_a, t_b) for its first such pair.  lsigma(a) is taken apart as the
+    group law gives it,
 
         lsigma((w_a; t_a)) = (rho(w_a); gmap(w_a)) · lsigma((1; t_a)),
 
     so w_ls = rho(w_a) · theta(gmap(w_a))(w_L) with (w_L; ·) = lsigma((1; t_a)).
-    rho(w_a) is cached beside the word buckets, across searches; every
-    a-word of a bucket shares gmap(w_a), the bucket key, and the scan runs
-    a-bucket by a-bucket, so the loop order alone computes the second
-    factor once per a-bucket, and w_ls and its abelian image once per
-    a-word, at one word product each.  examined counts every pair of the
-    bounded space the scan decides, filtered or not.  The returned pair is
-    the deterministic minimum by size, then text, re-verified on the braid
-    engine by verify_pair; a pair's size is the letters of its two words
-    plus the coordinates |m| + |n| of its two twists.  The letter length is
-    held beside each word in the buckets, so a pair's size is known before
-    its check: once a pair is found, a pair strictly larger skips the exact
-    check; a pair of equal size is still checked, since the key then
-    compares texts.
+
+    What depends on t_a alone is kept beside the word buckets for the
+    _TWIST_CACHE_SIZE twists used last (_twist_state), filled as searches
+    reach each bucket: per b-bucket its levels, each word with
+    psi_{t_a}(w_b) (_b_levels), kept per (m, n mod 2) of t_a, which is all
+    that the levels and psi_{t_a} read; per a-bucket the factor and each
+    word with (w_a; t_a), rho(w_a) and the exponent sums of w_ls (_a_side).
+    So the folds of b-words and the products of the a-side are made once
+    per twist, not once per search: a search makes only the folds of
+    psi_{t_a·t_b}(w_ls), through psi_{t_a·t_b}(rho(w_a)) and the factor's
+    once per (a-bucket, t_b), and builds w_ls only for an exact check.
+
+    examined counts every pair of the bounded space the scan decides,
+    filtered or not.  The returned pair is the deterministic minimum by
+    size, then text, re-verified on the braid engine by verify_pair; a
+    pair's size is the letters of its two words plus the coordinates
+    |m| + |n| of its two twists.  The letter length is held beside each
+    word, so a pair's size is known before its check: once a pair is found,
+    a pair strictly larger skips the exact check; a pair of equal size is
+    still checked, since the key then compares texts.
     """
     img10, img01 = cls.images()
     if abs(img10.m) > bounds.coord or abs(img10.n) > bounds.coord:
-        return SearchResult(None, 0, bounds)
+        return SearchResult(None, 0)
     t_a = img10
     a2 = -2 * t_a.n
     sizes = _bucket_sizes(bounds.word_len)
@@ -474,66 +548,53 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
             f"search of {examined} candidate pairs exceeds the budget of "
             f"{MAX_PAIRS} at word_len={bounds.word_len}, coord={bounds.coord}"
         )
-    buckets, rhos = _words_by_gmap(bounds.word_len)
+    buckets, rhos, levels_by_twist, sides_by_twist = _words_by_gmap(bounds.word_len)
+    b_levels = _twist_state(levels_by_twist, (t_a.m, t_a.n % 2))
+    a_sides = _twist_state(sides_by_twist, t_a)
     mul = _a5()[0]
-    w_l = lsigma(BraidElt(ONE, t_a)).word
-    images_a = _psi_images(t_a)
-    twist_a = (0, 0, t_a.m, t_a.n)
     twist_size_a = abs(t_a.m) + abs(t_a.n)
-    # per b-bucket, its (w_b, psi(w_b), psi_{t_a}(w_b), letters of w_b) by
-    # the level of their exponent sums
-    b_levels: dict[tuple[int, int], dict[int, list[tuple[Word, int, int, int]]]] = {}
     # ((size, texts), pair) of the least pair found so far; a pair of
     # larger size cannot take its place, so it skips the exact check
     best: tuple[tuple[int, str, str], tuple[BraidElt, BraidElt]] | None = None
     for a1, sides in plan.items():
+        a_side = a_sides.get(a1)
+        if a_side is None:
+            a_side = a_sides[a1] = _a_side(buckets[a1, a2], rhos, t_a, a1)
+        factor, a_entries = a_side
         b_sides = []
         for t_b, b_key in sides:
             levels = b_levels.get(b_key)
             if levels is None:
-                levels = b_levels[b_key] = {}
-                for (pu, pv), entries in buckets[b_key]:
-                    level = _ab_mul(twist_a, (pu, pv, 0, 0))[0] - pu
-                    levels.setdefault(level, []).extend(
-                        (w, p, _fold(images_a, w), letters) for w, p, letters in entries
-                    )
+                levels = b_levels[b_key] = _b_levels(buckets[b_key], t_a)
             t_ab = t_a * t_b
-            twist_size_b = abs(t_b.m) + abs(t_b.n)
-            b_sides.append(
-                (t_b, (0, 0, t_b.m, t_b.n), twist_size_b, t_ab, _psi_images(t_ab), levels)
-            )
-        g_a = KleinElt(a1, a2)
-        factor = theta(g_a, w_l)
-        for (pu_a, pv_a), a_entries in buckets[a1, a2]:
-            a_ab = (pu_a, pv_a, t_a.m, t_a.n)
-            for w_a, p_a, letters_a in a_entries:
-                r = rhos.get(w_a)
-                if r is None:
-                    r = rhos[w_a] = rho(w_a)
-                w_ls = r * factor
-                ls_ab = _ab_image(w_ls, g_a * t_a)
-                row_a = mul[p_a]
-                size_a = letters_a + twist_size_a
-                for t_b, b_zero, twist_size_b, t_ab, images_ab, levels in b_sides:
-                    lhs = _ab_mul(_ab_mul(a_ab, b_zero), ls_ab)
-                    b_entries = levels.get(-lhs[0]) if lhs[1:] == b_zero[1:] else None
-                    if b_entries is None:
+            # lhs[0] = pu_a + e·pu_ls + c·pv_ls, as _ab_mul writes it
+            e, c = eps(t_ab.n), 2 * (t_ab.n % 2 - t_ab.m)
+            images_ab = _psi_images(t_ab)
+            b_sides.append((
+                t_b, e, c, abs(t_b.m) + abs(t_b.n), t_ab, images_ab,
+                _fold(images_ab, factor), levels,
+            ))
+        for a, row_a, r, pu_a, pu_ls, pv_ls, letters_a in a_entries:
+            size_a = letters_a + twist_size_a
+            for t_b, e, c, twist_size_b, t_ab, images_ab, p_factor, levels in b_sides:
+                level = levels.get(-(pu_a + e * pu_ls + c * pv_ls))
+                if level is None:
+                    continue
+                p_ls = mul[_fold(images_ab, r)][p_factor]
+                tail = None
+                for (w_b, p_b, letters_b), q_b in zip(*level):
+                    if mul[row_a[q_b]][p_ls] != p_b:
                         continue
-                    p_ls = _fold(images_ab, w_ls)
-                    tail = None
-                    for w_b, p_b, q_b, letters_b in b_entries:
-                        if mul[row_a[q_b]][p_ls] != p_b:
-                            continue
-                        size = size_a + twist_size_b + letters_b
-                        if best is not None and size > best[0][0]:
-                            continue
-                        if tail is None:
-                            tail = theta(t_ab, w_ls)
-                        if w_a * theta(t_a, w_b) * tail == w_b:
-                            a, b = BraidElt(w_a, t_a), BraidElt(w_b, t_b)
-                            key = (size, str(a), str(b))
-                            if best is None or key < best[0]:
-                                best = key, (a, b)
+                    size = size_a + twist_size_b + letters_b
+                    if best is not None and size > best[0][0]:
+                        continue
+                    if tail is None:
+                        tail = theta(t_ab, r * factor)
+                    if a.word * theta(t_a, w_b) * tail == w_b:
+                        b = BraidElt(w_b, t_b)
+                        key = (size, str(a), str(b))
+                        if best is None or key < best[0]:
+                            best = key, (a, b)
     if best is None:
-        return SearchResult(None, examined, bounds)
-    return SearchResult(verify_pair(*best[1], cls, source="searched"), examined, bounds)
+        return SearchResult(None, examined)
+    return SearchResult(verify_pair(*best[1], cls, source="searched"), examined)

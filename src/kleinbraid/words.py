@@ -71,7 +71,7 @@ def _join(runs: list[Run], piece: tuple[Run, ...]) -> None:
     runs.extend(piece[j:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A reduced word over {u, v}; all operations are exact and pure."""
 

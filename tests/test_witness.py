@@ -7,7 +7,9 @@ levels and its A5 stage, must return the same pair and the same examined
 count.
 """
 
+from collections import Counter
 from dataclasses import replace
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -24,6 +26,7 @@ from kleinbraid.braid import (
     gmap,
     lsigma,
     p1,
+    rho,
     theta,
 )
 from kleinbraid.classifier import HomClass, decide
@@ -31,6 +34,7 @@ from kleinbraid.cli import main
 from kleinbraid.kleinpi import KleinElt
 from kleinbraid.suites import _grid_classes
 from kleinbraid.witness import (
+    _TWIST_CACHE_SIZE,
     _WORD_CACHE_SIZE,
     MAX_COORD,
     MAX_PAIRS,
@@ -40,7 +44,6 @@ from kleinbraid.witness import (
     SearchResult,
     WitnessVerificationError,
     _a5,
-    _ab_image,
     _ab_mul,
     _bucket_sizes,
     _fold,
@@ -60,6 +63,11 @@ from common import PROFILE, twists, words
 
 # ---------------------------------------------------------------------------
 # reference search
+
+
+def _ab_image(word, twist):
+    """(word; twist) in Z² ⋊ (Z ⋊ Z), with the word part abelianised."""
+    return (*word.exponent_sums(), twist.m, twist.n)
 
 
 def reference_search(cls, bounds):
@@ -107,9 +115,9 @@ def reference_search(cls, bounds):
                             )
                             found.append((key, a, b))
     if not found:
-        return SearchResult(None, examined, bounds)
+        return SearchResult(None, examined)
     _, a, b = min(found, key=lambda item: item[0])
-    return SearchResult(verify_pair(a, b, cls, source="searched"), examined, bounds)
+    return SearchResult(verify_pair(a, b, cls, source="searched"), examined)
 
 
 def _outcome(result):
@@ -286,40 +294,128 @@ def test_search_matches_reference_at_longer_words(cls):
     assert _outcome(search_witness(cls, bounds)) == _outcome(reference_search(cls, bounds))
 
 
-def test_search_matches_reference_on_a_warm_cache():
-    # the rho cache outlives a search; classes of different t_a share its
-    # words, so a stale per-class entry would change a later outcome
-    bounds = SearchBounds(4, 1)
-    classes = _grid_classes(1)
-    expected = {cls: _outcome(reference_search(cls, bounds)) for cls in classes}
+@cache
+def _reference_outcomes(bounds):
+    """The reference's outcome for each class of _grid_classes(1) whose t_a
+    lies within bounds; at (6, 1) and at (4, 2) every t_a is shared."""
+    return {
+        cls: _outcome(reference_search(cls, bounds))
+        for cls in _grid_classes(1)
+        if max(abs(cls.images()[0].m), abs(cls.images()[0].n)) <= bounds.coord
+    }
+
+
+def _warm_mismatches(bounds):
+    """The classes of _reference_outcomes(bounds) whose search differs from
+    the reference, searched on cleared buckets in order, then in reverse."""
+    expected = _reference_outcomes(bounds)
+    classes = list(expected)
     _words_by_gmap.cache_clear()
-    for order in (classes, classes[::-1]):
-        for cls in order:
-            assert _outcome(search_witness(cls, bounds)) == expected[cls], cls
+    return [
+        cls
+        for order in (classes, classes[::-1])
+        for cls in order
+        if _outcome(search_witness(cls, bounds)) != expected[cls]
+    ]
+
+
+WARM_BOUNDS = (SearchBounds(6, 1), SearchBounds(4, 2))
+
+
+def test_search_matches_reference_on_a_warm_cache():
+    # the rho cache, the a-sides (per t_a) and the b-levels (per m and
+    # n mod 2 of t_a) outlive a search and are shared by the classes that
+    # share those, so a stale entry would change a later outcome
+    for bounds in WARM_BOUNDS:
+        twists = Counter(cls.images()[0] for cls in _reference_outcomes(bounds))
+        assert min(twists.values()) > 1, bounds
+        assert _warm_mismatches(bounds) == [], bounds
+
+
+def test_warm_search_catches_b_levels_of_the_wrong_parity(monkeypatch):
+    # b-levels kept per m of t_a alone: a class whose n has the other
+    # parity reads levels folded for the wrong (m, n mod 2)
+    twist_state = witness._twist_state
+
+    def by_m_alone(states, key):
+        return twist_state(states, (key[0], 0) if isinstance(key, tuple) else key)
+
+    monkeypatch.setattr(witness, "_twist_state", by_m_alone)
+    assert any(_warm_mismatches(bounds) for bounds in WARM_BOUNDS)
+
+
+def test_warm_search_catches_a_dropped_a_word(monkeypatch):
+    a_side = witness._a_side
+
+    def without_first_word(*args):
+        factor, entries = a_side(*args)
+        return factor, entries[1:]
+
+    monkeypatch.setattr(witness, "_a_side", without_first_word)
+    assert any(_warm_mismatches(bounds) for bounds in WARM_BOUNDS)
+
+
+def test_kept_state_matches_its_definition():
+    # after searches of classes sharing t_a and (m, n mod 2), every b-level
+    # and a-side held is what its definition gives for its key
+    bounds = SearchBounds(4, 2)
+    _words_by_gmap.cache_clear()
+    for cls in _reference_outcomes(bounds):
+        search_witness(cls, bounds)
+    buckets, rhos, levels_by_twist, sides_by_twist = _words_by_gmap(bounds.word_len)
+    assert len(levels_by_twist) > 1 and len(sides_by_twist) > 1
+    mul = _a5()[0]
+    for (m, d), b_levels in levels_by_twist.items():
+        for b_key, levels in b_levels.items():
+            held = [entry for entries, _ in levels.values() for entry in entries]
+            bucket = [entry for _, entries in buckets[b_key] for entry in entries]
+            assert sorted(held, key=str) == sorted(bucket, key=str)
+            for level, (entries, folds) in levels.items():
+                for (w_b, _, _), q_b in zip(entries, folds, strict=True):
+                    pu, pv = w_b.exponent_sums()
+                    assert level == _ab_mul((0, 0, m, d), (pu, pv, 0, 0))[0] - pu
+                    assert q_b == _psi(theta(KleinElt(m, d), w_b))
+    for t_a, a_sides in sides_by_twist.items():
+        w_l = lsigma(BraidElt(ONE, t_a)).word
+        for a1, (factor, entries) in a_sides.items():
+            assert factor == theta(KleinElt(a1, -2 * t_a.n), w_l)
+            words = [w for _, es in buckets[a1, -2 * t_a.n] for w, _, _ in es]
+            assert [a.word for a, *_ in entries] == words
+            for a, row_a, r, pu_a, pu_ls, pv_ls, letters_a in entries:
+                w_ls = lsigma(a).word
+                assert a.twist == t_a and row_a == mul[_psi(a.word)]
+                assert r == rhos[a.word] == rho(a.word) and w_ls == r * factor
+                assert (pu_a, letters_a) == (a.word.exponent_sums()[0], a.word.letter_length())
+                assert (pu_ls, pv_ls) == w_ls.exponent_sums()
 
 
 def _assert_kept_with_the_buckets(monkeypatch, name):
     """Calls of witness.<name> per search: some on cold buckets, none on
-    warm ones, and as many again once the buckets are cleared or evicted."""
+    warm ones, none for another class with the same t_a, and as many again
+    once the buckets are cleared or evicted."""
     calls = []
     builder = getattr(witness, name)
 
-    def counted(w):
-        calls.append(w)
-        return builder(w)
+    def counted(*args):
+        calls.append(args)
+        return builder(*args)
 
     monkeypatch.setattr(witness, name, counted)
-    cls = HomClass(4, r1=0, r2=2, s1=0, s2=0)
+    # t_a = (0, 0) for both; the second's plan reaches only buckets that
+    # the first's reaches
+    cls, same_twist = HomClass(3, i=0, s1=0, s2=0), HomClass(3, i=0, s1=0, s2=2)
+    assert cls.images()[0] == same_twist.images()[0] and cls.images()[1] != same_twist.images()[1]
 
-    def builder_calls(word_len):
+    def builder_calls(word_len, searched=cls):
         before = len(calls)
-        search_witness(cls, SearchBounds(word_len, 1))
+        search_witness(searched, SearchBounds(word_len, 1))
         return len(calls) - before
 
     _words_by_gmap.cache_clear()
     first = builder_calls(4)
     assert first > 0
     assert builder_calls(4) == 0  # warm: every value is kept
+    assert builder_calls(4, same_twist) == 0
     _words_by_gmap.cache_clear()
     assert builder_calls(4) == first
     # _WORD_CACHE_SIZE other lengths evict the least recently used one
@@ -333,9 +429,43 @@ def test_rho_cache_is_released_with_the_buckets(monkeypatch):
 
 
 def test_psi_values_are_released_with_the_buckets(monkeypatch):
-    # psi of every short word is kept in its bucket; the per-search folds
-    # of psi∘theta(t) are not psi calls
+    # psi of every short word is kept in its bucket; the folds of
+    # psi∘theta(t) are not psi calls
     _assert_kept_with_the_buckets(monkeypatch, "_psi")
+
+
+def test_b_levels_are_released_with_the_buckets(monkeypatch):
+    _assert_kept_with_the_buckets(monkeypatch, "_b_levels")
+
+
+def test_a_sides_are_released_with_the_buckets(monkeypatch):
+    _assert_kept_with_the_buckets(monkeypatch, "_a_side")
+
+
+def test_state_is_kept_for_the_last_twists_only():
+    # 2·(_TWIST_CACHE_SIZE + 2) distinct t_a = (r1, 2·s1), with
+    # _TWIST_CACHE_SIZE + 2 distinct (m, n mod 2)
+    bounds = SearchBounds(2, _TWIST_CACHE_SIZE + 1)
+    classes = [
+        HomClass(4, r1=r1, r2=1, s1=s1, s2=0)
+        for s1 in (0, 1)
+        for r1 in range(_TWIST_CACHE_SIZE + 2)
+    ]
+    _words_by_gmap.cache_clear()
+    examined = 0
+    for cls in classes:
+        result = search_witness(cls, bounds)
+        assert _outcome(result) == _outcome(reference_search(cls, bounds))
+        examined += result.examined
+    assert examined > 0
+    _, _, levels, sides = _words_by_gmap(bounds.word_len)
+    twists = [cls.images()[0] for cls in classes]
+    assert list(sides) == twists[-_TWIST_CACHE_SIZE:]
+    assert list(levels) == [(m, 0) for m in range(2, _TWIST_CACHE_SIZE + 2)]
+    # a twist searched again is kept last; one evicted is built again
+    for cls in (classes[-_TWIST_CACHE_SIZE], classes[0]):
+        assert _outcome(search_witness(cls, bounds)) == _outcome(reference_search(cls, bounds))
+        assert len(sides) == _TWIST_CACHE_SIZE and list(sides)[-1] == cls.images()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +554,11 @@ def test_hoisted_word_equation(w_a, t_a, w_b, t_b):
     zero = _ab_mul(_ab_mul(_ab_image(w_a, t_a), (0, 0, t_b.m, t_b.n)), _ab_image(ls.word, ls.twist))
     level = _ab_mul((0, 0, t_a.m, t_a.n), (pu, pv, 0, 0))[0] - pu
     assert ab == (zero[0] + level + pu, zero[1] + pv, *zero[2:])
+    # of zero, only the first component can fail: the second is 0, since
+    # lsigma negates the v-exponent, and the twists match whenever w_a
+    # has the exponents that condition (i) forces
+    assert zero[1] == 0
+    assert t_a * t_b * (KleinElt(*forced_word_exponents(a, b)) * t_a) == t_b
     # the A5 stage: the image of the hoisted side, so a solution passes it
     mul = _a5()[0]
     psi_lhs = mul[mul[_psi(w_a)][_fold(_psi_images(t_a), w_b)]][
@@ -470,7 +605,7 @@ def _no_words(monkeypatch):
 
 def test_bucket_sizes_count_the_buckets():
     for word_len in range(8):
-        buckets, _ = _words_by_gmap(word_len)
+        buckets, *_ = _words_by_gmap(word_len)
         sizes = {key: sum(len(ws) for _, ws in groups) for key, groups in buckets.items()}
         assert _bucket_sizes(word_len) == sizes
     assert sum(_bucket_sizes(MAX_WORD_LEN).values()) == 2 * 3**MAX_WORD_LEN - 1
