@@ -22,22 +22,29 @@ exhaustively, after sound pruning by the exponent constraints that
 condition (i) forces.  The short words are bucketed by gmap and grouped
 within a bucket by exponent sums.  The abelianised relation is linear in
 those sums, so each choice of a's word and b's twist solves it for the one
-level of b's words that can pass.  A pair that passes is tested next in the
-finite quotient psi: F(u, v) → A5, u ↦ (0 1 2 3 4), v ↦ (0 1 2), at two
-lookups in one multiplication table.  Only a pair that passes there, and
-is no larger than the least pair found so far, is checked as the exact
-word equation, which alone accepts a pair; psi is a homomorphism, so no
-solution fails in A5 (Holt, Eick & O'Brien, *Handbook of Computational
-Group Theory*, 2005).  psi of each short word is kept in
-its bucket and evicted with it; the images under psi of the words twisted
-by theta are folds over their runs, with no word built.  lsigma(a) is not
-computed per a-word: it is rho(w_a) times a factor that depends on the
-a-bucket only.  What depends on a's twist t_a alone is kept beside the
-word buckets and evicted with them, for the _TWIST_CACHE_SIZE twists used
-last, and shared by every search with that t_a: per b-bucket, its words
-indexed by level with psi∘theta(t_a) of each; per a-bucket, the factor
-and each word's rho(w_a) and abelian image of lsigma(a).  Nothing that
-depends on the class's image of (0, 1) or on a search's outcome is kept.
+level of b's words that can pass.  A pair that passes is tested next in two
+finite quotients onto A5, each at two lookups in one multiplication table:
+psi: F(u, v) → A5, u ↦ (0 1 2 3 4), v ↦ (0 1 2), and, for a pair that
+passes psi, psi' with the two images swapped.  The images have different
+orders, so (psi, psi') maps onto A5 × A5 (Goursat's lemma).  Only a pair
+that passes both, and is no larger than the least pair found so far, is
+checked as the exact word equation, which alone accepts a pair; psi and
+psi' are homomorphisms, so no solution fails in either (Holt, Eick &
+O'Brien, *Handbook of Computational Group Theory*, 2005).  The scan visits
+a's words and each level's words in order of letters, so once a pair is
+found it stops at the first pair larger than it.  psi and psi' of each
+short word are kept in its bucket and evicted with it; their images of the
+words twisted by theta are folds over the runs, with no word built.
+lsigma(a) is not computed per a-word: it is rho(w_a) times a factor that
+depends on the a-bucket only.  What depends on a's twist t_a alone is kept
+beside the word buckets and evicted with them, for the _TWIST_CACHE_SIZE
+twists used last, and shared by every search with that t_a: per b-bucket,
+its words indexed by level with psi∘theta(t_a) and psi'∘theta(t_a) of
+each; per a-bucket, the factor and each word's rows of psi(w_a) and
+psi'(w_a), rho(w_a) and abelian image of lsigma(a).  Nothing that depends
+on the class's image of (0, 1) or on a search's outcome is kept there; a
+search's result is shared by value with the searches that return an equal
+one (_result), as certificate reports and verdicts are.
 SearchBounds caps word_len and coord (MAX_WORD_LEN, MAX_COORD).
 search_witness counts the candidate pairs from the bucket sizes, which
 _bucket_sizes counts without building a word, and refuses more than
@@ -49,6 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from math import inf
+from operator import itemgetter
 
 from .braid import (
     B_IDENTITY,
@@ -140,6 +149,12 @@ class SearchResult:
     @property
     def found(self) -> bool:
         return self.report is not None
+
+
+# A result is frozen, so searches share one result per value while it is
+# cached: a caller that keeps many results keeps one of each, not a copy
+# per search.
+_result = lru_cache(maxsize=1024)(SearchResult)
 
 
 def verify_pair(a: BraidElt, b: BraidElt, cls: HomClass, source: str = "constructed") -> WitnessReport:
@@ -259,16 +274,20 @@ def _bucket_sizes(max_len: int) -> dict[tuple[int, int], int]:
     return sizes
 
 
-# a bucket's words, grouped by exponent sums, each with psi(w) and letters
-_Groups = tuple[tuple[tuple[int, int], tuple[tuple[Word, int, int], ...]], ...]
+# a bucket's words, grouped by exponent sums, each with psi(w), psi'(w) and
+# its letters
+_Groups = tuple[tuple[tuple[int, int], tuple[tuple[Word, int, int, int], ...]], ...]
 _Buckets = dict[tuple[int, int], _Groups]
-# level -> a b-bucket's words of that level, as the bucket holds them, and
-# psi_{t_a}(w_b) of each
-_Levels = dict[int, tuple[tuple[tuple[Word, int, int], ...], tuple[int, ...]]]
-# the factor theta(g_a)(w_L) of an a-bucket, and per a-word: a = (w_a; t_a),
-# the row of psi(w_a) in the A5 table, rho(w_a), the u-exponent of w_a, the
-# exponent sums of w_ls = rho(w_a) · factor, and the letters of w_a
-_ASide = tuple[Word, tuple[tuple[BraidElt, tuple[int, ...], Word, int, int, int, int], ...]]
+# level -> a b-bucket's words of that level in order of letters, each as
+# (letters, psi_{t_a}(w_b), psi(w_b), psi'_{t_a}(w_b), psi'(w_b), w_b)
+_Levels = dict[int, tuple[tuple[int, int, int, int, int, Word], ...]]
+# the factor theta(g_a)(w_L) of an a-bucket, and per a-word in order of
+# letters: a = (w_a; t_a), the rows of psi(w_a) and psi'(w_a) in the A5
+# table, rho(w_a), the u-exponent of w_a, the exponent sums of
+# w_ls = rho(w_a) · factor, and the letters of w_a
+_ASide = tuple[
+    Word, tuple[tuple[BraidElt, tuple[int, ...], tuple[int, ...], Word, int, int, int, int], ...]
+]
 
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
@@ -277,20 +296,20 @@ def _words_by_gmap(max_len: int) -> tuple[
     dict[KleinElt, dict[int, _ASide]],
 ]:
     """Short words bucketed by gmap, each bucket grouped by exponent sums,
-    each word held with psi(w) and its letter length; and beside them what
-    searches fill as they reach each word or bucket: the cache of rho(w),
-    the b-levels of each b-bucket per (m, n mod 2) of t_a, and the a-side
-    of each a-bucket per t_a (_twist_state).
+    each word held with psi(w), psi'(w) and its letter length; and beside
+    them what searches fill as they reach each word or bucket: the cache of
+    rho(w), the b-levels of each b-bucket per (m, n mod 2) of t_a, and the
+    a-side of each a-bucket per t_a (_twist_state).
 
     Each pays across searches: a pass of the benchmark's 100 searches at
     word_len 6, coord 1 makes rho of 316 words, reads the 563 a-words of
-    its a-sides 32,680 times, once per (w_a, t_b), and folds 3,476 b-words
-    into b-levels once each; its classes have 6 distinct t_a and 4
-    distinct (m, n mod 2)."""
-    buckets: dict[tuple[int, int], dict[tuple[int, int], list[tuple[Word, int, int]]]] = {}
+    its a-sides 15,378 times, once per (w_a, t_b) that the scan in order of
+    size reaches, and folds 3,476 b-words into b-levels once each; its
+    classes have 6 distinct t_a and 4 distinct (m, n mod 2)."""
+    buckets: dict[tuple[int, int], dict[tuple[int, int], list[tuple[Word, int, int, int]]]] = {}
     for w in _short_words(max_len):
         g = gmap(w)
-        entry = (w, _psi(w), w.letter_length())
+        entry = (w, _psi(w), _psi(w, _PSI2), w.letter_length())
         buckets.setdefault((g.m, g.n), {}).setdefault(w.exponent_sums(), []).append(entry)
     grouped = {
         key: tuple((sums, tuple(ws)) for sums, ws in groups.items())
@@ -318,40 +337,47 @@ def _twist_state(states: dict, key) -> dict:
 
 
 def _b_levels(groups: _Groups, t_a: KleinElt) -> _Levels:
-    """A b-bucket's words by the level of their exponent sums, each with
-    psi_{t_a}(w_b).  Reads t_a only through (m, n mod 2), as both the level
-    and psi∘theta(t_a) do."""
-    images = _psi_images(t_a)
+    """A b-bucket's words by the level of their exponent sums, in order of
+    letters, each with psi_{t_a}(w_b) and psi'_{t_a}(w_b).  Reads t_a only
+    through (m, n mod 2), as the level and both folds do."""
+    images, images2 = _psi_images(_PSI, t_a), _psi_images(_PSI2, t_a)
     twist = (0, 0, t_a.m, t_a.n)
-    levels: dict[int, tuple[list[tuple[Word, int, int]], list[int]]] = {}
+    levels: dict[int, list[tuple[int, int, int, int, int, Word]]] = {}
     for (pu, pv), entries in groups:
-        words, folds = levels.setdefault(_ab_mul(twist, (pu, pv, 0, 0))[0] - pu, ([], []))
-        words.extend(entries)
-        folds.extend(_fold(images, w) for w, _, _ in entries)
-    return {level: (tuple(words), tuple(folds)) for level, (words, folds) in levels.items()}
+        level = levels.setdefault(_ab_mul(twist, (pu, pv, 0, 0))[0] - pu, [])
+        level.extend(
+            (letters, _fold(images, w), p, _fold(images2, w), p2, w)
+            for w, p, p2, letters in entries
+        )
+    return {level: tuple(sorted(words, key=itemgetter(0))) for level, words in levels.items()}
 
 
 def _a_side(groups: _Groups, rhos: dict[Word, Word], t_a: KleinElt, a1: int) -> _ASide:
     """The factor theta(g_a)(w_L) of the a-bucket of g_a = (a1, -2·n_a), and
-    each of its words w_a with (w_a; t_a), the row of psi(w_a), rho(w_a), the
-    exponent sums of w_ls = rho(w_a) · factor and its letters; rho(w_a) is
-    read from rhos, or made and put there."""
+    each of its words w_a in order of letters, with (w_a; t_a), the rows of
+    psi(w_a) and psi'(w_a), rho(w_a), the exponent sums of
+    w_ls = rho(w_a) · factor and its letters; rho(w_a) is read from rhos,
+    or made and put there."""
     mul = _a5()[0]
     factor = theta(KleinElt(a1, -2 * t_a.n), lsigma(BraidElt(ONE, t_a)).word)
     fu, fv = factor.exponent_sums()
     side = []
     for (pu_a, _), entries in groups:
-        for w_a, p_a, letters_a in entries:
+        for w_a, p_a, p2_a, letters_a in entries:
             r = rhos.get(w_a)
             if r is None:
                 r = rhos[w_a] = rho(w_a)
             ru, rv = r.exponent_sums()
-            side.append((BraidElt(w_a, t_a), mul[p_a], r, pu_a, ru + fu, rv + fv, letters_a))
+            side.append((
+                BraidElt(w_a, t_a), mul[p_a], mul[p2_a], r, pu_a, ru + fu, rv + fv, letters_a,
+            ))
+    side.sort(key=itemgetter(-1))
     return factor, tuple(side)
 
 
 # ---------------------------------------------------------------------------
-# the A5 quotient: psi: F(u, v) → A5, u ↦ (0 1 2 3 4), v ↦ (0 1 2)
+# the A5 quotients: psi: F(u, v) → A5, u ↦ (0 1 2 3 4), v ↦ (0 1 2), and
+# psi' with the two images swapped, u ↦ (0 1 2), v ↦ (0 1 2 3 4)
 
 # every element order of A5 divides 30, so x^e = x^(e mod 30)
 _A5_EXPONENT = 30
@@ -361,7 +387,7 @@ _A5_EXPONENT = 30
 def _a5() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """A5 as the indices 0-59: (mul, power), where mul[x][y] is the index
     of x·y and power[x][e] that of x^e for 0 <= e < 30.  Index 0 is the
-    identity, 1 is psi(u) and 2 is psi(v).
+    identity, 1 is (0 1 2 3 4) and 2 is (0 1 2).
 
     The 60 permutations are found breadth-first from the identity by right
     multiplication with the generators, and each row of mul is read off an
@@ -394,7 +420,11 @@ def _a5() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     return tuple(map(tuple, mul)), tuple(power)
 
 
-_PSI_U, _PSI_V = 1, 2
+# the images of u and v under psi and under psi'.  Their orders differ (5
+# and 3 against 3 and 5), so no automorphism of A5 carries psi to psi', and
+# as A5 is simple, (psi, psi') maps F(u, v) onto A5 × A5 (Goursat's lemma)
+_PSI = (1, 2)
+_PSI2 = (2, 1)
 
 
 def _fold(images: tuple[int, int], w: Word) -> int:
@@ -408,24 +438,26 @@ def _fold(images: tuple[int, int], w: Word) -> int:
     return x
 
 
-def _psi(w: Word) -> int:
-    """The image of w under psi: u ↦ (0 1 2 3 4), v ↦ (0 1 2)."""
-    return _fold((_PSI_U, _PSI_V), w)
+def _psi(w: Word, base: tuple[int, int] = _PSI) -> int:
+    """The image of w under psi, or under psi' for base _PSI2."""
+    return _fold(base, w)
 
 
-def _psi_images(t: KleinElt) -> tuple[int, int]:
-    """The images of u and v under psi∘theta(t), from the table alone.
+def _psi_images(base: tuple[int, int], t: KleinElt) -> tuple[int, int]:
+    """The images of u and v under q∘theta(t), where q is the quotient that
+    sends u and v to base, from the table alone.
 
     theta(t) is φ followed by conjugation by P = B^(m-δn), with
     φ(u) = u^(εn) and φ(v) = B^(δn) v u^(-2m), so it depends on t only
-    through (m, n mod 2); _fold with these images is psi(theta(t)(w))."""
+    through (m, n mod 2); _fold with these images is q(theta(t)(w))."""
     mul, power = _a5()
+    q_u, q_v = base
     d = t.n % 2
-    b = _fold((_PSI_U, _PSI_V), BIG_B)
+    b = _fold(base, BIG_B)
     p = power[b][(t.m - d) % _A5_EXPONENT]
     p_inv = power[p][_A5_EXPONENT - 1]
-    phi_u = power[_PSI_U][eps(d) % _A5_EXPONENT]
-    phi_v = mul[mul[power[b][d]][_PSI_V]][power[_PSI_U][-2 * t.m % _A5_EXPONENT]]
+    phi_u = power[q_u][eps(d) % _A5_EXPONENT]
+    phi_v = mul[mul[power[b][d]][q_v]][power[q_u][-2 * t.m % _A5_EXPONENT]]
     return mul[mul[p][phi_u]][p_inv], mul[mul[p][phi_v]][p_inv]
 
 
@@ -483,7 +515,7 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
 
         w_a · theta(t_a)(w_b) · theta(t_a·t_b)(w_ls) = w_b,
 
-    where (w_ls; ·) = lsigma(a), after two necessary stages.  First the
+    where (w_ls; ·) = lsigma(a), after three necessary stages.  First the
     abelianised relation, which matches the twists too.  With b's exponent
     sums (p, q) it reads lhs = (-level(p, q), 0, m_b, n_b), where lhs is its
     left side at p = q = 0 and level is linear with coefficients from t_a
@@ -499,10 +531,11 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
 
     where psi_t = psi∘theta(t) is the fold of w's runs over the two images
     psi_t(u) and psi_t(v), read off the table: theta(t) depends on t only
-    through (m, n mod 2).  Only a pair that passes both builds
-    theta(t_a)(w_b), and w_ls with the tail theta(t_a·t_b)(w_ls) once per
-    (w_a, t_b) for its first such pair.  lsigma(a) is taken apart as the
-    group law gives it,
+    through (m, n mod 2).  Then the same image under psi', whose
+    psi'_{t_a·t_b}(w_ls) is folded on the first pair of a (w_a, t_b) that
+    passes psi.  Only a pair that passes all three builds theta(t_a)(w_b),
+    and w_ls with the tail theta(t_a·t_b)(w_ls) once per (w_a, t_b) for its
+    first such pair.  lsigma(a) is taken apart as the group law gives it,
 
         lsigma((w_a; t_a)) = (rho(w_a); gmap(w_a)) · lsigma((1; t_a)),
 
@@ -511,26 +544,38 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     What depends on t_a alone is kept beside the word buckets for the
     _TWIST_CACHE_SIZE twists used last (_twist_state), filled as searches
     reach each bucket: per b-bucket its levels, each word with
-    psi_{t_a}(w_b) (_b_levels), kept per (m, n mod 2) of t_a, which is all
-    that the levels and psi_{t_a} read; per a-bucket the factor and each
-    word with (w_a; t_a), rho(w_a) and the exponent sums of w_ls (_a_side).
-    So the folds of b-words and the products of the a-side are made once
-    per twist, not once per search: a search makes only the folds of
-    psi_{t_a·t_b}(w_ls), through psi_{t_a·t_b}(rho(w_a)) and the factor's
-    once per (a-bucket, t_b), and builds w_ls only for an exact check.
+    psi_{t_a}(w_b) and psi'_{t_a}(w_b) (_b_levels), kept per (m, n mod 2)
+    of t_a, which is all that the levels and the folds read; per a-bucket
+    the factor and each word with (w_a; t_a), the rows of psi(w_a) and
+    psi'(w_a), rho(w_a) and the exponent sums of w_ls (_a_side).  So the
+    folds of b-words and the products of the a-side are made once per
+    twist, not once per search: a search makes only the folds of
+    psi_{t_a·t_b}(w_ls) and psi'_{t_a·t_b}(w_ls), through the folds of
+    rho(w_a) and the factor's once per (a-bucket, t_b), and builds w_ls
+    only for an exact check.
 
-    examined counts every pair of the bounded space the scan decides,
-    filtered or not.  The returned pair is the deterministic minimum by
-    size, then text, re-verified on the braid engine by verify_pair; a
-    pair's size is the letters of its two words plus the coordinates
-    |m| + |n| of its two twists.  The letter length is held beside each
-    word, so a pair's size is known before its check: once a pair is found,
-    a pair strictly larger skips the exact check; a pair of equal size is
-    still checked, since the key then compares texts.
+    The scan runs per a-bucket, per t_b, over the a-words in order of
+    letters, and over each level's words in order of letters.  A pair's
+    size is the letters of its two words plus the coordinates |m| + |n|
+    of its two twists, and the letter length is held beside each word, so
+    a pair's size is known before its check.  Once a pair is found, the
+    a-words of a t_b stop at the first whose pairs are all larger, and a
+    level's words at the first larger pair that passes psi; a pair of
+    equal size is still checked, since the key then compares texts.  Over
+    a warm pass of the benchmark's 100 classes at word_len 6, coord 1, the
+    scan reads 52,929 words of levels, checks 305 pairs exactly and builds
+    219 lsigma tails for 206 pairs that hold, where the scan with psi alone
+    and no order of size read 197,247, checked 1,286 and built 918.
+
+    examined counts every pair of the bounded space, counted from the
+    plan before the scan, filtered, skipped by size or not.  The returned
+    pair is the deterministic minimum by size, then text, re-verified on
+    the braid engine by verify_pair; a result equal to one returned
+    before is that same object while _result keeps it.
     """
     img10, img01 = cls.images()
     if abs(img10.m) > bounds.coord or abs(img10.n) > bounds.coord:
-        return SearchResult(None, 0)
+        return _result(None, 0)
     t_a = img10
     a2 = -2 * t_a.n
     sizes = _bucket_sizes(bounds.word_len)
@@ -553,15 +598,16 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
     a_sides = _twist_state(sides_by_twist, t_a)
     mul = _a5()[0]
     twist_size_a = abs(t_a.m) + abs(t_a.n)
-    # ((size, texts), pair) of the least pair found so far; a pair of
-    # larger size cannot take its place, so it skips the exact check
+    # ((size, texts), pair) of the least pair found so far, and its size; a
+    # pair of larger size cannot take its place, so the scan stops short of
+    # it: words come in order of letters
     best: tuple[tuple[int, str, str], tuple[BraidElt, BraidElt]] | None = None
+    best_size = inf
     for a1, sides in plan.items():
         a_side = a_sides.get(a1)
         if a_side is None:
             a_side = a_sides[a1] = _a_side(buckets[a1, a2], rhos, t_a, a1)
         factor, a_entries = a_side
-        b_sides = []
         for t_b, b_key in sides:
             levels = b_levels.get(b_key)
             if levels is None:
@@ -569,24 +615,27 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
             t_ab = t_a * t_b
             # lhs[0] = pu_a + e·pu_ls + c·pv_ls, as _ab_mul writes it
             e, c = eps(t_ab.n), 2 * (t_ab.n % 2 - t_ab.m)
-            images_ab = _psi_images(t_ab)
-            b_sides.append((
-                t_b, e, c, abs(t_b.m) + abs(t_b.n), t_ab, images_ab,
-                _fold(images_ab, factor), levels,
-            ))
-        for a, row_a, r, pu_a, pu_ls, pv_ls, letters_a in a_entries:
-            size_a = letters_a + twist_size_a
-            for t_b, e, c, twist_size_b, t_ab, images_ab, p_factor, levels in b_sides:
+            images_ab, images2_ab = _psi_images(_PSI, t_ab), _psi_images(_PSI2, t_ab)
+            p_factor, p2_factor = _fold(images_ab, factor), _fold(images2_ab, factor)
+            twist_size = twist_size_a + abs(t_b.m) + abs(t_b.n)
+            for a, row_a, row2_a, r, pu_a, pu_ls, pv_ls, letters_a in a_entries:
+                size_a = twist_size + letters_a
+                if size_a > best_size:
+                    break
                 level = levels.get(-(pu_a + e * pu_ls + c * pv_ls))
                 if level is None:
                     continue
                 p_ls = mul[_fold(images_ab, r)][p_factor]
-                tail = None
-                for (w_b, p_b, letters_b), q_b in zip(*level):
+                p2_ls = tail = None
+                for letters_b, q_b, p_b, q2_b, p2_b, w_b in level:
                     if mul[row_a[q_b]][p_ls] != p_b:
                         continue
-                    size = size_a + twist_size_b + letters_b
-                    if best is not None and size > best[0][0]:
+                    size = size_a + letters_b
+                    if size > best_size:
+                        break
+                    if p2_ls is None:
+                        p2_ls = mul[_fold(images2_ab, r)][p2_factor]
+                    if mul[row2_a[q2_b]][p2_ls] != p2_b:
                         continue
                     if tail is None:
                         tail = theta(t_ab, r * factor)
@@ -595,6 +644,7 @@ def search_witness(cls: HomClass, bounds: SearchBounds = SearchBounds()) -> Sear
                         key = (size, str(a), str(b))
                         if best is None or key < best[0]:
                             best = key, (a, b)
+                            best_size = size
     if best is None:
-        return SearchResult(None, examined)
-    return SearchResult(verify_pair(*best[1], cls, source="searched"), examined)
+        return _result(None, examined)
+    return _result(verify_pair(*best[1], cls, source="searched"), examined)

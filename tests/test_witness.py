@@ -3,8 +3,8 @@
 reference_search below is the search loop as it was before the scan was
 grouped by exponent sums: one abelian filter per candidate pair and the
 braid engine on every pair that passes.  The grouped scan, with its
-levels and its A5 stage, must return the same pair and the same examined
-count.
+levels, its two A5 stages and its order of size, must return the same
+pair and the same examined count.
 """
 
 from collections import Counter
@@ -34,6 +34,8 @@ from kleinbraid.cli import main
 from kleinbraid.kleinpi import KleinElt
 from kleinbraid.suites import _grid_classes
 from kleinbraid.witness import (
+    _PSI,
+    _PSI2,
     _TWIST_CACHE_SIZE,
     _WORD_CACHE_SIZE,
     MAX_COORD,
@@ -50,6 +52,7 @@ from kleinbraid.witness import (
     _psi,
     _psi_images,
     _candidate_b_twists,
+    _result,
     _short_words,
     _words_by_gmap,
     build_witness,
@@ -248,6 +251,53 @@ def test_search_is_deterministic():
     assert (first.report.a, first.report.b) == (second.report.a, second.report.b)
 
 
+def test_searches_share_one_result_per_value():
+    found, other, not_found = (
+        HomClass(4, r1=1, r2=1, s1=0, s2=0),
+        HomClass(3, i=1, s1=0, s2=0),
+        HomClass(2, i=0, s1=0, s2=0),
+    )
+    results = [search_witness(cls) for cls in (found, other, not_found)]
+    assert [result.found for result in results] == [True, True, False]
+    for cls, result in zip((found, other, not_found), results):
+        assert search_witness(cls) is result
+        assert search_witness(replace(cls)) is result  # an equal class, not the same
+    assert len({id(result) for result in results}) == 3
+
+
+@pytest.mark.parametrize(
+    "args, code, out",
+    [
+        (
+            ["--type", "4", "--r1", "1", "--r2", "1", "--s1", "0", "--s2", "0"],
+            0,
+            "class: type 4 (r1=1, r2=1, s1=0, s2=0)   source: searched\n"
+            "a = (u^-2 ; 1, 0)\n"
+            "b = (v u^-1 v^-1 ; 0, 0)\n"
+            "checks: relation ok, first image ok, second image ok\n",
+        ),
+        (
+            ["--type", "1", "--i", "0", "--s1", "0", "--s2", "1", "--bounds", "2", "--coords", "1"],
+            1,
+            "not found: examined 2 candidate pairs at bounds (word length <= 2, |coords| <= 1)\n",
+        ),
+    ],
+)
+def test_cli_search_prints_a_shared_result_as_before(capsys, args, code, out):
+    # the frozen texts are those the search printed before results were
+    # shared; a second search prints the shared result alike
+    for _ in range(2):
+        assert main(["witness", *args, "--search"]) == code
+        assert capsys.readouterr() == (out, "")
+
+
+def test_shared_results_are_bounded():
+    assert _result.cache_info().maxsize == 1024
+    for examined in range(1100):
+        assert _result(None, examined) is _result(None, examined)
+    assert _result.cache_info().currsize == 1024
+
+
 def test_search_covers_uncovered_families():
     # pairs found by the search oracle for i=1 classes, frozen as fixtures
     res = search_witness(HomClass(1, i=1, s1=0, s2=1))
@@ -294,15 +344,37 @@ def test_search_matches_reference_at_longer_words(cls):
     assert _outcome(search_witness(cls, bounds)) == _outcome(reference_search(cls, bounds))
 
 
+@pytest.mark.parametrize(
+    "cls, bounds",
+    [
+        (HomClass(1, i=0, s1=-1, s2=3), SearchBounds(6, 1)),
+        (HomClass(4, r1=0, r2=-3, s1=0, s2=-1), SearchBounds(6, 1)),
+        (HomClass(4, r1=0, r2=0, s1=-1, s2=-1), SearchBounds(6, 2)),
+    ],
+    ids=lambda value: (
+        value.describe() if isinstance(value, HomClass) else f"bounds ({value.word_len}, {value.coord})"
+    ),
+)
+def test_search_keeps_the_least_text_among_pairs_of_least_size(cls, bounds):
+    # several pairs of the least size, the least text not the first that
+    # the scan meets: a scan that stopped at a pair of equal size, in a
+    # level or in an a-side, would return another one
+    assert _outcome(search_witness(cls, bounds)) == _outcome(reference_search(cls, bounds))
+
+
+def _classes_within(bounds):
+    """The classes of _grid_classes(1) whose t_a lies within bounds; at
+    (6, 1) and at (4, 2) every t_a is shared."""
+    return [
+        cls for cls in _grid_classes(1)
+        if max(abs(cls.images()[0].m), abs(cls.images()[0].n)) <= bounds.coord
+    ]
+
+
 @cache
 def _reference_outcomes(bounds):
-    """The reference's outcome for each class of _grid_classes(1) whose t_a
-    lies within bounds; at (6, 1) and at (4, 2) every t_a is shared."""
-    return {
-        cls: _outcome(reference_search(cls, bounds))
-        for cls in _grid_classes(1)
-        if max(abs(cls.images()[0].m), abs(cls.images()[0].n)) <= bounds.coord
-    }
+    """The reference's outcome for each class of _classes_within(bounds)."""
+    return {cls: _outcome(reference_search(cls, bounds)) for cls in _classes_within(bounds)}
 
 
 def _warm_mismatches(bounds):
@@ -355,38 +427,98 @@ def test_warm_search_catches_a_dropped_a_word(monkeypatch):
     assert any(_warm_mismatches(bounds) for bounds in WARM_BOUNDS)
 
 
+def test_warm_search_catches_a_b_level_in_reverse_order(monkeypatch):
+    # the level loop stops at the first word past the best size found, so
+    # it must see the words in order of letters
+    b_levels = witness._b_levels
+
+    def reversed_levels(*args):
+        return {level: words[::-1] for level, words in b_levels(*args).items()}
+
+    monkeypatch.setattr(witness, "_b_levels", reversed_levels)
+    assert any(_warm_mismatches(bounds) for bounds in WARM_BOUNDS)
+
+
+def test_warm_search_catches_an_a_side_in_reverse_order(monkeypatch):
+    a_side = witness._a_side
+
+    def reversed_side(*args):
+        factor, entries = a_side(*args)
+        return factor, entries[::-1]
+
+    monkeypatch.setattr(witness, "_a_side", reversed_side)
+    assert any(_warm_mismatches(bounds) for bounds in WARM_BOUNDS)
+
+
+def test_warm_search_catches_psi2_of_theta_folded_with_psi_images(monkeypatch):
+    # b-levels whose psi'∘theta(t_a) folds read psi's base images: the
+    # psi' stage then refuses true pairs
+    b_levels = witness._b_levels
+
+    def psi2_folded_as_psi(groups, t_a):
+        images = _psi_images(_PSI, t_a)
+        return {
+            level: tuple((letters, q, p, _fold(images, w), p2, w) for letters, q, p, _, p2, w in words)
+            for level, words in b_levels(groups, t_a).items()
+        }
+
+    monkeypatch.setattr(witness, "_b_levels", psi2_folded_as_psi)
+    assert any(_warm_mismatches(bounds) for bounds in WARM_BOUNDS)
+
+
 def test_kept_state_matches_its_definition():
     # after searches of classes sharing t_a and (m, n mod 2), every b-level
-    # and a-side held is what its definition gives for its key
-    bounds = SearchBounds(4, 2)
+    # and a-side held is what its definition gives for its key, in order of
+    # letters; at word_len 6 some a-buckets hold their words out of that
+    # order
+    reordered = sum(_assert_kept_state_matches_its_definition(bounds) for bounds in WARM_BOUNDS)
+    assert reordered > 0
+
+
+def _assert_kept_state_matches_its_definition(bounds):
+    """The number of a-sides held whose bucket holds its words out of
+    order of letters."""
     _words_by_gmap.cache_clear()
-    for cls in _reference_outcomes(bounds):
+    for cls in _classes_within(bounds):
         search_witness(cls, bounds)
     buckets, rhos, levels_by_twist, sides_by_twist = _words_by_gmap(bounds.word_len)
     assert len(levels_by_twist) > 1 and len(sides_by_twist) > 1
     mul = _a5()[0]
+    for _, entries in buckets.items():
+        for _, words in entries:
+            for w, p, p2, letters in words:
+                assert (p, p2, letters) == (_psi(w), _psi(w, _PSI2), w.letter_length())
     for (m, d), b_levels in levels_by_twist.items():
+        t = KleinElt(m, d)
         for b_key, levels in b_levels.items():
-            held = [entry for entries, _ in levels.values() for entry in entries]
-            bucket = [entry for _, entries in buckets[b_key] for entry in entries]
+            held = [w_b for words in levels.values() for *_, w_b in words]
+            bucket = [w for _, entries in buckets[b_key] for w, *_ in entries]
             assert sorted(held, key=str) == sorted(bucket, key=str)
-            for level, (entries, folds) in levels.items():
-                for (w_b, _, _), q_b in zip(entries, folds, strict=True):
+            for level, words in levels.items():
+                assert [letters for letters, *_ in words] == sorted(letters for letters, *_ in words)
+                for letters_b, q_b, p_b, q2_b, p2_b, w_b in words:
                     pu, pv = w_b.exponent_sums()
                     assert level == _ab_mul((0, 0, m, d), (pu, pv, 0, 0))[0] - pu
-                    assert q_b == _psi(theta(KleinElt(m, d), w_b))
+                    assert (letters_b, p_b, p2_b) == (w_b.letter_length(), _psi(w_b), _psi(w_b, _PSI2))
+                    assert q_b == _psi(theta(t, w_b))
+                    assert q2_b == _psi(theta(t, w_b), _PSI2)
+    reordered = 0
     for t_a, a_sides in sides_by_twist.items():
         w_l = lsigma(BraidElt(ONE, t_a)).word
         for a1, (factor, entries) in a_sides.items():
             assert factor == theta(KleinElt(a1, -2 * t_a.n), w_l)
-            words = [w for _, es in buckets[a1, -2 * t_a.n] for w, _, _ in es]
-            assert [a.word for a, *_ in entries] == words
-            for a, row_a, r, pu_a, pu_ls, pv_ls, letters_a in entries:
+            words = [w for _, es in buckets[a1, -2 * t_a.n] for w, *_ in es]
+            in_order = sorted(words, key=Word.letter_length)
+            assert [a.word for a, *_ in entries] == in_order
+            reordered += in_order != words
+            for a, row_a, row2_a, r, pu_a, pu_ls, pv_ls, letters_a in entries:
                 w_ls = lsigma(a).word
                 assert a.twist == t_a and row_a == mul[_psi(a.word)]
+                assert row2_a == mul[_psi(a.word, _PSI2)]
                 assert r == rhos[a.word] == rho(a.word) and w_ls == r * factor
                 assert (pu_a, letters_a) == (a.word.exponent_sums()[0], a.word.letter_length())
                 assert (pu_ls, pv_ls) == w_ls.exponent_sums()
+    return reordered
 
 
 def _assert_kept_with_the_buckets(monkeypatch, name):
@@ -469,7 +601,9 @@ def test_state_is_kept_for_the_last_twists_only():
 
 
 # ---------------------------------------------------------------------------
-# the A5 quotient
+# the A5 quotients
+
+QUOTIENTS = (_PSI, _PSI2)
 
 
 def test_a5_table_is_a_group():
@@ -499,6 +633,24 @@ def test_a5_table_is_a_group():
     assert reached == set(elements)
 
 
+def test_psi_and_psi2_map_onto_a5_squared():
+    # the joint image of (psi, psi'), breadth-first from (1, 1) over the
+    # images of u and v, is all of A5 × A5
+    mul = _a5()[0]
+    gens = tuple(zip(*QUOTIENTS))  # (psi(u), psi'(u)), (psi(v), psi'(v))
+    assert gens == ((1, 2), (2, 1))
+    reached, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        frontier = [
+            (mul[x][g], mul[y][h])
+            for x, y in frontier
+            for g, h in gens
+            if (mul[x][g], mul[y][h]) not in reached
+        ]
+        reached.update(frontier)
+    assert len(reached) == 3600
+
+
 def _inverse(x):
     return _a5()[1][x][29]
 
@@ -516,23 +668,26 @@ far_twists = st.builds(
 @given(long_words, long_words)
 def test_psi_is_a_homomorphism(x, y):
     mul = _a5()[0]
-    assert _psi(x * y) == mul[_psi(x)][_psi(y)]
-    assert _psi(x.inv()) == _inverse(_psi(x))
+    for base in QUOTIENTS:
+        assert _psi(x * y, base) == mul[_psi(x, base)][_psi(y, base)]
+        assert _psi(x.inv(), base) == _inverse(_psi(x, base))
 
 
 @PROFILE
 @given(long_words, far_twists)
 def test_psi_of_theta_is_a_fold(w, t):
-    assert _fold(_psi_images(t), w) == _psi(theta(t, w))
+    for base in QUOTIENTS:
+        assert _fold(_psi_images(base, t), w) == _psi(theta(t, w), base)
 
 
 def test_psi_of_theta_reads_m_and_the_parity_of_n():
     w = parse_word("u^2 v^-1 u v^3")
-    for m in (-2 * MAX_COORD, -7, 0, 1, 2 * MAX_COORD):
-        for n in range(-4, 5):
-            t = KleinElt(m, n)
-            assert _psi_images(t) == _psi_images(KleinElt(m, n % 2))
-            assert _fold(_psi_images(t), w) == _psi(theta(t, w))
+    for base in QUOTIENTS:
+        for m in (-2 * MAX_COORD, -7, 0, 1, 2 * MAX_COORD):
+            for n in range(-4, 5):
+                t = KleinElt(m, n)
+                assert _psi_images(base, t) == _psi_images(base, KleinElt(m, n % 2))
+                assert _fold(_psi_images(base, t), w) == _psi(theta(t, w), base)
 
 
 @PROFILE
@@ -559,14 +714,16 @@ def test_hoisted_word_equation(w_a, t_a, w_b, t_b):
     # has the exponents that condition (i) forces
     assert zero[1] == 0
     assert t_a * t_b * (KleinElt(*forced_word_exponents(a, b)) * t_a) == t_b
-    # the A5 stage: the image of the hoisted side, so a solution passes it
+    # the A5 stages: the images of the hoisted side, so a solution passes
+    # both
     mul = _a5()[0]
-    psi_lhs = mul[mul[_psi(w_a)][_fold(_psi_images(t_a), w_b)]][
-        _fold(_psi_images(t_a * t_b), ls.word)
-    ]
-    assert psi_lhs == _psi(hoisted)
-    if hoisted == w_b:
-        assert psi_lhs == _psi(w_b)
+    for base in QUOTIENTS:
+        image_lhs = mul[mul[_psi(w_a, base)][_fold(_psi_images(base, t_a), w_b)]][
+            _fold(_psi_images(base, t_a * t_b), ls.word)
+        ]
+        assert image_lhs == _psi(hoisted, base)
+        if hoisted == w_b:
+            assert image_lhs == _psi(w_b, base)
 
 
 def test_search_bounds_budget():
