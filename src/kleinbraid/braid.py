@@ -43,7 +43,9 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .kleinpi import K_IDENTITY, KleinElt, delta, eps
-from .words import BIG_B, MAX_RUNS, ONE, U, V, Run, Word, _from_reduced, _join, parse_word
+from .words import (
+    BIG_B, MAX_RUNS, ONE, U, V, Run, Word, _b_power_runs, _from_reduced, _join, parse_word,
+)
 
 # Budget of theta: it writes B^(m-δn), 4 runs per unit of m, so |m| up to
 # MAX_TWIST keeps that word within the parse budget of the words module.
@@ -70,16 +72,24 @@ def _phi(t: KleinElt, w: Word, runs: list[Run]) -> None:
     """Join φ_t(w) onto the reduced runs, where φ_t is the substitution of
     theta(t): u ↦ u^(εn), v ↦ B^(δn) v u^(-2m).
 
-    One piece per run of w: u^(εn·k) for a u-run, and for a v-run v^k the
-    2- or 3-run tuple of φ_t(v) or φ_t(v)^-1 when |k| = 1, else the power
-    φ_t(v)^k.  Each is joined at its seam, so the cost is linear in the
-    pieces.  A v-run whose power would take the runs past MAX_RUNS raises
-    ValueError before that power is built."""
+    One piece per run of w: u^(εn·k) for a u-run, merged into the last run
+    inline, and for a v-run v^k the 2- or 3-run tuple of φ_t(v) or
+    φ_t(v)^-1 when |k| = 1, else the power φ_t(v)^k, joined at its seam.
+    So the cost is linear in the pieces.  A v-run whose power would take
+    the runs past MAX_RUNS raises ValueError before that power is built."""
     m, d = t.m, t.n % 2
     e, img_v, fwd, back, per = _substitution(m, d)
     for g, k in w.runs:
         if g == "u":
-            _join(runs, (("u", e * k),))
+            k *= e
+            if runs and runs[-1][0] == "u":
+                k += runs[-1][1]
+                if k:
+                    runs[-1] = ("u", k)
+                else:
+                    runs.pop()
+            else:
+                runs.append(("u", k))
         elif len(runs) + len(fwd) + per * (abs(k) - 1) > MAX_RUNS:
             raise ValueError(
                 f"theta({m}, {t.n}) of v^{k} exceeds the budget of {MAX_RUNS} runs"
@@ -88,24 +98,44 @@ def _phi(t: KleinElt, w: Word, runs: list[Run]) -> None:
             _join(runs, fwd if k == 1 else back if k == -1 else (img_v ** k).runs)
 
 
+def _check_twist(t: KleinElt) -> None:
+    if abs(t.m) > MAX_TWIST:
+        raise ValueError(f"twist m = {t.m} exceeds the budget |m| <= {MAX_TWIST} of theta")
+
+
+def _join_theta(t: KleinElt, w: Word, runs: list[Run]) -> None:
+    """Join theta(t)(w) = B^c · φ_t(w) · B^-c, c = m - δn, onto the reduced
+    runs.  φ_t(w) is written on a list of its own, so the budget of _phi
+    counts it reduced, on its own; then B^c, φ_t(w) and B^-c are joined at
+    their seams.  The caller checks the twist budget."""
+    if not t.m and not t.n % 2:  # theta(0, even n) is the identity
+        _join(runs, w.runs)
+        return
+    body: list[Run] = []
+    _phi(t, w, body)
+    c = _conj(t)
+    _join(runs, _b_power_runs(c))
+    _join(runs, body)
+    _join(runs, _b_power_runs(-c))
+
+
 def theta(t: KleinElt, w: Word) -> Word:
     """Image of w under the twisting automorphism with parameters t.
 
     theta(t)(w) = P · φ_t(w) · P^-1 with P = B^(m-δn), where _phi writes
-    the substitution φ_t.  The budget of _phi counts the runs of φ_t(w)
-    reduced, so images of up to MAX_RUNS runs are written.  The empty word
-    is returned as it is, so pure twists build no P.  |m| over MAX_TWIST
-    raises ValueError before anything is built.  n enters only through
-    its parity, so its size costs nothing and has no budget.
+    the substitution φ_t; _join_theta joins the three into one run list.
+    The budget of _phi counts the runs of φ_t(w) reduced, on its own, so
+    images of up to MAX_RUNS runs are written.  The empty word and the
+    identity twists return w as it is, so pure twists build no P.  |m|
+    over MAX_TWIST raises ValueError before anything is built.  n enters
+    only through its parity, so its size costs nothing and has no budget.
     """
-    if abs(t.m) > MAX_TWIST:
-        raise ValueError(f"twist m = {t.m} exceeds the budget |m| <= {MAX_TWIST} of theta")
-    if not w.runs or not t.m and not t.n % 2:  # theta(0, even n) is the identity
+    _check_twist(t)
+    if not w.runs or not t.m and not t.n % 2:
         return w
     runs: list[Run] = []
-    _phi(t, w, runs)
-    conj = BIG_B ** _conj(t)
-    return conj * _from_reduced(tuple(runs)) * conj.inv()
+    _join_theta(t, w, runs)
+    return _from_reduced(tuple(runs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,9 +146,16 @@ class BraidElt:
     twist: KleinElt = K_IDENTITY
 
     def __mul__(self, other: "BraidElt") -> "BraidElt":
-        return BraidElt(
-            self.word * theta(self.twist, other.word), self.twist * other.twist
-        )
+        """(w; t) · (w'; t') = (w · theta(t)(w'); t t'): theta(t)(w') is
+        joined straight onto a copy of w's runs, so the product writes one
+        run list, with no word product."""
+        _check_twist(self.twist)
+        twist = self.twist * other.twist
+        if not other.word.runs:
+            return BraidElt(self.word, twist)
+        runs = list(self.word.runs)
+        _join_theta(self.twist, other.word, runs)
+        return BraidElt(_from_reduced(tuple(runs)), twist)
 
     def inv(self) -> "BraidElt":
         t = self.twist.inv()
@@ -167,8 +204,7 @@ def lsigma(a: BraidElt) -> BraidElt:
     A twist with |m| over MAX_TWIST raises ValueError before anything is
     built, and so does a word whose image would write more than MAX_RUNS
     runs (apply_images)."""
-    if abs(a.twist.m) > MAX_TWIST:
-        raise ValueError(f"twist m = {a.twist.m} exceeds the budget |m| <= {MAX_TWIST} of theta")
+    _check_twist(a.twist)
     return apply_images(LSIGMA_IMAGES, a)
 
 

@@ -74,7 +74,7 @@ from .braid import (
 )
 from .classifier import HomClass, decide
 from .kleinpi import KleinElt, eps, omega
-from .words import BIG_B, ONE, U, V, Word
+from .words import BIG_B, ONE, U, V, Run, Word, _from_reduced
 
 
 class WitnessVerificationError(Exception):
@@ -234,19 +234,26 @@ _WORD_CACHE_SIZE = 4
 
 
 def _short_words(max_len: int) -> tuple[Word, ...]:
-    """All reduced words with at most max_len letters."""
+    """All reduced words with at most max_len letters, by length, each
+    length in the order its words grow letter by letter.  A letter is
+    merged into the last run when it extends it, so the runs stay reduced
+    and each word is wrapped as it is."""
     out = [ONE]
-    frontier: list[tuple[tuple[tuple[str, int], ...], tuple[str, int]]] = [((), ("", 0))]
+    frontier: list[tuple[Run, ...]] = [()]
     for _ in range(max_len):
         nxt = []
-        for runs, last in frontier:
+        for runs in frontier:
+            g0, e0 = runs[-1] if runs else ("", 0)
             for g in ("u", "v"):
                 for e in (1, -1):
-                    if (g, -e) == last:
+                    if g != g0:
+                        new = runs + ((g, e),)
+                    elif e0 * e > 0:
+                        new = runs[:-1] + ((g, e0 + e),)
+                    else:
                         continue
-                    new = runs + ((g, e),)
-                    nxt.append((new, (g, e)))
-                    out.append(Word(new))
+                    nxt.append(new)
+                    out.append(_from_reduced(new))
         frontier = nxt
     return tuple(out)
 

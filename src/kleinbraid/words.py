@@ -12,12 +12,21 @@ product cancels only at the seam, an inverse reverses, and a power w^n
 writes w = p c p^-1 with c cyclically reduced and returns p c^n p^-1, which
 needs no cancellation at all (Lyndon-Schupp, *Combinatorial Group Theory*,
 I.2).  They wrap their runs with the private ``_from_reduced``, which skips
-the reduction; no public constructor does.  Reduced runs are extended by
-one seam writer, ``_join``: it appends a reduced piece and cancels at the
-seam only.  ``Word(runs)`` reduces by joining one run at a time, a
-product is one join, parse_word joins each term it reads, and
-``braid.theta`` and ``braid.apply_images`` join the image of each run, so
-all but the first wrap their results with ``_from_reduced`` too.
+the reduction; no public constructor does.
+
+Reduced runs are extended by one seam writer, ``_join``: it appends a
+reduced piece to a run list and cancels at the seam only.  Each writer
+builds its result in one run list and wraps it once:
+
+- ``Word(runs)`` joins one run at a time, and the product joins its right
+  operand onto a copy of the left one's runs;
+- parse_word merges each one-run term into the last run inline and joins
+  the runs of a ``B`` power;
+- ``braid.theta`` joins B^c, the substitution φ_t(w) and B^-c onto one
+  list, and a braid product joins that image straight onto a copy of its
+  left word's runs; ``braid._phi`` merges each u-run inline and joins the
+  image of each v-run;
+- ``braid.apply_images`` joins the image of each run.
 
 ``B`` abbreviates the fixed word u v u v^-1.  Input text may use it as
 shorthand (with an optional exponent); canonical output never emits it.
@@ -149,6 +158,13 @@ ONE = Word()
 U = Word((("u", 1),))
 V = Word((("v", 1),))
 BIG_B = Word((("u", 1), ("v", 1), ("u", 1), ("v", -1)))
+_B_INV_RUNS = BIG_B.inv().runs
+
+
+def _b_power_runs(n: int) -> tuple[Run, ...]:
+    """The runs of B^n: B and B^-1 are cyclically reduced, so B^n is the
+    runs of B, or of B^-1, repeated |n| times."""
+    return BIG_B.runs * n if n >= 0 else _B_INV_RUNS * -n
 
 
 def comm(x: Word, y: Word) -> Word:
@@ -156,7 +172,9 @@ def comm(x: Word, y: Word) -> Word:
     return x * y * x.inv() * y.inv()
 
 
-_TERM = re.compile(r"([uvB1])(\^(-?\d+))?")
+# one term after optional whitespace, or the first character that starts
+# no term (\s is exactly str.isspace on str patterns)
+_TERM = re.compile(r"\s*(?:([uvB1])(?:\^(-?\d+))?|(\S))")
 
 # Budget of parse_word: B^250000 writes 1,000,000 runs, and
 # `kleinbraid kernel-project "B^250000"` takes 0.7 s (Python 3.11, 2 CPUs).
@@ -164,31 +182,34 @@ MAX_RUNS = 1_000_000
 
 
 def parse_word(text: str) -> Word:
-    """Parse ``term*`` where ``term := ("u"|"v"|"B"|"1") ("^" integer)?``."""
+    """Parse ``term*`` where ``term := ("u"|"v"|"B"|"1") ("^" integer)?``.
+
+    Terms are read by one scan of the text: a one-run term is merged into
+    the last run inline, and a ``B`` power is joined at its seam."""
     runs: list[Run] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TERM.match(text, pos)
-        if m is None:
+    for m in _TERM.finditer(text):
+        sym, digits, bad = m.groups()
+        if bad is not None:
             raise WordParseError(
-                f"expected 'u', 'v', 'B' or '1', found {text[pos]!r}", pos
+                f"expected 'u', 'v', 'B' or '1', found {bad!r}", m.start(3)
             )
-        sym = m.group(1)
-        exp = 1 if m.group(3) is None else int(m.group(3))
+        exp = 1 if digits is None else int(digits)
         if sym == "B":
             # B^exp writes 4·|exp| runs; other terms write one run per term
             # of the text, so only this expansion can outgrow the input
             if len(runs) + 4 * abs(exp) > MAX_RUNS:
                 raise WordParseError(
-                    f"word expands to more than the budget of {MAX_RUNS} runs", pos
+                    f"word expands to more than the budget of {MAX_RUNS} runs", m.start(1)
                 )
-            term = (BIG_B ** exp).runs
+            _join(runs, _b_power_runs(exp))
+        elif sym == "1" or not exp:
+            continue
+        elif runs and runs[-1][0] == sym:
+            exp += runs[-1][1]
+            if exp:
+                runs[-1] = (sym, exp)
+            else:
+                runs.pop()
         else:
-            term = ((sym, exp),) if sym != "1" and exp else ()
-        _join(runs, term)
-        pos = m.end()
+            runs.append((sym, exp))
     return _from_reduced(tuple(runs))

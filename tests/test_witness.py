@@ -165,6 +165,29 @@ def test_verify_pair_names_the_one_failing_condition(condition, a, b, r1):
     assert [f.split()[0] for f in err.value.failures] == [condition]
 
 
+def test_short_words_are_the_letter_by_letter_words(monkeypatch):
+    # the words the frontier grew one letter at a time, each reduced from
+    # its letters: the same words in the same order, built without reducing
+    expected, frontier = [ONE], [()]
+    for _ in range(6):
+        frontier = [
+            letters + ((g, e),)
+            for letters in frontier
+            for g in ("u", "v")
+            for e in (1, -1)
+            if letters[-1:] != ((g, -e),)
+        ]
+        expected += [Word(letters) for letters in frontier]
+
+    def no_reduce(runs):
+        raise AssertionError("a short word was reduced")
+
+    monkeypatch.setattr("kleinbraid.words._reduce", no_reduce)
+    out = _short_words(6)
+    assert len(out) == 1457
+    assert [w.runs for w in out] == [w.runs for w in expected]
+
+
 def test_second_image_shortcut():
     # _candidate_b_twists solves condition (iii) through this identity
     for b in [

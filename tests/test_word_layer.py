@@ -57,6 +57,19 @@ def ref_theta(t, w):
     return Word(tuple(runs))
 
 
+def theta_by_products(t, w):
+    """Reference for theta and the braid product: B^c · φ_t(w) · B^-c,
+    c = m - δn, with φ_t(w) the product of the images of w's runs, all
+    built by word products."""
+    d = t.n % 2
+    img_u, img_v = U ** eps(d), BIG_B ** d * V * U ** (-2 * t.m)
+    body = ONE
+    for g, k in w.runs:
+        body = body * (img_u if g == "u" else img_v) ** k
+    conj = BIG_B ** (t.m - d)
+    return conj * body * conj.inv()
+
+
 def ref_kpow(a, k):
     base = a if k >= 0 else a.inv()
     out = KleinElt()
@@ -152,6 +165,38 @@ def test_theta_matches_substitution(t, w):
     assert_reduced(out)
 
 
+def _no_word_product(self, other):
+    raise AssertionError("a word product was built")
+
+
+theta_words = st.one_of(
+    st.lists(st.tuples(st.sampled_from("uv"), st.integers(-40, 40).filter(bool)), max_size=8).map(
+        lambda runs: Word(tuple(runs))
+    ),
+    short_words,
+)
+
+
+@PROFILE
+@given(twists, twists, theta_words, theta_words)
+def test_theta_and_braid_product_match_word_products(t, t2, w, w2):
+    # theta, the braid product and the braid inverse write one run list
+    # each, with no word product; the old route builds them by products
+    image = theta_by_products(t, w)
+    product = BraidElt(w2 * image, t * t2)
+    inverse = BraidElt(theta_by_products(t.inv(), w2.inv()), t.inv())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Word, "__mul__", _no_word_product)
+        out = theta(t, w)
+        out_product = BraidElt(w2, t) * BraidElt(w, t2)
+        out_inverse = BraidElt(w2, t).inv()
+    assert out == image
+    assert out_product == product
+    assert out_inverse == inverse
+    for word in (out, out_product.word, out_inverse.word):
+        assert_reduced(word)
+
+
 @PROFILE
 @given(st.builds(KleinElt, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)), st.integers(-30, 30))
 def test_klein_power_matches_loop(a, k):
@@ -183,6 +228,76 @@ def test_parse_matches_term_by_term_product(terms):
     out = parse_word(text)
     assert out == expected
     assert_reduced(out)
+
+
+_B_RUNS = (("u", 1), ("v", 1), ("u", 1), ("v", -1))
+_B_INV_RUNS = (("v", 1), ("u", -1), ("v", -1), ("u", -1))
+# str.isspace characters, ASCII and not
+spaces = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u2003\u3000"), max_size=3)
+# a term: its symbol and its exponent text ("" for none), then the runs it
+# expands to
+terms = st.one_of(
+    st.tuples(
+        st.sampled_from("uv"),
+        st.one_of(st.integers(-50, 50), st.integers(-10**6, 10**6)),
+    ),
+    st.tuples(st.just("B"), st.integers(-20, 20)),
+    st.tuples(st.just("1"), st.integers(-5, 5)),
+).flatmap(lambda se: st.tuples(
+    st.just(se[0]),
+    st.sampled_from(["", "^1"] if se[1] == 1 else [f"^{se[1]}"]),
+    st.just(se[1]),
+))
+
+
+def _expand(sym, exp):
+    if sym == "1":
+        return ()
+    if sym == "B":
+        return _B_RUNS * exp if exp >= 0 else _B_INV_RUNS * -exp
+    return ((sym, exp),)
+
+
+@PROFILE
+@given(st.lists(st.tuples(spaces, terms), max_size=10), spaces)
+def test_parse_matches_expanded_runs(items, tail):
+    text, runs = "", []
+    for space, (sym, exp_text, exp) in items:
+        if not space and text[-1:].isdigit() and sym == "1":
+            space = " "  # "u^2" then "1" would read as "u^21"
+        text += space + sym + exp_text
+        runs.extend(_expand(sym, exp))
+    text += tail
+    out = parse_word(text)
+    assert out == Word(tuple(runs))
+    assert_reduced(out)
+    assert parse_word(str(out)) == out
+
+
+def test_parse_errors_are_pinned():
+    # a parse error names the first character that starts no term, or the
+    # B term that passes the budget, and its position
+    unexpected = "expected 'u', 'v', 'B' or '1', found {!r} (at position {})"
+    budget = f"word expands to more than the budget of {MAX_RUNS} runs (at position {{}})"
+    for text, message, pos in (
+        ("u  x", unexpected.format("x", 3), 3),
+        ("u^", unexpected.format("^", 1), 1),
+        ("u^-", unexpected.format("^", 1), 1),
+        ("v ^2", unexpected.format("^", 2), 2),
+        ("u\u3000x", unexpected.format("x", 2), 2),
+        ("u^- 2", unexpected.format("^", 1), 1),
+        ("u^+2", unexpected.format("^", 1), 1),
+        (f"B^{MAX_RUNS // 4 + 1}", budget.format(0), 0),
+        (f"u B^-{MAX_RUNS // 4}", budget.format(2), 2),
+        ("u v B^20000000", budget.format(4), 4),
+    ):
+        with pytest.raises(WordParseError) as err:
+            parse_word(text)
+        assert (str(err.value), err.value.pos) == (message, pos)
+    # trailing and non-ASCII whitespace is skipped
+    for text in ("u v  ", "u v \t\n", "u\xa0v", "\u2003u v\u3000", "u\u3000v\u2003"):
+        assert parse_word(text) == U * V
+    assert parse_word("") == parse_word(" \xa0 ") == ONE
 
 
 def test_word_always_reduces():
