@@ -46,5 +46,5 @@ for cls in [
     report = check_certificate(cls, window=5, mn=3)
     print(f"{cls.describe():40s} {report.family:24s} success={report.success}")
 print("(each run sweeps every (m,n) in the parameter window and decides the linear")
-print(" part for every basis vector from whole tables; the coordinate window only")
+print(" part for every basis vector from whole supports; the coordinate window only")
 print(" bounds which failures would be listed per point)")

@@ -31,58 +31,65 @@ transcribed term for term from the specialised constants
 alone).  Their exact equality with the evaluated forms is part of the
 test surface.
 
-Every functional is periodic in (k, l), so a Functional is a table of its
-values on one period box.  Pulling it back through a term table gives
-f∘A as another small periodic table, since the ±1 slopes of A keep the
-parity of k and move k and l by whole periods.  The certificate sweep
-reads the linear part off the whole pulled-back tables of Ax and Ay, so
-it covers every (k, l).
+Every functional is periodic in (k, l), and each xi_* is nonzero on one
+or two residue classes, so a Functional is its period box, its modulus
+and its support {(a, b): weight}.  Pulling it back through a term table
+gives f∘A as another periodic support, since the ±1 slopes of A keep the
+parity of k and move k and l by whole periods: each support entry goes
+through each term to at most one point of the box (lcm(2, pk), pl).  The
+certificate sweep reads the linear part off the whole pulled-back
+supports of Ax and Ay, so it covers every (k, l).
 
 A MasterEquation holds its constant as data: a tuple of atoms (coef, p,
 q, family, args), each standing for coef·c(p, q)(tilde_family(args)).
 MasterEquation.constant, the one place the constant becomes a vector,
 materialises them for the cross-checks, and the sweep applies the
 functional to the atoms themselves (Functional.on_atoms): each family's
-support is a few arithmetic-progression boxes, and summing a periodic
-table over a box needs only the residue counts of its two progressions
-over one period, so f(C(m, n)) costs the same however large the family
+support is a few arithmetic-progression boxes, and a box's value is,
+over the functional's support entries, the number of points of its two
+progressions in each entry's residue class, found with one modular
+inverse per box, so f(C(m, n)) costs the same however large the family
 arguments are.
 
 The sweep builds the forms of both parities once, and evaluates only
-what changes from point to point.  It keeps one plan per argument of the
-family's functional and parity of n, built with its functional the
-first time the sweep meets that pair.  With the parity fixed, every
-integer the evaluation reads is an affine form, and the evaluation reads
-most of them modulo something: an offset p modulo pk and an offset q
-modulo pl (in the term tables of Ax and Ay and in the atoms), an atom
-coefficient modulo f.mod when mod > 0, and the two arguments of a
-"unit" atom modulo lcm(2, pk) and pl.  A form whose m
-coefficient is c, read modulo M, repeats when m moves by M / gcd(c, M),
-so a piece of the equation repeats in m with the lcm of that over the
-fields that read m, and likewise in n: its periods are read off the
-coefficients, not found by probing.  The other box arguments set counts
-and signs and are read whole, so a variable read there is keyed by its
-full value.
+what changes from point to point.  With the parity fixed, every integer
+the evaluation reads is an affine form, and the evaluation reads most of
+them modulo something: an offset p modulo pk and an offset q modulo pl
+(in the term tables of Ax and Ay and in the atoms), an atom coefficient
+modulo f.mod when mod > 0, and the two arguments of a "unit" atom modulo
+lcm(2, pk) and pl.  A form whose m coefficient is c, read modulo M,
+repeats when m moves by M / gcd(c, M), so a piece of the equation
+repeats in m with the lcm of that over the fields that read m, and
+likewise in n: its periods are read off the coefficients, not found by
+probing.  The other box arguments set counts and signs and are read
+whole, so a variable read there is keyed by its full value.
 
-The plan keeps the linear failures per (m mod Pm, n mod Pn), the periods
-of the term tables: each offset reduced modulo the functional's period
-box is all that a pullback reads, so the points of one key share their
-pulled-back tables, and a plan pulls its functional back through Ax and
-Ay once per key.  The constant is evaluated in groups of atoms, one per
-pair (Gm, Gn) of an atom's own periods, 1 for a variable it does not
-read and 0 for one it reads whole.  The coefficients cm and cn depend on
-(i, j, parity) alone, so the groups and every period are worked out once
-per (i, j, parity) and functional shape (pk, pl, mod), not once per
-sweep.  f(C(m, n)) is the sum of f over the groups, and the plan keeps
-each group's value per (m mod Gm, n mod Gn), a variable of period 0
-taken whole: a group is evaluated once per such key.
+The sweep takes its points cell by cell: a cell is a residue class of
+(m, n) that fixes the functional's arguments and the parity of n, whose
+periods _FAMILIES states, and its points are a grid of rows m and
+columns n.  The linear failures are decided once per (m mod Pm, n mod
+Pn), the periods of the term tables: each offset reduced modulo the
+functional's period box is all that a pullback reads, so the points of
+one key share their pulled-back supports.  The constant is evaluated in
+groups of atoms, one per pair (Gm, Gn) of an atom's own periods, 1 for a
+variable it does not read and 0 for one it reads whole.  The
+coefficients cm and cn depend on (i, j, parity) alone, so the groups and
+every period are worked out once per (i, j, parity) and functional shape
+(pk, pl, mod), not once per sweep.  Each group is evaluated once per key
+(m mod Gm, n mod Gn) in a cell, which makes most groups a scalar, a row
+R[m] or a column C[n] there, and f(C(m, n)) = R[m] + C[n] is zero where
+C[n] is -R[m]: the zeros are looked up by value, so the sweep's cost
+grows with the side of the window, not with its area, unless a group
+reads both m and n across a cell.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import cycle
 from math import gcd, lcm
-from typing import Callable, Iterable, List, NamedTuple, Tuple
+from operator import add
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .braid import check_h
 from .classifier import HomClass, Verdict, decide
@@ -105,26 +112,23 @@ from .kleinpi import delta, eps
 
 @dataclass(frozen=True)
 class Functional:
-    """Linear functional on kernel vectors, periodic in (k, l): its value
-    on e(k, l) is table[k % pk][l % pl] for the period box (pk, pl) =
-    (len(table), len(table[0])).  mod == 0 means Z-valued, mod == 2 means
-    Z/2-valued."""
+    """Linear functional on kernel vectors, periodic in (k, l) with period
+    box period = (pk, pl), held as its support: its value on e(k, l) is
+    support[(k % pk, l % pl)], and 0 off the support.  Every weight is
+    nonzero, and reduced when mod > 0.  mod == 0 means Z-valued, mod == 2
+    means Z/2-valued."""
 
-    table: Tuple[Tuple[int, ...], ...]
+    period: Tuple[int, int]
     mod: int
-
-    @property
-    def period(self) -> Tuple[int, int]:
-        return len(self.table), len(self.table[0])
+    support: Dict[Tuple[int, int], int]
 
     def value(self, k: int, l: int) -> int:
-        row = self.table[k % len(self.table)]
-        return row[l % len(row)]
+        pk, pl = self.period
+        return self.support.get((k % pk, l % pl), 0)
 
     def __call__(self, vec: KernelVector) -> int:
-        table = self.table
-        pk, pl = self.period
-        total = sum(c * table[k % pk][l % pl] for (k, l), c in vec.items())
+        (pk, pl), get = self.period, self.support.get
+        total = sum(c * get((k % pk, l % pl), 0) for (k, l), c in vec.items())
         return total % self.mod if self.mod else total
 
     def on_atoms(self, atoms: Iterable[Atom]) -> int:
@@ -132,85 +136,60 @@ class Functional:
         the families' progression boxes without building a vector.
 
         c(p, q) moves a box to the box at (k0 + p, l0 + ε(k0)·q), and the
-        value of f on a box is Σ count_k(a)·count_l(b)·table[a][b] over the
-        residues a, b of its two progressions.  Most boxes have a cycle of
-        one residue in both directions (one row or column, or a step that
-        is a whole number of periods, as dk = 2 is for pk = 2), and such a
-        box is nk·nl times one table entry."""
-        table, mod = self.table, self.mod
-        pk, pl = self.period
+        value of f on a box is Σ w·count_k(a)·count_l(b) over the support
+        entries (a, b): w, where count_k(a) counts the points k0 + dk·i,
+        i < nk, that are a mod pk, and likewise in l.  With g = gcd(dk, pk)
+        there are none unless g divides a - k0, and then they are the i of
+        one class i0 modulo pk / g, found with one modular inverse of
+        dk / g per box.  Most boxes stay in one residue class in both
+        directions (one row or column, or a step that is a whole number of
+        periods, as dk = 2 is for pk = 2), and such a box is nk·nl times
+        one value."""
+        (pk, pl), mod, support = self.period, self.mod, self.support
         total = 0
         for coef, p, q, family, args in atoms:
             for c, k0, dk, l0, dl, nk, nl in BOXES[family](*args):
                 k = k0 + p
                 l = l0 - q if k0 & 1 else l0 + q
                 if (nk == 1 or dk % pk == 0) and (nl == 1 or dl % pl == 0):
-                    total += coef * c * nk * nl * table[k % pk][l % pl]
+                    total += coef * c * nk * nl * support.get((k % pk, l % pl), 0)
                     continue
-                cols = _residue_counts(l, dl, nl, pl)
+                gk, gl = gcd(dk, pk), gcd(dl, pl)
+                ck, cl = pk // gk, pl // gl
+                ik, il = pow(dk // gk, -1, ck), pow(dl // gl, -1, cl)
                 box = 0
-                for a, x in _residue_counts(k, dk, nk, pk):
-                    row = table[a]
-                    for b, y in cols:
-                        box += x * y * row[b]
+                for (a, b), w in support.items():
+                    a, b = a - k, b - l
+                    if a % gk == 0 and b % gl == 0:
+                        i, j = a // gk * ik % ck, b // gl * il % cl
+                        box += w * ((nk - i + ck - 1) // ck) * ((nl - j + cl - 1) // cl)
                 total += coef * c * box
         return total % mod if mod else total
 
     def pullback(self, op: KernelOperator) -> "Functional":
-        """f∘op, tabulated over the period box (lcm(2, pk), pl), row by row.
+        """f∘op over the period box (lcm(2, pk), pl), entry by entry.
 
-        An entry (a, p, b, q): c at the parity of k sends e(k, l) to
-        c·e(a·k + p, b·l + q); with a, b = ±1, moving k by a multiple of
-        lcm(2, pk) keeps its parity and moves a·k + p by a multiple of pk,
-        and moving l by pl moves b·l + q by pl, so one box holds every
-        value of f∘op.  Row k of f∘op is the sum, over the entries at the
-        parity of k, of c times row a·k + p of the table rotated by q, so
-        that its entry l is the row's at l + q; for b = -1 the row is
-        reversed first, whose entry l is the row's at -1 - l, and rotated
-        by -1 - q."""
-        table, mod = self.table, self.mod
-        pk, pl = self.period
-        rk = lcm(2, pk)
-        _check_table(rk, pl)
-        rows = []
-        for k in range(rk):
-            total = [0] * pl
-            for (a, p, b, q), c in op.terms[k & 1].items():
-                row = table[(a * k + p) % pk]
-                if b == -1:
-                    row, q = row[::-1], -1 - q
-                q %= pl
-                total = [t + c * x for t, x in zip(total, row[q:] + row[:q])]
-            rows.append(tuple([t % mod for t in total] if mod else total))
-        return Functional(tuple(rows), mod)
-
-
-def _residue_counts(start: int, step: int, count: int, period: int) -> List[Tuple[int, int]]:
-    """(residue, multiplicity) of start + step·i mod period over i < count.
-    The residues repeat with cycle period / gcd(step, period) and are
-    distinct within one cycle, so one cycle gives all of them."""
-    cycle = period // gcd(step, period)
-    full, rest = divmod(count, cycle)
-    return [((start + step * i) % period, full + (i < rest)) for i in range(min(count, cycle))]
-
-
-def _check_table(pk: int, pl: int) -> None:
-    """Refuse a table of period box (pk, pl) over half the sweep budget,
-    since a sweep pulls back at least two tables at least as large."""
-    if 2 * pk * pl > MAX_SWEEP_ENTRIES:
-        raise ValueError(
-            f"a table of {pk * pl} entries exceeds half the budget of {MAX_SWEEP_ENTRIES} "
-            "table entries of a certificate sweep"
-        )
-
-
-def _tabulate(
-    period: Tuple[int, int], on_basis: Callable[[int, int], int], mod: int
-) -> Functional:
-    pk, pl = period
-    _check_table(pk, pl)
-    table = tuple(tuple(on_basis(k, l) for l in range(pl)) for k in range(pk))
-    return Functional(table, mod)
+        A term (a, p, b, q): c at the parity π of k sends e(k, l) to
+        c·e(a·k + p, b·l + q), so it carries a support entry (s, t): w to
+        c·w at the (k, l) with k ≡ π (mod 2), k ≡ a·(s - p) (mod pk) and
+        l ≡ b·(t - q) (mod pl), a and b = ±1 being their own inverses.  The
+        box holds one such k when pk is odd, and one or none when pk is
+        even.  f∘op is zero exactly when the sums leave no support."""
+        (pk, pl), mod = self.period, self.mod
+        pulled: dict = {}
+        for parity, terms in enumerate(op.terms):
+            for (a, p, b, q), c in terms.items():
+                for (s, t), w in self.support.items():
+                    k = a * (s - p) % pk
+                    if (k ^ parity) & 1:
+                        if not pk & 1:
+                            continue
+                        k += pk
+                    key = (k, b * (t - q) % pl)
+                    pulled[key] = pulled.get(key, 0) + c * w
+        if mod:
+            pulled = {key: w % mod for key, w in pulled.items()}
+        return Functional((lcm(2, pk), pl), mod, {key: w for key, w in pulled.items() if w})
 
 
 @dataclass(frozen=True)
@@ -488,43 +467,32 @@ def equation_even_even(r1: int, r2: int, s: int, z: int, m: int, n: int) -> Mast
 
 def xi_parity(w: int) -> Functional:
     """Z/2 functional: constant 1 when w is odd, otherwise parity of k."""
-    if w % 2:
-        return _tabulate((2, 1), lambda k, l: 1, 2)
-    return _tabulate((2, 1), lambda k, l: k % 2, 2)
+    return Functional((2, 1), 2, {(0, 0): 1, (1, 0): 1} if w % 2 else {(1, 0): 1})
 
 
 def xi_congruence(s: int, n: int, z: int) -> Functional:
-    """Z/2 functional: 1 iff k ≡ 0 or k ≡ 2n-2z-1 (mod 4s); needs s ≠ 0."""
+    """Z/2 functional: 1 iff k ≡ 0 or k ≡ 2n-2z-1 (mod 4s); needs s ≠ 0.
+    The second residue is odd, so the two are distinct."""
     if s == 0:
         raise ValueError("modulus 4s requires s != 0")
     mod = abs(4 * s)
-    target = 2 * n - 2 * z - 1
-
-    def on_basis(k: int, l: int) -> int:
-        return 1 if (k % mod == 0 or (k - target) % mod == 0) else 0
-
-    return _tabulate((mod, 1), on_basis, 2)
+    return Functional((mod, 1), 2, {(0, 0): 1, ((2 * n - 2 * z - 1) % mod, 0): 1})
 
 
 def xi_count(n: int) -> Functional:
-    """Z-valued functional: δ(k+n)."""
-    return _tabulate((2, 1), lambda k, l: delta(k + n), 0)
+    """Z-valued functional: δ(k+n), 1 iff k ≡ n + 1 (mod 2)."""
+    return Functional((2, 1), 0, {((n + 1) % 2, 0): 1})
 
 
 def xi_column(r1: int, r2: int, m: int, n: int) -> Functional:
-    """Z/2 functional: parity of k+n+1 on the columns
+    """Z/2 functional: parity of k+n+1, 1 iff k ≡ n (mod 2), on the columns
     l ≡ ε(n)m - r2/2 (mod 2|r1|); needs r1 > 0 and r2 even."""
     if r1 <= 0:
         raise ValueError("modulus 2|r1| requires r1 > 0")
     if r2 % 2:
         raise ValueError("r2 must be even")
     mod = 2 * abs(r1)
-    target = eps(n) * m - r2 // 2
-
-    def on_basis(k: int, l: int) -> int:
-        return (k + n + 1) % 2 if (l - target) % mod == 0 else 0
-
-    return _tabulate((2, mod), on_basis, 2)
+    return Functional((2, mod), 2, {(n % 2, (eps(n) * m - r2 // 2) % mod): 1})
 
 
 def xi_row(s: int, n: int) -> Functional:
@@ -532,38 +500,30 @@ def xi_row(s: int, n: int) -> Functional:
     if s == 0:
         raise ValueError("modulus 4|s| requires s != 0")
     mod = 4 * abs(s)
-
-    def on_basis(k: int, l: int) -> int:
-        return 1 if (k - n) % mod == 0 else 0
-
-    return _tabulate((mod, 1), on_basis, 2)
+    return Functional((mod, 1), 2, {(n % mod, 0): 1})
 
 
 # ---------------------------------------------------------------------------
 # certificate driver
 
-# Budget of check_certificate, in pulled-back table entries.  The count is
-# a bound: it takes every (m, n) point to pull back two tables of
-# lcm(2, pk)·pl entries, about 2 µs an entry in rows of one entry and
-# 0.1 µs in rows of 800, as it does when each point has a linear key
-# (m mod Pm, n mod Pn) of its own, plus 40 entries for the constant.  The
-# constant costs less, since it is evaluated by groups of atoms of equal
-# periods, each once per key of its own periods.  A point whose linear
-# key an earlier point of its plan had pulls back nothing.  At period
-# (2, 2), mn = 40 took 0.011-0.019 s and mn = 45, the most the budget
-# admits there, 0.013-0.023 s; at mn = 4, type 3 with s1 = 612 (period
-# (2448, 1), just within the budget, each value of n a key of its own)
-# took 0.17 s (medians of five fresh processes, two sets, Python 3.11 on
-# a shared 2-CPU host).  _check_table refuses a table over half the
-# budget, since a sweep pulls back at least two tables at least as large.
+# Budget of check_certificate, counted as it was for dense tables: every
+# (m, n) point pulling back two tables of lcm(2, pk)·pl entries, plus 40
+# entries for the constant.  With functionals held as their supports
+# nothing of that size is built, so the count is a bound far above the
+# work; it keeps the sweeps the budget admits, and refuses the others
+# before any support, form or pullback is built.  At period (2, 2), mn =
+# 45, the most the budget admits there, took 2.4-4.1 ms, and type 3 with
+# s1 = 612 at mn = 4 (period (2448, 1), just within the budget) 1.4-1.8
+# ms, against 14-15 ms and 169-296 ms with dense tables (medians of five
+# fresh processes, two sets, Python 3.11 on a shared 2-CPU host).
 MAX_SWEEP_ENTRIES = 400_000
 
 
 @dataclass(frozen=True, slots=True)
 class CertificateReport:
-    """The verdict is read off the failures: a nonzero pulled-back table
-    always lists at least one entry (in the window, or else in its period
-    box), and a zero constant lists its (m, n, "C", 0, 0)."""
+    """The verdict is read off the failures: a nonzero pulled-back support
+    always lists at least one point (in the window, or else of the support
+    itself), and a zero constant lists its (m, n, "C", 0, 0)."""
 
     family: str
     windows: Tuple[int, int]  # (coordinate window, parameter window)
@@ -582,27 +542,37 @@ class CertificateReport:
         return not self.witnesses_of_failure
 
 
-# family label, functional builder and its arguments at (representative,
-# m, n), keyed by decide's branch.  Each argument is reduced to what the
-# functional's table reads: xi_count reads n mod 2, xi_row n mod 4|s|,
-# xi_congruence n mod 2|s| (through 2n mod 4|s|), and xi_column m mod 2|r1|
-# and n mod 2 (through ε(n)·m mod 2|r1| and k + n mod 2).  The branch fixes
-# s1 != 0 for (c) and (d)(ii) and r1 > 0 for (d)(iii).
+# family label, functional builder, its layout and its arguments at
+# (representative, m, n), keyed by decide's branch.  The layout is the
+# functional's period box and the periods (Cm, Cn) of the sweep's cells,
+# the residue classes of (m, n) that fix its arguments.  Each argument is
+# reduced to what the support reads: xi_count reads n mod 2, xi_row n mod
+# 4|s|, xi_congruence n mod 2|s| (through 2n mod 4|s|), and xi_column
+# m mod 2|r1| and n mod 2 (through ε(n)·m mod 2|r1| and k + n mod 2).  The
+# branch fixes s1 != 0 for (c) and (d)(ii) and r1 > 0 for (d)(iii).
 _FAMILIES = {
-    "(a)": ("type1-even/xi-parity", xi_parity, lambda rep, m, n: (0,)),
-    "(b)": ("type2/xi-parity", xi_parity, lambda rep, m, n: (1,)),
+    "(a)": ("type1-even/xi-parity", xi_parity,
+            lambda rep: ((2, 1), (1, 1)), lambda rep, m, n: (0,)),
+    "(b)": ("type2/xi-parity", xi_parity,
+            lambda rep: ((2, 1), (1, 1)), lambda rep, m, n: (1,)),
     "(c)": ("type3/xi-congruence", xi_congruence,
+            lambda rep: ((4 * abs(rep.s1), 1), (1, 2 * abs(rep.s1))),
             lambda rep, m, n: (rep.s1, n % (2 * abs(rep.s1)), rep.s2)),
-    "(d)(i)": ("type4-(i)/xi-count", xi_count, lambda rep, m, n: (n % 2,)),
-    "(d)(ii)": ("type4-(ii)/xi-row", xi_row, lambda rep, m, n: (rep.s1, n % (4 * abs(rep.s1)))),
+    "(d)(i)": ("type4-(i)/xi-count", xi_count,
+               lambda rep: ((2, 1), (1, 2)), lambda rep, m, n: (n % 2,)),
+    "(d)(ii)": ("type4-(ii)/xi-row", xi_row,
+                lambda rep: ((4 * abs(rep.s1), 1), (1, 4 * abs(rep.s1))),
+                lambda rep, m, n: (rep.s1, n % (4 * abs(rep.s1)))),
     "(d)(iii)": ("type4-(iii)/xi-column", xi_column,
+                 lambda rep: ((2, 2 * rep.r1), (2 * rep.r1, 2)),
                  lambda rep, m, n: (rep.r1, rep.r2, m % (2 * rep.r1), n % 2)),
 }
 
 
 def _family(cls: HomClass, verdict: Verdict):
-    """(family label, class data, functional builder, its arguments at
-    (m, n)) for a class with the Borsuk-Ulam property, given its verdict.
+    """(family label, class data, functional builder, its layout, its
+    arguments at (m, n)) for a class with the Borsuk-Ulam property, given
+    its verdict.
 
     All of them are read off verdict.representative, the class the verdict
     reduces to taken with i = 0.  The obstruction equation depends on s2
@@ -612,21 +582,15 @@ def _family(cls: HomClass, verdict: Verdict):
     the one _FAMILIES keys by decide's branch for it.  An i = 1 class
     takes the representative's certificate: H carries witnesses of the one
     to witnesses of the other and back, so refuting the representative's
-    equation refutes both, once check_h has confirmed H.
-
-    _FAMILIES reduces the arguments to the residues the tables read, so
-    however large mn, a sweep, which builds one functional per argument
-    and parity of n, builds at most 2 xi_parity or xi_count, 4|s| xi_row,
-    2|s| xi_congruence or 4|r1| xi_column functionals.  What it keeps
-    stays within the sweep budget, which counts each point for twice its
-    functional's table at least."""
+    equation refutes both, once check_h has confirmed H."""
     rep = verdict.representative
-    label, build, args_at = _FAMILIES[decide(rep).branch]
+    label, build, layout, args_at = _FAMILIES[decide(rep).branch]
     n1, n2 = (img.n for img in rep.images())
     if cls.i:
         check_h()
         label += " via H"
-    return label, (rep.r1, rep.r2, rep.s1, rep.s2, n1 % 2, n2 % 2), build, partial(args_at, rep)
+    data = (rep.r1, rep.r2, rep.s1, rep.s2, n1 % 2, n2 % 2)
+    return label, data, build, layout(rep), partial(args_at, rep)
 
 
 def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> CertificateReport:
@@ -635,23 +599,17 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
     For every (m, n) with |m|, |n| <= mn, the family's functional must
     kill both linear operators on every basis vector e(k, l) and take a
     nonzero value on the constant part.  The equation's forms are built
-    once per parity of n (master_forms).  The sweep keeps one plan per
-    argument of the functional and parity of n (_plan), with the
-    functional built once for it and periods read off the forms'
-    coefficients, as the module docstring says.  The linear part is
-    decided once per key (m mod Pm, n mod Pn) of a plan: its operators are
-    evaluated, the functional pulled back through them and its failures
-    listed once, then copied with each point's (m, n).  A pulled-back
-    table holds f∘A on every (k, l), so the linear part is decided for all
-    (k, l) from the whole table.  The coordinate window only bounds which
-    failures are listed: the nonzero entries with |k|, |l| <= window, or,
-    when none falls inside it, the nonzero entries of the table's period
-    box.  The constant is f applied to its atoms,
-    summed over the groups of _shape; each group's value is kept per its
-    own reduced (m, n), so the sweep builds no vector and evaluates a
-    group once per such key.  A sweep over MAX_SWEEP_ENTRIES, counted from
-    mn and the functional's period, raises ValueError before any form,
-    atom or pulled-back table is built.
+    once per parity of n (master_forms).  The sweep takes the points cell
+    by cell: a cell is a residue class of (m, n) modulo the family's cell
+    periods (Cm, lcm(2, Cn)), so it fixes the functional's arguments and
+    the parity of n, and its points are a grid ms × ns.  The functional is
+    built once per cell, and _cell_failures lists the cell's failures.  A
+    pulled-back support holds f∘A on every (k, l), so the linear part is
+    decided for all (k, l).  The coordinate window only bounds which
+    failures are listed: the points of the support with |k|, |l| <=
+    window, or, when none falls inside it, the support itself.  A sweep
+    over MAX_SWEEP_ENTRIES, counted from mn and the functional's period,
+    raises ValueError before any support, form or pullback is built.
     """
     if window < 0 or mn < 0:
         raise ValueError(f"windows must be non-negative, got window={window}, mn={mn}")
@@ -661,10 +619,7 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
             f"{cls.describe()} fails the Borsuk-Ulam property; "
             "certificates only exist for classes that have it"
         )
-    family, data, build, args_at = _family(cls, verdict)
-    origin = args_at(0, 0)
-    first = build(*origin)
-    pk, pl = first.period
+    family, data, build, ((pk, pl), (cm, cn)), args_at = _family(cls, verdict)
     entries = (2 * mn + 1) ** 2 * (40 + 2 * lcm(2, pk) * pl)
     if entries > MAX_SWEEP_ENTRIES:
         raise ValueError(
@@ -673,34 +628,16 @@ def check_certificate(cls: HomClass, window: int = 6, mn: int = 4) -> Certificat
         )
     i, j = data[4:]
     forms = [master_forms(*data, parity) for parity in (0, 1)]
-    failures: list[Tuple[int, int, str, int, int]] = []
     coords = range(-window, window + 1)
-    # the functional read off for the budget is the one of the plan at (0, 0)
-    plans = {(origin, 0): _plan(first, forms[0], i, j, 0)}
-    for m in range(-mn, mn + 1):
-        for n in range(-mn, mn + 1):
-            args, parity = args_at(m, n), n & 1
-            plan = plans.get((args, parity))
-            if plan is None:
-                plan = plans[args, parity] = _plan(build(*args), forms[parity], i, j, parity)
-            f, pm, pn, linear_by_key, atom_groups = plan
-            total = 0
-            for atoms, gm, gn, values in atom_groups:
-                key = (m % gm if gm else m, n % gn if gn else n)
-                value = values.get(key)
-                if value is None:
-                    value = values[key] = f.on_atoms(_atoms_at(atoms, m, n))
-                total += value
-            if (total % f.mod if f.mod else total) == 0:
-                failures.append((m, n, "C", 0, 0))
-            key = (m % pm, n % pn)
-            linear = linear_by_key.get(key)
-            if linear is None:
-                linear = linear_by_key[key] = _linear_failures(
-                    f, _operators_at(forms[parity], m, n), coords
-                )
-            if linear:
-                failures.extend((m, n, name, k, l) for name, k, l in linear)
+    span = range(-mn, mn + 1)
+    cn = lcm(2, cn)
+    failures: list[Tuple[int, int, str, int, int]] = []
+    for rm in range(min(cm, len(span))):
+        ms = span[rm::cm]
+        for rn in range(min(cn, len(span))):
+            ns = span[rn::cn]
+            f = build(*args_at(ms[0], ns[0]))
+            failures += _cell_failures(f, forms[ns[0] & 1], i, j, ms, ns, coords)
     return _report(family, window, mn, tuple(sorted(failures)))
 
 
@@ -768,35 +705,79 @@ def _shape(i: int, j: int, parity: int, pk: int, pl: int, mod: int):
     return pm, pn, tuple((tuple(indices), gm, gn) for (gm, gn), indices in groups.items())
 
 
-def _plan(f: Functional, forms: MasterForms, i: int, j: int, parity: int):
-    """(f, Pm, Pn, linear failures by key, [(atoms, Gm, Gn, values by
-    key)]) for the points of a sweep whose functional is f and whose n has
-    the given parity, both dicts empty.  A group leaves out the atoms whose
-    coefficient is 0 for every (m, n), and a group of none is left out."""
-    pm, pn, groups = _shape(i, j, parity, *f.period, f.mod)
-    atoms = forms.atoms
-    plan_groups = []
+def _cell_failures(
+    f: Functional, forms: MasterForms, i: int, j: int, ms: range, ns: range, coords: range
+) -> List[Tuple[int, int, str, int, int]]:
+    """The failures at the points ms × ns of a cell, whose functional is f
+    and whose n are of the forms' parity.
+
+    A key x mod P (x whole for P = 0) repeats along ms or ns with the
+    cycle of _cycle, so each group of _shape, and the term tables, are
+    evaluated once per point of their cycles, each such point the first
+    of its key; the atoms of coefficient 0 for every (m, n) are left out.
+    A group of cycle 1 in both is a scalar, one of cycle 1 in n a row
+    R[m], and one of cycle 1 in m a column C[n]; the scalars are added to
+    the rows.  Without groups that read both, f(C(m, n)) = R[m] + C[n], so
+    its zeros are the n whose C[n] is -R[m] (mod f.mod), looked up in an
+    index of C by value, one lookup per m.  Only the groups that read both
+    are summed per point.  The linear part is decided once per key (m mod
+    Pm, n mod Pn) of the term tables' periods, and its failures are copied
+    to the key's points when it has some."""
+    pm, pn, groups = _shape(i, j, forms.parity, *f.period, f.mod)
+    mod = f.mod
+    rows, cols, both = [0] * len(ms), [0] * len(ns), []
     for indices, gm, gn in groups:
-        group = [atoms[index] for index in indices if atoms[index][0] != _ZERO]
-        if group:
-            plan_groups.append((group, gm, gn, {}))
-    return f, pm, pn, {}, plan_groups
+        atoms = [forms.atoms[x] for x in indices if forms.atoms[x][0] != _ZERO]
+        if not atoms:
+            continue
+        cm, cn = _cycle(gm, ms), _cycle(gn, ns)
+        values = [f.on_atoms(_atoms_at(atoms, m, n)) for m in ms[:cm] for n in ns[:cn]]
+        if cm > 1 and cn > 1:
+            both.append((values, cm, cn))
+        elif cn > 1:
+            cols = list(map(add, cols, cycle(values)))
+        else:
+            rows = list(map(add, rows, cycle(values)))
+    failures = []
+    if both:
+        for x, (m, row) in enumerate(zip(ms, rows)):
+            for y, (n, col) in enumerate(zip(ns, cols)):
+                total = row + col + sum(values[x % a * b + y % b] for values, a, b in both)
+                if (total % mod if mod else total) == 0:
+                    failures.append((m, n, "C", 0, 0))
+    else:
+        index: dict = {}
+        for n, col in zip(ns, cols):
+            index.setdefault(col % mod if mod else col, []).append(n)
+        for m, row in zip(ms, rows):
+            failures += [(m, n, "C", 0, 0) for n in index.get(-row % mod if mod else -row, ())]
+    lm, ln = _cycle(pm, ms), _cycle(pn, ns)
+    for x in range(lm):
+        for y in range(ln):
+            linear = _linear_failures(f, _operators_at(forms, ms[x], ns[y]), coords)
+            if linear:
+                failures += [(m, n, *bad) for m in ms[x::lm] for n in ns[y::ln] for bad in linear]
+    return failures
+
+
+def _cycle(period: int, line: range) -> int:
+    """After how many points of line a key x mod period (x whole for
+    period 0) repeats: x moves by line.step from point to point, so
+    period / gcd(step, period), or the whole line when that is longer.
+    Within one cycle the keys are distinct."""
+    return len(line) if period == 0 else min(len(line), period // gcd(line.step, period))
 
 
 def _linear_failures(
     f: Functional, ops: Tuple[KernelOperator, KernelOperator], coords: range
 ) -> List[Tuple[str, int, int]]:
-    """(name, k, l) for each nonzero entry of f∘Ax and f∘Ay that a report
-    lists: those with k, l in coords, or, when none falls there, those of
-    the pulled-back table's period box."""
+    """(name, k, l) for each point of the support of f∘Ax and f∘Ay that a
+    report lists: those with k, l in coords, or, when none falls there, the
+    support's own points."""
     failures = []
     for name, op in zip(("Ax", "Ay"), ops):
         pulled = f.pullback(op)
-        if not any(map(any, pulled.table)):
-            continue
-        bad = [(k, l) for k in coords for l in coords if pulled.value(k, l)]
-        if not bad:
-            pk, pl = pulled.period
-            bad = [(k, l) for k in range(pk) for l in range(pl) if pulled.table[k][l]]
-        failures.extend((name, k, l) for k, l in bad)
+        if pulled.support:
+            bad = [(k, l) for k in coords for l in coords if pulled.value(k, l)]
+            failures.extend((name, k, l) for k, l in bad or sorted(pulled.support))
     return failures

@@ -356,7 +356,7 @@ def suite_certificate_grid() -> list[SuiteCheck]:
             fails.append((cls, report.witnesses_of_failure[:2]))
     _check(out, f"check_certificate succeeds on {checked} classes, params in [-2,2]", fails)
 
-    # a pulled-back table holds xi∘op on every (k, l), so xi.pullback(op) ==
+    # a pulled-back support holds xi∘op on every (k, l), so xi.pullback(op) ==
     # xi is the invariance xi∘op = xi for all of them
     fails = []
     span = range(-3, 4)

@@ -284,7 +284,7 @@ def test_xi_parity():
 
 
 def test_xi_parity_kills_linear_parts():
-    # xi∘op = xi on every e(k, l), read off the pulled-back tables
+    # xi∘op = xi on every e(k, l), read off the pulled-back supports
     for w in (0, 1):
         xi = xi_parity(w)
         for (m, n) in [(0, 0), (1, -1), (-2, 3)]:
@@ -449,8 +449,8 @@ def test_certificate_blocks_windowed_solutions():
 def test_linear_part_is_decided_on_the_whole_table(monkeypatch, window):
     # a Z/2 functional that is 1 only at k = 8 (mod 16) does not kill Ax or
     # Ay, although a small window may hold no nonzero pulled-back entry
-    spike = Functional(tuple((int(k == 8),) for k in range(16)), 2)
-    spiked = ("type3/spike", lambda: spike, lambda rep, m, n: ())
+    spike = Functional((16, 1), 2, {(8, 0): 1})
+    spiked = ("type3/spike", lambda: spike, lambda rep: ((16, 1), (1, 1)), lambda rep, m, n: ())
     monkeypatch.setitem(certificate._FAMILIES, "(c)", spiked)
     cls = HomClass(3, s1=1)
     report = check_certificate(cls, window=window, mn=1)
@@ -458,7 +458,7 @@ def test_linear_part_is_decided_on_the_whole_table(monkeypatch, window):
     linear = [f for f in report.witnesses_of_failure if f[2] in ("Ax", "Ay")]
     assert linear
     # every listed failure is a basis vector the functional does not kill
-    _, data, _, _ = _family(cls, decide(cls))
+    _, data, _, _, _ = _family(cls, decide(cls))
     for m, n, name, k, l in linear:
         op = getattr(_equation(*data, m, n), name.lower())
         assert spike(op(unit(k, l))) != 0
@@ -475,13 +475,13 @@ def test_certificate_rejects_negative_windows():
 
 def test_functional_built_once_per_argument_of_a_sweep(monkeypatch):
     calls = []
-    label, build, args_at = certificate._FAMILIES["(d)(i)"]
+    label, build, layout, args_at = certificate._FAMILIES["(d)(i)"]
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setitem(certificate._FAMILIES, "(d)(i)", (label, counted, args_at))
+    monkeypatch.setitem(certificate._FAMILIES, "(d)(i)", (label, counted, layout, args_at))
     cls = HomClass(4, r1=0, r2=2, s1=1, s2=0)  # xi_count(n mod 2)
     assert check_certificate(cls, mn=4).success
     assert sorted(calls) == [(0,), (1,)]
@@ -499,18 +499,18 @@ def test_functional_built_once_per_argument_of_a_sweep(monkeypatch):
     ids=["(d)(ii)", "(d)(iii)"],
 )
 def test_one_functional_per_plan_key(monkeypatch, cls, mn, plans):
-    # the sweep keys its plans on (arguments, n mod 2) and builds the
-    # functional once per plan, the one it reads the period off included
+    # the sweep's cells fix (arguments, n mod 2), and it builds the
+    # functional once per cell
     rep = decide(cls).representative
     branch = decide(rep).branch
-    label, build, args_at = certificate._FAMILIES[branch]
+    label, build, layout, args_at = certificate._FAMILIES[branch]
     calls = []
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setitem(certificate._FAMILIES, branch, (label, counted, args_at))
+    monkeypatch.setitem(certificate._FAMILIES, branch, (label, counted, layout, args_at))
     assert check_certificate(cls, mn=mn).success
     window = range(-mn, mn + 1)
     keys = {(args_at(rep, m, n), n % 2) for m in window for n in window}
@@ -542,27 +542,34 @@ _RAW_ARGS = {
 def test_reduced_arguments_build_the_raw_tables(cls, branch):
     rep = decide(cls).representative
     assert decide(rep).branch == branch
-    _, build, args_at = certificate._FAMILIES[branch]
-    reduced = set()
+    _, build, layout, args_at = certificate._FAMILIES[branch]
+    box, (cm, cn) = layout(rep)
+    by_cell = {}
     for m in range(-13, 14):
         for n in range(-13, 14):
             args = args_at(rep, m, n)
-            assert build(*args) == build(*_RAW_ARGS[branch](rep, m, n)), (m, n)
-            reduced.add(args)
-    # every residue the tables read, and no more
+            f = build(*args)
+            assert f == build(*_RAW_ARGS[branch](rep, m, n)), (m, n)
+            assert f.period == box
+            by_cell.setdefault((m % cm, n % cn), set()).add(args)
+    # each cell fixes the arguments, and cells differ in them: every
+    # residue the supports read, and no more
+    assert all(len(args) == 1 for args in by_cell.values())
+    reduced = set().union(*by_cell.values())
     residues = {
         "(c)": 2 * abs(rep.s1),
         "(d)(i)": 2,
         "(d)(ii)": 4 * abs(rep.s1),
         "(d)(iii)": 4 * rep.r1,
     }
-    assert len(reduced) == residues[branch]
+    assert len(reduced) == len(by_cell) == residues[branch]
 
 
 def _no_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("the sweep started")
 
+    monkeypatch.setattr(certificate, "Functional", no_sweep)
     monkeypatch.setattr(certificate, "master_forms", no_sweep)
     monkeypatch.setattr(Functional, "pullback", no_sweep)
 
@@ -594,37 +601,14 @@ def test_sweep_budget_rejects_before_the_sweep(monkeypatch, cls, mn):
         check_certificate(cls, mn=mn)
 
 
-def test_no_table_over_half_the_sweep_budget(monkeypatch):
-    def no_table(*args):
-        raise AssertionError("a table was built")
-
-    monkeypatch.setattr(certificate, "Functional", no_table)
+def test_oversized_inputs_refused_before_any_support(monkeypatch):
+    # the inputs of the CI's oversized certify commands, of period box
+    # (400000, 1) and (2, 2·10^9): the budget reads the box off _FAMILIES,
+    # so no support, form or pullback is built
+    _no_sweep(monkeypatch)
     for cls in (HomClass(3, i=0, s1=100_000, s2=0), HomClass(4, r1=10**9, r2=2, s1=0, s2=0)):
-        with pytest.raises(ValueError, match="exceeds half the budget"):
+        with pytest.raises(ValueError, match=f"exceeds the budget of {MAX_SWEEP_ENTRIES}"):
             check_certificate(cls)
-
-
-def test_no_pullback_over_half_the_sweep_budget(monkeypatch):
-    # hand-built tables of one row pull back to lcm(2, 1) = 2 rows: one
-    # entry more per row than a quarter of the budget passes half of it,
-    # and is refused before a term is read or a row built
-    over = Functional(((0,) * (MAX_SWEEP_ENTRIES // 4 + 1),), 2)
-    at = Functional(((0,) * (MAX_SWEEP_ENTRIES // 4),), 2)
-
-    class NoTerms:
-        @property
-        def terms(self):
-            raise AssertionError("a row was built")
-
-    def no_table(*args):
-        raise AssertionError("a table was built")
-
-    monkeypatch.setattr(certificate, "Functional", no_table)
-    with pytest.raises(ValueError, match="exceeds half the budget"):
-        over.pullback(NoTerms())
-    # at half the budget the rows are built
-    with pytest.raises(AssertionError, match="a table was built"):
-        at.pullback(ID)
 
 
 @pytest.mark.parametrize("args", [["--type", "3", "--s1", "100000"],

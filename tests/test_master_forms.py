@@ -37,7 +37,7 @@ from kleinbraid.kleinpi import delta, eps
 from kleinbraid.suites import _grid_classes
 
 from common import PROFILE
-from test_functionals import per_point_sweep, periodic_tables
+from test_functionals import per_point_sweep, periodic_functionals
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_atom_groups_hold_every_atom_and_read_only_their_variables():
                 _, _, groups = _shape(*d[4:], parity, pk, pl, mod)
                 assert sorted(x for indices, _, _ in groups for x in indices) == list(range(11))
                 assert len({(gm, gn) for _, gm, gn in groups}) == len(groups)
-                f = Functional(((0,) * pl,) * pk, mod)
+                f = Functional((pk, pl), mod, {})
                 for indices, gm, gn in groups:
                     read = _read_by_on_atoms([forms.atoms[x] for x in indices], f)
                     for m, n in POINTS:
@@ -258,7 +258,7 @@ def _least_periods(read, bound):
 
 def _sweep_of(cls):
     """(class data, functional at (m, n)) as check_certificate reads them."""
-    _, data, build, args_at = certificate._family(cls, decide(cls))
+    _, data, build, _, args_at = certificate._family(cls, decide(cls))
     return data, lambda m, n: build(*args_at(m, n))
 
 
@@ -315,13 +315,13 @@ def _read_by_on_atoms(atoms, f):
     st.integers(0, 1),
     st.integers(-12, 12),
     st.integers(-6, 6),
-    st.one_of(st.none(), periodic_tables()),
+    st.one_of(st.none(), periodic_functionals()),
 )
-def test_periods_equal_least_periods_by_probing(cls, parity, m, t, table):
+def test_periods_equal_least_periods_by_probing(cls, parity, m, t, drawn):
     # the class's functional at a point of the parity, or an arbitrary
-    # table, odd periods and Z/3 values included
+    # support drawn from a table, odd periods and Z/3 values included
     data, functional_at = _sweep_of(cls)
-    f = table or functional_at(m, 2 * t + parity)
+    f = drawn or functional_at(m, 2 * t + parity)
     forms = master_forms(*data, parity)
     pk, pl = f.period
     bound = lcm(2, pk, pl, f.mod or 1)  # every modulus divides it
