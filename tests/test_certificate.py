@@ -601,7 +601,7 @@ def test_sweep_budget_rejects_before_the_sweep(monkeypatch, cls, mn):
         check_certificate(cls, mn=mn)
 
 
-def test_oversized_inputs_refused_before_any_support(monkeypatch):
+def test_no_table_over_half_the_sweep_budget(monkeypatch):
     # the inputs of the CI's oversized certify commands, of period box
     # (400000, 1) and (2, 2·10^9): the budget reads the box off _FAMILIES,
     # so no support, form or pullback is built
@@ -609,6 +609,30 @@ def test_oversized_inputs_refused_before_any_support(monkeypatch):
     for cls in (HomClass(3, i=0, s1=100_000, s2=0), HomClass(4, r1=10**9, r2=2, s1=0, s2=0)):
         with pytest.raises(ValueError, match=f"exceeds the budget of {MAX_SWEEP_ENTRIES}"):
             check_certificate(cls)
+
+
+def test_no_pullback_over_half_the_sweep_budget(monkeypatch):
+    # a sweep of one point costs 40 + 2·box entries, so a pulled-back box
+    # over (budget - 40) / 2 is refused before any pullback.  Type 3 pulls
+    # back to the box (4·s1, 1): the largest s1 the budget admits sweeps
+    # and pulls back to a box of exactly that size, one more is refused.
+    half = (MAX_SWEEP_ENTRIES - 40) // 2
+    s1 = half // 4
+    boxes = []
+    pullback = Functional.pullback
+
+    def counted(self, op):
+        pulled = pullback(self, op)
+        boxes.append(pulled.period)
+        return pulled
+
+    monkeypatch.setattr(Functional, "pullback", counted)
+    assert check_certificate(HomClass(3, i=0, s1=s1, s2=0), mn=0).success
+    assert boxes and all(pk * pl <= half for pk, pl in boxes)
+    assert max(pk * pl for pk, pl in boxes) == half
+    _no_sweep(monkeypatch)
+    with pytest.raises(ValueError, match=f"exceeds the budget of {MAX_SWEEP_ENTRIES}"):
+        check_certificate(HomClass(3, i=0, s1=s1 + 1, s2=0), mn=0)
 
 
 @pytest.mark.parametrize("args", [["--type", "3", "--s1", "100000"],
